@@ -415,14 +415,7 @@ def cmd_corpus(args) -> tuple[dict, bool]:
 
 # -- plumbing -------------------------------------------------------------------------
 
-def build_parser(suppress: bool = False) -> argparse.ArgumentParser:
-    """The CLI parser; with suppress=True, arguments left at their default
-    are absent from the namespace, which is how explicit flags are told
-    apart from defaults when merging a config file."""
-
-    def d(value):
-        return argparse.SUPPRESS if suppress else value
-
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permlab",
         description="Deterministic verification runs over the finite lab modules.")
@@ -431,63 +424,60 @@ def build_parser(suppress: bool = False) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", default=d(None),
-                       help="JSON file preloading any flag")
-        p.add_argument("--seed", type=int, default=d(0),
+        p.add_argument("--config", help="JSON file preloading any flag")
+        p.add_argument("--seed", type=int, default=0,
                        help="random seed recorded in the report")
-        p.add_argument("--timings", action="store_true", default=d(False),
+        p.add_argument("--timings", action="store_true",
                        help="include wall times (breaks byte-identical output)")
-        p.add_argument("-o", "--output", default=d(None),
-                       help="write the JSON report here")
-        p.add_argument("--plot-data", default=d(None),
-                       help="write plottable CSV here")
+        p.add_argument("-o", "--output", help="write the JSON report here")
+        p.add_argument("--plot-data", help="write plottable CSV here")
 
     p = sub.add_parser("verify", help="sentence evaluations against oracles")
-    p.add_argument("--groups", default=d("corpus"),
+    p.add_argument("--groups", default="corpus",
                    help="comma-separated group specs, or 'corpus'")
-    p.add_argument("--sentences", default=d(",".join(DEFAULT_SENTENCES)))
-    p.add_argument("--strategy", default=d("class"),
+    p.add_argument("--sentences", default=",".join(DEFAULT_SENTENCES))
+    p.add_argument("--strategy", default="class",
                    choices=["naive", "class", "centralizer"])
     common(p)
 
     p = sub.add_parser("primes", help="selector-problem witness primes")
     p.add_argument("--q", required=True, help="comma-separated primes >= 7")
     p.add_argument("--gamma", required=True, help="comma-separated 0/1 choices")
-    p.add_argument("--floor", type=int, default=d(13))
+    p.add_argument("--floor", type=int, default=13)
     common(p)
 
     p = sub.add_parser("schreier", help="graph expansion and automorphisms")
     p.add_argument("--graph", required=True,
                    help="regular:<group>, cycle:<n>, or file:<path>")
-    p.add_argument("--mode", default=d("report"),
+    p.add_argument("--mode", default="report",
                    choices=["exact-autos", "report", "clusters"])
-    p.add_argument("--eps", default=d("auto"),
+    p.add_argument("--eps", default="auto",
                    help="defect budget as a fraction, or 'auto'")
-    p.add_argument("--search", default=d("auto"),
+    p.add_argument("--search", default="auto",
                    choices=["auto", "exhaustive", "backtracking", "local-search"])
-    p.add_argument("--restarts", type=int, default=d(20))
+    p.add_argument("--restarts", type=int, default=20)
     common(p)
 
     p = sub.add_parser("rigidity", help="centralizer and double-centralizer checks")
-    p.add_argument("--group", default=d("sym3"))
-    p.add_argument("--check", default=d("biregular"),
+    p.add_argument("--group", default="sym3")
+    p.add_argument("--check", default="biregular",
                    choices=["biregular", "action-centralizer", "class-powers"])
-    p.add_argument("--perms", default=d(""),
+    p.add_argument("--perms", default="",
                    help="semicolon-separated cycle strings (action-centralizer)")
-    p.add_argument("--element", default=d(""), help="cycle string (class-powers)")
-    p.add_argument("--k", type=int, default=d(2))
+    p.add_argument("--element", default="", help="cycle string (class-powers)")
+    p.add_argument("--k", type=int, default=2)
     common(p)
 
     p = sub.add_parser("stability", help="almost-homomorphism scans and files")
-    p.add_argument("--group", default=d("cyclic2"))
-    p.add_argument("--degree", type=int, default=d(3))
-    p.add_argument("--window", default=d("0"), help="padding window fraction")
-    p.add_argument("--map", default=d(""),
+    p.add_argument("--group", default="cyclic2")
+    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--window", default="0", help="padding window fraction")
+    p.add_argument("--map", default="",
                    help="almost-homomorphism file to analyze")
     common(p)
 
     p = sub.add_parser("corpus", help="corpus inspection")
-    p.add_argument("action", nargs="?", default=d("list"))
+    p.add_argument("action", nargs="?", default="list")
     common(p)
     return parser
 
@@ -502,30 +492,44 @@ DISPATCH = {
 }
 
 
-def _merge_config(args, given: set[str]) -> None:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config file stands for flags placed right after the
+    subcommand, so they get the flags' own validation and explicit flags,
+    coming later, win."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if not args.config:
-        return
-    with open(args.config, encoding="utf-8") as fh:
-        loaded = json.load(fh)
+        return args
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config {args.config}: {exc}")
     if not isinstance(loaded, dict):
-        raise ValueError("the config file must hold a JSON object")
+        parser.error("the config file must hold a JSON object")
+    flags = []
     for key, value in loaded.items():
-        dest = key.replace("-", "_")
-        if dest == "command" or not hasattr(args, dest):
-            raise ValueError(f"unknown config key {key!r}")
-        if dest not in given:
-            setattr(args, dest, value)
+        if key.replace("-", "_") not in vars(args):
+            parser.error(f"unknown config key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            flags += [flag] if value else []
+        elif isinstance(value, (str, int, float)):
+            flags.append(f"{flag}={value}")
+        else:
+            parser.error(f"config key {key!r} needs a string, number or boolean")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
-        given = set(vars(build_parser(suppress=True).parse_args(argv)))
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     t0 = time.perf_counter()
     try:
-        _merge_config(args, given)
         report, ok = DISPATCH[args.command](args)
     except (ValueError, KeyError, OSError, ParseError, CapExceededError,
             DecompositionRequiredError) as exc:

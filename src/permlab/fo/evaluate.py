@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import CapExceededError
-from ..groups import FiniteGroup, generating_subset
+from ..groups import FiniteGroup, generating_subset, orbits
 from ..perms import Permutation
 from . import macros as _macros
 from .macros import ArgKind
@@ -340,26 +340,9 @@ def _orbit_reps(G: FiniteGroup, fixed: frozenset) -> list[int]:
     c = G.centralizer_of(fixed)
     if len(c) == len(G):
         return G.class_representatives()
-    gens = generating_subset(G, c)
-    assigned = [False] * len(G)
-    orbits: list[tuple[int, int]] = []  # (size, least)
-    for start in range(len(G)):
-        if assigned[start]:
-            continue
-        size = 1
-        assigned[start] = True
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = G.conj(x, g)
-                if not assigned[y]:
-                    assigned[y] = True
-                    size += 1
-                    queue.append(y)
-        orbits.append((size, start))
-    orbits.sort()
-    return [least for _size, least in orbits]
+    conj = G.conjugation_maps(generating_subset(G, c))
+    orbs = sorted((len(o), o[0]) for o in orbits(len(G), conj))
+    return [least for _size, least in orbs]
 
 
 # -- entry points ------------------------------------------------------------------------

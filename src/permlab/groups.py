@@ -7,6 +7,12 @@ tuples; :class:`~permlab.perms.Permutation` objects appear only at API
 boundaries.  Groups are immutable after construction (the internal
 caches only memoize pure queries), so sharing them between callers is
 safe.
+
+Every breadth-first walk in the package goes through one of two routines
+here: :func:`orbit` (closures, conjugacy classes, orbit representatives,
+Schreier-graph components; :func:`orbits` partitions a point range with
+it) or :func:`extend` (automorphism and isomorphism propagation,
+homomorphisms grown from generator images).
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from math import factorial, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -50,7 +57,6 @@ __all__ = [
 ELEMENT_CAP = 10 ** 6
 TABLE_CAP = 5000
 SIMPLICITY_CAP = 10 ** 5
-_NUMPY_SCAN_THRESHOLD = 4096
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
@@ -94,6 +100,67 @@ def _tuple_is_even(p: tuple) -> bool:
             seen[j] = True
             j = p[j]
     return (len(p) - cycles) % 2 == 0
+
+
+def orbit(seed, gens, cap: int | None = None) -> list | None:
+    """Orbit of `seed` under the point maps `gens`, breadth first.
+
+    Points come out in FIFO discovery order, which fixes the element
+    indexing of every group built by closure.  Only forward maps are
+    needed: a permutation of a finite set has finite order, so its inverse
+    is one of its powers.  Returns None once the orbit would exceed `cap`
+    points.
+    """
+    out = [seed]
+    seen = {seed}
+    for x in out:
+        for g in gens:
+            y = g(x)
+            if y not in seen:
+                if len(out) == cap:
+                    return None
+                seen.add(y)
+                out.append(y)
+    return out
+
+
+def orbits(n: int, gens, points: Iterable[int] | None = None) -> Iterator[list[int]]:
+    """The orbits of `gens` on 0..n-1 that meet `points` (default: all).
+
+    Each orbit starts at its first point in `points` and follows in `orbit`
+    order; scanned in increasing order, that start is the least member.
+    """
+    covered = bytearray(n)
+    for start in range(n) if points is None else points:
+        if not covered[start]:
+            orb = orbit(start, gens)
+            for x in orb:
+                covered[x] = 1
+            yield orb
+
+
+def extend(mapping: list, root, target, src_gens, dst_gens) -> list | None:
+    """Extend a partial map by root ↦ target along forward generator edges.
+
+    `mapping` is indexed by source points, None where unset (at least over
+    the orbit of `root`), and is filled in place over that orbit.  For every
+    pair (s, d) of `src_gens` and `dst_gens`, each edge x → s(x) must go to
+    the edge f(x) → d(f(x)); the map is returned when all of them agree,
+    None at the first edge that does not.
+    """
+    mapping[root] = target
+    queue = [root]
+    for x in queue:
+        fx = mapping[x]
+        for s, d in zip(src_gens, dst_gens):
+            y, fy = s(x), d(fx)
+            old = mapping[y]
+            if old is None:
+                mapping[y] = fy
+                queue.append(y)
+            elif old != fy:
+                return None
+    return mapping
 
 
 class FiniteGroup:
@@ -193,6 +260,21 @@ class FiniteGroup:
         """by · i · by^-1."""
         return self.mul(self.mul(by, i), self.inv(by))
 
+    def conjugation_maps(self, by: Iterable[int]) -> list:
+        """Point maps x ↦ g·x·g^-1 on element indices, one per g in `by`,
+        for `orbit`.  Each is one tuple composition; `conj` would fill a
+        lazy Cayley row for every element it meets."""
+        elems, idx = self._elements, self._index
+
+        def conj_by(g):
+            gt, git = elems[g], _invert(elems[g])
+
+            def conj(x):
+                xt = elems[x]
+                return idx[tuple([gt[xt[j]] for j in git])]
+            return conj
+        return [conj_by(g) for g in by]
+
     def power(self, i: int, k: int) -> int:
         if k < 0:
             return self.power(self.inv(i), -k)
@@ -216,31 +298,9 @@ class FiniteGroup:
     def conjugacy_classes(self) -> tuple[frozenset, ...]:
         """Conjugacy classes, sorted by (size, least member)."""
         if self._classes is None:
-            gens = self.generators
-            gen_pairs = [(self._elements[g], _invert(self._elements[g]))
-                         for g in gens]
-            idx = self._index
-            assigned = [-1] * len(self)
-            raw: list[list[int]] = []
-            for start in range(len(self)):
-                if assigned[start] >= 0:
-                    continue
-                cid = len(raw)
-                orbit = [start]
-                assigned[start] = cid
-                queue = [start]
-                while queue:
-                    x = queue.pop()
-                    xt = self._elements[x]
-                    for gt, git in gen_pairs:
-                        y = idx[_compose(_compose(gt, xt), git)]
-                        if assigned[y] < 0:
-                            assigned[y] = cid
-                            orbit.append(y)
-                            queue.append(y)
-                raw.append(orbit)
-            order = sorted(range(len(raw)), key=lambda c: (len(raw[c]), min(raw[c])))
-            self._classes = tuple(frozenset(raw[c]) for c in order)
+            raw = list(orbits(len(self), self.conjugation_maps(self.generators)))
+            raw.sort(key=lambda c: (len(c), c[0]))
+            self._classes = tuple(frozenset(c) for c in raw)
             self._class_of = [0] * len(self)
             for new_cid, c in enumerate(self._classes):
                 for x in c:
@@ -271,30 +331,14 @@ class FiniteGroup:
         if not key:
             result = frozenset(range(len(self)))
         else:
-            gens = generating_subset(self, key) or [self.identity_index]
-            if len(self) >= _NUMPY_SCAN_THRESHOLD:
-                mat = self._np_matrix()
-                mask = np.ones(len(self), dtype=bool)
-                for g in gens:
-                    garr = np.array(self._elements[g], dtype=np.int32)
-                    mask &= (mat[:, garr] == garr[mat]).all(axis=1)
-                result = frozenset(np.nonzero(mask)[0].tolist())
-            else:
-                out = []
-                rng = range(self.degree)
-                for x, xt in enumerate(self._elements):
-                    ok = True
-                    for g in gens:
-                        gt = self._elements[g]
-                        for i in rng:
-                            if xt[gt[i]] != gt[xt[i]]:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if ok:
-                        out.append(x)
-                result = frozenset(out)
+            mat = self._np_matrix()
+            mask = np.ones(len(self), dtype=bool)
+            for g in generating_subset(self, key):
+                garr = np.array(self._elements[g], dtype=np.int32)
+                # x·g = g·x, one point i at a time: x(g(i)) = g(x(i))
+                for i, gi in enumerate(self._elements[g]):
+                    mask &= mat[:, gi] == garr[mat[:, i]]
+            result = frozenset(np.nonzero(mask)[0].tolist())
         self._centralizer_memo[key] = result
         return result
 
@@ -369,26 +413,15 @@ def parse_group_spec(spec) -> GroupSpec:
     raise ValueError(f"unrecognized group spec: {spec!r}")
 
 
-def _closure_tuples(gen_tuples: list[tuple], degree: int,
-                    cap: int = ELEMENT_CAP) -> list[tuple]:
-    ident = tuple(range(degree))
-    seen = {ident}
-    out = [ident]
-    frontier = [ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gen_tuples:
-                y = _compose(g, x)
-                if y not in seen:
-                    seen.add(y)
-                    out.append(y)
-                    if len(out) > cap:
-                        raise CapExceededError(
-                            f"closure exceeded the element cap {cap}")
-                    new.append(y)
-        frontier = new
-    return out
+def _generated_group(gen_tuples: list[tuple], name: str,
+                     cap: int = ELEMENT_CAP) -> FiniteGroup:
+    """The group generated by image tuples of one degree, its elements in
+    `orbit` order from the identity."""
+    elems = orbit(tuple(range(len(gen_tuples[0]))),
+                  [partial(_compose, g) for g in gen_tuples], cap)
+    if elems is None:
+        raise CapExceededError(f"closure exceeded the element cap {cap}")
+    return FiniteGroup(elems, name, [elems.index(t) for t in gen_tuples])
 
 
 def _build_sym_or_alt(kind: str, n: int) -> FiniteGroup:
@@ -422,9 +455,7 @@ def _build_cyclic(k: int) -> FiniteGroup:
         raise ValueError("cyclic order must be at least 1")
     if k == 1:
         return FiniteGroup([(0,)], "cyclic(1)", [])
-    rot = tuple(list(range(1, k)) + [0])
-    elems = _closure_tuples([rot], k)
-    return FiniteGroup(elems, f"cyclic({k})", [elems.index(rot)])
+    return _generated_group([tuple(list(range(1, k)) + [0])], f"cyclic({k})")
 
 
 def _build_dihedral(order: int) -> FiniteGroup:
@@ -433,11 +464,10 @@ def _build_dihedral(order: int) -> FiniteGroup:
     k = order // 2
     rot = tuple(list(range(1, k)) + [0])
     refl = tuple((k - i) % k for i in range(k))
-    elems = _closure_tuples([rot, refl], k)
-    if len(elems) != order:
+    G = _generated_group([rot, refl], f"dihedral({order})")
+    if len(G) != order:
         raise RuntimeError("dihedral construction produced the wrong order")
-    return FiniteGroup(elems, f"dihedral({order})",
-                       [elems.index(rot), elems.index(refl)])
+    return G
 
 
 _PSL2_PRIMES = (5, 7, 11, 13)
@@ -453,13 +483,11 @@ def _build_psl2(p: int) -> FiniteGroup:
     neg_inv[inf] = 0
     for x in range(1, p):
         neg_inv[x] = (-pow(x, p - 2, p)) % p
-    neg_inv_t = tuple(neg_inv)
-    elems = _closure_tuples([shift, neg_inv_t], p + 1)
+    G = _generated_group([shift, tuple(neg_inv)], f"psl2({p})")
     expected = p * (p * p - 1) // 2
-    if len(elems) != expected:
-        raise RuntimeError(f"psl2({p}) closure has order {len(elems)}, expected {expected}")
-    return FiniteGroup(elems, f"psl2({p})",
-                       [elems.index(shift), elems.index(neg_inv_t)])
+    if len(G) != expected:
+        raise RuntimeError(f"psl2({p}) closure has order {len(G)}, expected {expected}")
+    return G
 
 
 def _build_generated(gens: tuple[str, ...]) -> FiniteGroup:
@@ -469,9 +497,7 @@ def _build_generated(gens: tuple[str, ...]) -> FiniteGroup:
     for p in perms:
         images = tuple(p.images) + tuple(range(p.degree, degree))
         padded.append(images)
-    elems = _closure_tuples(padded, degree)
-    name = "generated[" + ",".join(gens) + "]"
-    return FiniteGroup(elems, name, [elems.index(t) for t in padded])
+    return _generated_group(padded, "generated[" + ",".join(gens) + "]")
 
 
 _CONSTRUCT_CACHE: dict[GroupSpec, FiniteGroup] = {}
@@ -530,33 +556,17 @@ def generating_subset(G: FiniteGroup, S: Iterable[int] | None = None) -> list[in
     for x in members:
         if x not in closure:
             gens.append(x)
-            closure = _close_indices(G, gens)
+            closure = set(orbit(G.identity_index,
+                                [partial(G.mul, g) for g in gens]))
             if S is None and len(closure) == len(G):
                 break
     return gens
 
 
-def _close_indices(G: FiniteGroup, gens: Sequence[int],
-                   cap: int | None = None) -> set[int]:
-    out = {G.identity_index}
-    frontier = [G.identity_index]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = G.mul(g, x)
-                if y not in out:
-                    out.add(y)
-                    if cap is not None and len(out) > cap:
-                        return out
-                    new.append(y)
-        frontier = new
-    return out
-
-
 def generated_subgroup(G: FiniteGroup, S: Iterable[int]) -> frozenset:
     """Subgroup generated by S (the empty set generates the trivial subgroup)."""
-    return frozenset(_close_indices(G, generating_subset(G, S)))
+    return frozenset(orbit(G.identity_index, [
+        partial(G.mul, g) for g in generating_subset(G, S)]))
 
 
 def is_subgroup(G: FiniteGroup, S: Iterable[int]) -> bool:
@@ -678,43 +688,10 @@ def _subgroup_class_reps(G: FiniteGroup, W: frozenset) -> tuple[int, ...]:
     cached = G._subclass_reps_memo.get(W)
     if cached is not None:
         return cached
-    gens = generating_subset(G, W)
-    assigned: set[int] = set()
-    reps = []
-    for start in sorted(W):
-        if start in assigned:
-            continue
-        reps.append(start)
-        queue = [start]
-        assigned.add(start)
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = G.conj(x, g)
-                if y not in assigned:
-                    assigned.add(y)
-                    queue.append(y)
-    result = tuple(reps)
+    conj = G.conjugation_maps(generating_subset(G, W))
+    result = tuple(c[0] for c in orbits(len(G), conj, sorted(W)))
     G._subclass_reps_memo[W] = result
     return result
-
-
-def _close_pair(G: FiniteGroup, a: int, b: int, cap: int) -> set[int] | None:
-    """⟨a, b⟩, or None as soon as the closure exceeds cap elements."""
-    out = {G.identity_index}
-    frontier = [G.identity_index]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in (a, b):
-                y = G.mul(g, x)
-                if y not in out:
-                    if len(out) >= cap:
-                        return None
-                    out.add(y)
-                    new.append(y)
-        frontier = new
-    return out
 
 
 def iter_alt_subgroups(G: FiniteGroup, l: int,
@@ -747,7 +724,8 @@ def iter_alt_subgroups(G: FiniteGroup, l: int,
     seen: set[frozenset] = set()
     for a in reps:
         for b in members:
-            S = _close_pair(G, a, b, target)
+            S = orbit(G.identity_index, [partial(G.mul, a), partial(G.mul, b)],
+                      target)
             if S is None or len(S) != target:
                 continue
             fs = frozenset(S)
@@ -779,19 +757,6 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup,
     if element_order_spectrum(G) != element_order_spectrum(H):
         return False
     gens = list(G.generators) or [G.identity_index]
-    # express every element of G as a product of generators (BFS words)
-    word: list[tuple[int, ...] | None] = [None] * len(G)
-    word[G.identity_index] = ()
-    frontier = [G.identity_index]
-    while frontier:
-        new = []
-        for x in frontier:
-            for gi, g in enumerate(gens):
-                y = G.mul(g, x)
-                if word[y] is None:
-                    word[y] = (gi,) + word[x]
-                    new.append(y)
-        frontier = new
     by_order: dict[int, list[int]] = {}
     for x in range(len(H)):
         by_order.setdefault(H.order_of(x), []).append(x)
@@ -801,24 +766,11 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup,
         total *= len(lst)
         if total > budget:
             raise CapExceededError("isomorphism search budget exceeded")
+    src = [partial(G.mul, g) for g in gens]
     for images in itertools.product(*candidate_lists):
-        mapped = [0] * len(G)
-        ok = True
-        for x in range(len(G)):
-            val = H.identity_index
-            for gi in reversed(word[x]):
-                val = H.mul(images[gi], val)
-            mapped[x] = val
-        if len(set(mapped)) != len(G):
-            continue
-        for x in range(len(G)):
-            for gi, g in enumerate(gens):
-                if mapped[G.mul(g, x)] != H.mul(images[gi], mapped[x]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        mapped = extend([None] * len(G), G.identity_index, H.identity_index,
+                        src, [partial(H.mul, h) for h in images])
+        if mapped is not None and len(set(mapped)) == len(G):
             return True
     return False
 

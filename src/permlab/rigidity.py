@@ -13,13 +13,12 @@ determined by the image of one point, pushed along generator edges.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, DecompositionRequiredError
-from .groups import (ELEMENT_CAP, FiniteGroup, _closure_tuples,
-                     left_regular_permutation, right_regular_permutation,
-                     set_product)
+from .groups import (ELEMENT_CAP, FiniteGroup, left_regular_permutation,
+                     right_regular_permutation, set_product)
 from .perms import CycleType, Permutation, hamming_distance, identity
 from .schreier import (LabeledSchreierGraph, components,
                        connected_label_isomorphic, exact_automorphisms,
@@ -42,38 +41,7 @@ CLASS_POWER_GROUP_CAP = 10 ** 4
 CLASS_POWER_EXPONENT_CAP = 6
 
 
-@dataclass(frozen=True)
-class GroupAction:
-    """A list of labeled permutations of {0..n-1} generating the action."""
-
-    labels: tuple[str, ...]
-    images: tuple[Permutation, ...]
-    name: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        if not self.labels:
-            raise ValueError("an action needs at least one generator")
-        if len(self.labels) != len(self.images):
-            raise ValueError("one permutation per label required")
-        if len({p.degree for p in self.images}) != 1:
-            raise ValueError("mixed degrees in action images")
-
-    @property
-    def degree(self) -> int:
-        return self.images[0].degree
-
-    def graph(self) -> LabeledSchreierGraph:
-        return LabeledSchreierGraph(self.labels, self.images)
-
-    def is_transitive(self) -> bool:
-        return len(components(self.graph())) == 1
-
-    def image_group(self, cap: int = ELEMENT_CAP) -> FiniteGroup:
-        elements = _closure_tuples([p.images for p in self.images],
-                                   self.degree, cap=cap)
-        gens = [elements.index(p.images) for p in self.images]
-        return FiniteGroup(elements, name=f"image({self.name or 'action'})",
-                           generator_indices=gens)
+GroupAction = LabeledSchreierGraph
 
 
 def action_from_group(G: FiniteGroup) -> GroupAction:
@@ -132,10 +100,9 @@ def centralizer_transitive_action(action: GroupAction,
     The commuting permutations are exactly the label-respecting automorphisms
     of the action's Schreier graph.
     """
-    graph = action.graph()
-    if len(components(graph)) != 1:
+    if not action.is_transitive():
         raise ValueError("the action is intransitive; decompose it first")
-    autos = exact_automorphisms(graph)
+    autos = exact_automorphisms(action)
     return FiniteGroup([p.images for p in autos],
                        name=name or f"C({action.name or 'action'})")
 
@@ -166,11 +133,10 @@ def action_centralizer(action: GroupAction) -> FiniteGroup:
     swapping symmetries; that case raises DecompositionRequiredError so the
     caller decomposes the action instead of receiving a wrong product.
     """
-    graph = action.graph()
-    comps = components(graph)
+    comps = components(action)
     if len(comps) == 1:
         return centralizer_transitive_action(action)
-    induced = [induced_component_graph(graph, c) for c in comps]
+    induced = [induced_component_graph(action, c) for c in comps]
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             if len(comps[i]) == len(comps[j]) and \
@@ -178,7 +144,7 @@ def action_centralizer(action: GroupAction) -> FiniteGroup:
                 raise DecompositionRequiredError(
                     f"orbits {sorted(comps[i])} and {sorted(comps[j])} are "
                     "label-isomorphic; the centralizer is not a plain product")
-    n = graph.n
+    n = action.n
     per_comp: list[list[tuple[int, ...]]] = []
     for comp, sub in zip(comps, induced):
         verts = sorted(comp)
@@ -207,15 +173,28 @@ def action_centralizer(action: GroupAction) -> FiniteGroup:
 
 # -- double centralizers ---------------------------------------------------------------
 
+def _perm_action(perms: Sequence[Permutation]) -> GroupAction:
+    return GroupAction(tuple(f"p{k + 1}" for k in range(len(perms))),
+                       tuple(perms))
+
+
 def _centralizer_of_perms(perms: list[Permutation],
-                          brute_cap: int) -> list[Permutation]:
-    n = perms[0].degree
-    action = GroupAction(tuple(f"p{k + 1}" for k in range(len(perms))),
-                         tuple(perms))
+                          brute_cap: int) -> FiniteGroup:
+    action = _perm_action(perms)
     if action.is_transitive():
-        C = centralizer_transitive_action(action)
-        return [C.element(i) for i in range(len(C))]
-    return centralizer_in_sym_bruteforce(perms, cap=brute_cap)
+        return centralizer_transitive_action(action)
+    return FiniteGroup([p.images for p in
+                        centralizer_in_sym_bruteforce(perms, cap=brute_cap)],
+                       name="C(perms)")
+
+
+def _double_centralizer(gens: list[Permutation],
+                        brute_cap: int) -> tuple[FiniteGroup, FiniteGroup]:
+    """C = C(gens) and C(C) in Sym(n).  The second stage centralizes a
+    generating subset of C, which has the same centralizer as all of C."""
+    C = _centralizer_of_perms(gens, brute_cap)
+    C_gens = C.generator_permutations() or [C.element(C.identity_index)]
+    return C, _centralizer_of_perms(C_gens, brute_cap)
 
 
 @dataclass(frozen=True)
@@ -236,15 +215,15 @@ def double_centralizer_check(perms: Iterable[Permutation],
     gens = list(perms)
     if not gens:
         raise ValueError("at least one permutation is required")
-    n = gens[0].degree
-    subgroup = sorted(_closure_tuples([p.images for p in gens], n))
-    C = _centralizer_of_perms(gens, brute_cap)
-    CC = _centralizer_of_perms(C, brute_cap)
+    subgroup = sorted(_perm_action(gens).image_group().elements(),
+                      key=lambda p: p.images)
+    C, CC = _double_centralizer(gens, brute_cap)
+    double = tuple(CC.elements())
     return DoubleCentralizerReport(
-        subgroup=tuple(Permutation(t) for t in subgroup),
-        centralizer=tuple(C),
-        double=tuple(CC),
-        closes={p.images for p in CC} == set(subgroup))
+        subgroup=tuple(subgroup),
+        centralizer=tuple(C.elements()),
+        double=double,
+        closes={p.images for p in double} == {p.images for p in subgroup})
 
 
 @dataclass(frozen=True)
@@ -265,8 +244,8 @@ def biregular_double_centralizer(G: FiniteGroup) -> BiregularReport:
     right = right_copy_permutations(G)
     t = flip_permutation(G)
     gens = [left_regular_permutation(G, g) for g in G.generators] or [left[G.identity_index]]
-    C = _centralizer_of_perms(gens, brute_cap=BRUTE_DEGREE_CAP)
-    CC = _centralizer_of_perms(C, brute_cap=BRUTE_DEGREE_CAP)
+    C, CC = _double_centralizer(gens, BRUTE_DEGREE_CAP)
+    C_perms = list(C.elements())
     left_set = {p.images for p in left}
     gen_ok = all(
         t * left_regular_permutation(G, g) * t
@@ -274,10 +253,10 @@ def biregular_double_centralizer(G: FiniteGroup) -> BiregularReport:
         for g in G.generators)
     return BiregularReport(
         group=G.name,
-        centralizer_is_right_copy={p.images for p in C} == {p.images for p in right},
-        double_is_left_copy={p.images for p in CC} == left_set,
+        centralizer_is_right_copy={p.images for p in C_perms} == {p.images for p in right},
+        double_is_left_copy={p.images for p in CC.elements()} == left_set,
         flip_conjugates_centralizer_to_left=
-            {(t * c * t).images for c in C} == left_set,
+            {(t * c * t).images for c in C_perms} == left_set,
         generator_identities=gen_ok,
         centralizer_order=len(C))
 

@@ -19,7 +19,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CapExceededError
-from .groups import FiniteGroup, left_regular_permutation
+from .groups import (ELEMENT_CAP, FiniteGroup, _generated_group, extend,
+                     left_regular_permutation, orbits)
 from .perms import Permutation, hamming_distance, identity, parse_permutation
 
 __all__ = [
@@ -44,8 +45,12 @@ CLUSTER_THRESHOLD = Fraction(3, 10)
 
 @dataclass(frozen=True)
 class LabeledSchreierGraph:
+    """Labelled permutations of one degree: a Schreier graph, or the
+    generators of the action they define (named for reports)."""
+
     labels: tuple[str, ...]
     images: tuple[Permutation, ...]
+    name: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not self.labels:
@@ -65,6 +70,8 @@ class LabeledSchreierGraph:
     def n(self) -> int:
         return self.images[0].degree
 
+    degree = n
+
     @property
     def edge_count(self) -> int:
         return self.n * len(self.labels)
@@ -76,6 +83,17 @@ class LabeledSchreierGraph:
         for s, p in zip(self.labels, self.images):
             for i in range(self.n):
                 yield i, s, p.apply(i)
+
+    def point_maps(self) -> list:
+        """One vertex map i ↦ sigma_s(i) per label, for `orbit` and `extend`."""
+        return [p.images.__getitem__ for p in self.images]
+
+    def is_transitive(self) -> bool:
+        return len(components(self)) == 1
+
+    def image_group(self, cap: int = ELEMENT_CAP) -> FiniteGroup:
+        return _generated_group([p.images for p in self.images],
+                                f"image({self.name or 'action'})", cap)
 
 
 def build_schreier_graph(images) -> LabeledSchreierGraph:
@@ -113,23 +131,7 @@ def directed_cycle_graph(n: int, label: str = "s1") -> LabeledSchreierGraph:
 
 def components(g: LabeledSchreierGraph) -> list[frozenset[int]]:
     """Weakly connected components, largest first (ties by least vertex)."""
-    seen = [False] * g.n
-    out = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = {start}
-        seen[start] = True
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for p in g.images:
-                for y in (p.apply(x), p.inverse().apply(x)):
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.add(y)
-                        queue.append(y)
-        out.append(frozenset(comp))
+    out = [frozenset(c) for c in orbits(g.n, g.point_maps())]
     out.sort(key=lambda c: (-len(c), min(c)))
     return out
 
@@ -232,25 +234,7 @@ def exact_automorphisms(g: LabeledSchreierGraph) -> list[Permutation]:
         for v in c:
             comp_of[v] = ci
     roots = [min(c) for c in comps]
-    gen_pairs = [(p.images, p.inverse().images) for p in g.images]
-
-    def propagate(root: int, target: int, partial: list[int]) -> bool:
-        # extend partial (a global image array, -1 unset) with root -> target
-        if partial[root] != -1:
-            return partial[root] == target
-        partial[root] = target
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            for fwd, bwd in gen_pairs:
-                for nxt, img in ((fwd[x], fwd[partial[x]]),
-                                 (bwd[x], bwd[partial[x]])):
-                    if partial[nxt] == -1:
-                        partial[nxt] = img
-                        queue.append(nxt)
-                    elif partial[nxt] != img:
-                        return False
-        return True
+    maps = g.point_maps()
 
     results: list[Permutation] = []
 
@@ -264,11 +248,11 @@ def exact_automorphisms(g: LabeledSchreierGraph) -> list[Permutation]:
         for target in range(g.n):
             if len(comps[comp_of[target]]) != len(comps[ci]):
                 continue
-            trial = partial[:]
-            if propagate(root, target, trial):
+            trial = extend(partial[:], root, target, maps, maps)
+            if trial is not None:
                 backtrack(ci + 1, trial)
 
-    backtrack(0, [-1] * g.n)
+    backtrack(0, [None] * g.n)
     results.sort(key=lambda p: p.images)
     return results
 
@@ -347,26 +331,10 @@ def connected_label_isomorphic(g1: LabeledSchreierGraph,
         return False
     if len(components(g1)) != 1:
         raise ValueError("the first graph must be connected")
-    pairs1 = [(p.images, p.inverse().images) for p in g1.images]
-    pairs2 = [(p.images, p.inverse().images) for p in g2.images]
+    maps1, maps2 = g1.point_maps(), g2.point_maps()
     for target in range(g2.n):
-        mapping = [-1] * g1.n
-        mapping[0] = target
-        queue = [0]
-        ok = True
-        while queue and ok:
-            x = queue.pop()
-            for (f1, b1), (f2, b2) in zip(pairs1, pairs2):
-                for nxt, img in ((f1[x], f2[mapping[x]]), (b1[x], b2[mapping[x]])):
-                    if mapping[nxt] == -1:
-                        mapping[nxt] = img
-                        queue.append(nxt)
-                    elif mapping[nxt] != img:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok and len(set(mapping)) == g1.n:
+        mapping = extend([None] * g1.n, 0, target, maps1, maps2)
+        if mapping is not None and len(set(mapping)) == g1.n:
             return True
     return False
 

@@ -14,10 +14,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Iterable, Mapping
 
 from .errors import CapExceededError
-from .groups import FiniteGroup, GroupSpec, construct_group, parse_group_spec
+from .groups import (FiniteGroup, GroupSpec, construct_group, extend,
+                     parse_group_spec)
 from .perms import Permutation, evaluate_word, hamming_distance, identity, \
     parse_permutation
 
@@ -215,33 +217,6 @@ def _order_bounds(pres: Presentation) -> dict[str, int]:
     return bounds
 
 
-def _extend_by_generators(G: FiniteGroup, gen_indices: Sequence[int],
-                          gen_images: Sequence[Permutation],
-                          m: int) -> tuple[Permutation, ...] | None:
-    """Grow a generator assignment to all of G and verify multiplicativity;
-    None when the assignment is inconsistent."""
-    mapped: list[Permutation | None] = [None] * len(G)
-    mapped[G.identity_index] = identity(m)
-    frontier = [G.identity_index]
-    while frontier:
-        new = []
-        for x in frontier:
-            for gi, im in zip(gen_indices, gen_images):
-                y = G.mul(gi, x)
-                if mapped[y] is None:
-                    mapped[y] = im * mapped[x]
-                    new.append(y)
-        frontier = new
-    if any(p is None for p in mapped):
-        raise ValueError("the given elements do not generate the group")
-    # homomorphism check on every generator edge implies the general law
-    for x in range(len(G)):
-        for gi, im in zip(gen_indices, gen_images):
-            if mapped[G.mul(gi, x)] != im * mapped[x]:
-                return None
-    return tuple(mapped)
-
-
 def enumerate_homs(G: FiniteGroup, m: int,
                    group_cap: int = HOM_GROUP_CAP,
                    degree_cap: int = HOM_DEGREE_CAP) -> list[AlmostHom]:
@@ -292,13 +267,19 @@ def enumerate_homs(G: FiniteGroup, m: int,
         total *= len(lst)
     if total * len(G) > HOM_BUDGET:
         raise CapExceededError("homomorphism search budget exceeded")
+    # a map that agrees on every generator edge is multiplicative
+    src = [partial(G.mul, g) for g in gen_indices]
     out = []
     for assignment in itertools.product(*candidate_lists):
         if not accepted(assignment):
             continue
-        mapped = _extend_by_generators(G, gen_indices, assignment, m)
-        if mapped is not None:
-            out.append(AlmostHom(G, mapped))
+        mapped = extend([None] * len(G), G.identity_index, identity(m), src,
+                        [partial(Permutation.__mul__, p) for p in assignment])
+        if mapped is None:
+            continue
+        if None in mapped:
+            raise ValueError("the given elements do not generate the group")
+        out.append(AlmostHom(G, tuple(mapped)))
     out.sort(key=lambda s: tuple(p.images for p in s.images))
     return out
 

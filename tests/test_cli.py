@@ -5,6 +5,7 @@ via -o so the JSON can be loaded back and inspected.
 """
 
 import json
+import time
 
 import pytest
 
@@ -37,6 +38,17 @@ def test_rigidity_biregular_example(tmp_path):
     assert rep["centralizer_order"] == 6
     assert rep["double_centralizer"] == "closes"
     assert rep["flip_swap"] is True
+
+
+def test_rigidity_biregular_alt6_within_budget(tmp_path):
+    # the second centralizer is taken of a generating subset of the first
+    t0 = time.perf_counter()
+    code, rep = run(tmp_path, "rigidity", "--group", "alt6",
+                    "--check", "biregular")
+    assert time.perf_counter() - t0 < 10
+    assert code == 0
+    assert rep["centralizer_order"] == 360
+    assert rep["double_centralizer"] == "closes"
 
 
 def test_schreier_exact_autos_example(tmp_path):
@@ -123,6 +135,15 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     cfg.write_text(json.dumps({"bogus_key": 1}), encoding="utf-8")
     assert main(["verify", "--config", str(cfg),
                  "-o", str(tmp_path / "r.json")]) == 2
+
+
+@pytest.mark.parametrize("config", [{"groups": 5}, {"strategy": "bogus"}])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["verify", "--config", str(cfg),
+                 "-o", str(tmp_path / "r.json")]) == 2
+    capsys.readouterr()
 
 
 def test_failed_check_exits_one(tmp_path):

@@ -2,9 +2,12 @@
 
 import itertools
 from collections import Counter
+from functools import partial
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permlab.errors import CapExceededError
 from permlab.groups import (
@@ -13,6 +16,7 @@ from permlab.groups import (
     construct_group,
     default_corpus,
     element_order_spectrum,
+    extend,
     generated_subgroup,
     generating_subset,
     internal_direct_factor_check,
@@ -22,6 +26,8 @@ from permlab.groups import (
     iter_alt_subgroups,
     iterated_product_stabilization,
     left_regular_permutation,
+    orbit,
+    orbits,
     parse_group_spec,
     right_regular_permutation,
     set_product,
@@ -170,9 +176,9 @@ def test_centralizer_alt7_three_cycle():
     assert is_subgroup(g, c)
 
 
-def test_centralizer_numpy_and_python_paths_agree():
-    g = G("alt5")  # order 60, python path
-    h = G("alt7")  # order 2520, numpy path
+def test_centralizer_matches_bruteforce_at_two_sizes():
+    g = G("alt5")  # order 60
+    h = G("alt7")  # order 2520
     for grp in (g, h):
         t = idx(grp, "(1 2)(3 4)")
         assert grp.centralizer_of([t]) == brute_centralizer(grp, [t])
@@ -368,3 +374,66 @@ def test_regular_representations():
     assert ra * rb == right_regular_permutation(g, g.mul(b, a))
     # left copy and right copy commute elementwise
     assert la * rb == rb * la
+
+
+# -- the shared orbit and extension routines -----------------------------------------------
+
+def _fixpoint_orbit(seed, perms):
+    reached = {seed}
+    while True:
+        grown = reached | {p[x] for p in perms for x in reached}
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+_orbit_cases = st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.permutations(range(n)).map(tuple), max_size=3),
+    st.integers(0, n - 1), st.just(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_orbit_cases)
+def test_orbit_matches_fixpoint_of_repeated_application(case):
+    perms, seed, n = case
+    maps = [p.__getitem__ for p in perms]
+    got = orbit(seed, maps)
+    assert got[0] == seed
+    assert len(got) == len(set(got))
+    assert set(got) == _fixpoint_orbit(seed, perms)
+    assert orbit(seed, maps, cap=len(got)) == got
+    if len(got) > 1:
+        assert orbit(seed, maps, cap=len(got) - 1) is None
+    parts = list(orbits(n, maps))
+    assert sorted(x for part in parts for x in part) == list(range(n))
+    assert all(set(part) == _fixpoint_orbit(part[0], perms) for part in parts)
+
+
+def test_closure_element_order_is_breadth_first():
+    # Element indices follow the FIFO discovery order of the closure from the
+    # identity, and witnesses and automorphism lists are reported by index.
+    assert [G("psl2(7)").element_tuple(i) for i in range(10)] == [
+        (0, 1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 0, 7),
+        (7, 6, 3, 2, 5, 4, 1, 0), (2, 3, 4, 5, 6, 0, 1, 7),
+        (6, 3, 2, 5, 4, 1, 7, 0), (7, 0, 4, 3, 6, 5, 2, 1),
+        (3, 4, 5, 6, 0, 1, 2, 7), (3, 2, 5, 4, 1, 7, 6, 0),
+        (0, 4, 3, 6, 5, 2, 7, 1), (7, 1, 5, 4, 0, 6, 3, 2)]
+    g = G("generated[(1 2 3 4 5),(1 2)]")
+    assert [g.element_tuple(i) for i in range(10)] == [
+        (0, 1, 2, 3, 4), (1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (2, 3, 4, 0, 1),
+        (0, 2, 3, 4, 1), (2, 1, 3, 4, 0), (3, 4, 0, 1, 2), (2, 3, 4, 1, 0),
+        (1, 3, 4, 0, 2), (3, 2, 4, 0, 1)]
+
+
+def test_extend_grows_generator_images_or_rejects_them():
+    z6, z3 = G("z6"), G("z3")
+    src = [partial(z6.mul, a) for a in z6.generators]
+    hom = extend([None] * len(z6), z6.identity_index, z3.identity_index, src,
+                 [partial(z3.mul, b) for b in z3.generators])
+    assert hom is not None
+    assert all(hom[z6.mul(a, b)] == z3.mul(hom[a], hom[b])
+               for a in range(len(z6)) for b in range(len(z6)))
+    # a generator of order 3 cannot go to one of order 6
+    assert extend([None] * len(z3), z3.identity_index, z6.identity_index,
+                  [partial(z3.mul, a) for a in z3.generators],
+                  [partial(z6.mul, b) for b in z6.generators]) is None

@@ -79,6 +79,23 @@ def test_identity_image_gives_singleton_components():
     assert symmetrized_degree(g) == 1  # the self-loop counts once
 
 
+def test_components_follow_forward_edges_only(monkeypatch):
+    graphs = [pair_graph(), regular_action_graph(construct_group("alt5")),
+              build_schreier_graph({"a": parse_permutation("(1 2 3)(4 5)"),
+                                    "b": parse_permutation("(1 2)", degree=5)})]
+    calls = []
+    inverse = Permutation.inverse
+
+    def counting_inverse(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Permutation, "inverse", counting_inverse)
+    sizes = [[len(c) for c in components(g)] for g in graphs]
+    assert sizes == [[2, 1, 1], [60], [3, 2]]
+    assert calls == []
+
+
 # -- symmetrization --------------------------------------------------------------------
 
 def test_symmetrized_degree_counts_involutions_once():
