@@ -25,11 +25,21 @@ centralizer  the class strategy plus two syntactic rewrites applied to
 Orbit representatives are the least index of each orbit, visited in
 (orbit size, least index) order, so evaluation order and any reported
 witnesses are deterministic.
+
+On groups with a Cayley table (FiniteGroup.table), every quantifier whose
+body has no quantifier and no macro is decided over its whole domain at
+once: inner quantifiers (centralizer-rewrite domains included) and the last
+level of the outermost prefix.  Each product in the body is one numpy
+gather over the domain, and the first deciding element in domain order is
+kept, so values and witnesses are those of the per-binding walk, which
+remains for every other quantifier and for groups without a table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..errors import CapExceededError
 from ..groups import FiniteGroup, generating_subset, orbits
@@ -66,6 +76,8 @@ class EvalResult:
 # -- terms --------------------------------------------------------------------
 
 def eval_term(t, G: FiniteGroup, env: dict) -> int:
+    """Index of the term under `env`.  With a `_Gathers` for G, variables
+    may be bound to index arrays and the result is an array."""
     if isinstance(t, Var):
         try:
             return env[t.name]
@@ -82,6 +94,50 @@ def eval_term(t, G: FiniteGroup, env: dict) -> int:
         b = eval_term(t.right, G, env)
         return G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))
     raise TypeError(f"not a term: {t!r}")
+
+
+# -- whole-domain scans ----------------------------------------------------------
+#
+# A quantifier- and macro-free body is decided for every value of the
+# quantified variable at once: that variable is bound to the array of the
+# domain, the others to indices, and `eval_term` runs on `_Gathers`, whose
+# products are Cayley-table gathers.
+
+class _Gathers:
+    """The group operations `eval_term` uses, over (T, inv) from
+    FiniteGroup.table; they accept index arrays as well as indices."""
+
+    def __init__(self, G: FiniteGroup):
+        T, inv = G.table()
+        self.mul = lambda a, b: T[a, b]
+        self.inv = inv.__getitem__
+        self.identity_index = G.identity_index
+
+
+def _qf_variables(f) -> frozenset | None:
+    """Free variables of a quantifier- and macro-free formula, else None."""
+    if isinstance(f, Eq):
+        return frozenset(term_variables(f.lhs) | term_variables(f.rhs))
+    if isinstance(f, Not):
+        return _qf_variables(f.arg)
+    if isinstance(f, (And, Or, Implies)):
+        left, right = _qf_variables(f.left), _qf_variables(f.right)
+        return None if left is None or right is None else left | right
+    return None
+
+
+def _gather_formula(f, ops: _Gathers, env: dict):
+    if isinstance(f, Eq):
+        return np.equal(eval_term(f.lhs, ops, env), eval_term(f.rhs, ops, env))
+    if isinstance(f, Not):
+        return np.logical_not(_gather_formula(f.arg, ops, env))
+    left = _gather_formula(f.left, ops, env)
+    right = _gather_formula(f.right, ops, env)
+    if isinstance(f, And):
+        return np.logical_and(left, right)
+    if isinstance(f, Or):
+        return np.logical_or(left, right)
+    return np.logical_or(np.logical_not(left), right)
 
 
 # -- static validation -----------------------------------------------------------
@@ -301,20 +357,33 @@ class _Evaluator:
         return self._scan(q.kind, q.var, range(len(self.G)), q.body, env)
 
     def _scan(self, kind: str, var: str, domain, body, env: dict) -> bool:
+        return (kind == "exists") == \
+            (self.first_hit(kind, var, domain, body, env) is not None)
+
+    def first_hit(self, kind: str, var: str, domain, body, env: dict):
+        """The first x in `domain` for which body[var := x] decides the
+        quantifier (true for exists, false for forall), or None."""
         want = kind == "exists"
+        free = _qf_variables(body) if self.G.table() is not None else None
+        if free is not None and free - {var} <= env.keys():
+            xs = np.arange(domain.start, domain.stop) \
+                if isinstance(domain, range) else np.asarray(domain)
+            vals = _gather_formula(body, _Gathers(self.G), {**env, var: xs})
+            hits = np.flatnonzero(np.broadcast_to(vals == want, xs.shape))
+            return int(xs[hits[0]]) if hits.size else None
         had_outer = var in env  # shadowed binding to restore afterwards
         outer = env.get(var)
-        result = not want
+        hit = None
         for x in domain:
             env[var] = x
             if self.formula(body, env) == want:
-                result = want
+                hit = x
                 break
         if had_outer:
             env[var] = outer
         else:
             env.pop(var, None)
-        return result
+        return hit
 
 
 def _pattern_applies(q: Quant) -> bool:
@@ -404,6 +473,11 @@ def evaluate_detailed(formula, G: FiniteGroup, strategy: str = "class",
             return ev.formula(body, env_now), {}
         kind, var = prefix[i]
         want = kind == "exists"
+        if i == len(prefix) - 1:
+            x = ev.first_hit(kind, var, domain_for(env_now), body, env_now)
+            if x is None:
+                return not want, {}
+            return want, ({var: x} if i < run_len else {})
         for x in domain_for(env_now):
             val, sub = run(i + 1, {**env_now, var: x})
             if val == want:

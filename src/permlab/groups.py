@@ -1,10 +1,13 @@
 """Enumerated finite permutation groups and their definable-set algebra.
 
 A :class:`FiniteGroup` stores every element as an image tuple, indexed
-0..order-1 with the identity first for constructor groups.  Hot paths
-(multiplication, centralizer scans, closures) work on indices and raw
-tuples; :class:`~permlab.perms.Permutation` objects appear only at API
-boundaries.  Groups are immutable after construction (the internal
+0..order-1 with the identity first for constructor groups.  Groups of at
+most TABLE_CAP elements also get one int32 numpy Cayley table and inverse
+array, built on first use (:meth:`FiniteGroup.table`): scalar `mul` reads
+it one row (as a Python list) at a time, and whole-domain scans gather from
+it.  Larger groups multiply by composing tuples.  Hot paths work on indices
+and raw tuples; :class:`~permlab.perms.Permutation` objects appear only at
+API boundaries.  Groups are immutable after construction (the internal
 caches only memoize pure queries), so sharing them between callers is
 safe.
 
@@ -186,7 +189,9 @@ class FiniteGroup:
         self.identity_index = self._index[ident]
         self._generators = (tuple(generator_indices)
                             if generator_indices is not None else None)
-        self._rows: list | None = (
+        self._table: tuple | None = None
+        # Python-list rows of the table for scalar `mul`, filled on first touch
+        self._table_rows: list | None = (
             [None] * len(self._elements) if len(self._elements) <= TABLE_CAP else None)
         self._inverses: list[int] | None = None
         self._orders: list[int] = [0] * len(self._elements)
@@ -239,22 +244,58 @@ class FiniteGroup:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def mul(self, i: int, j: int) -> int:
-        if self._rows is not None:
-            row = self._rows[i]
-            if row is None:
-                ti = self._elements[i]
-                idx = self._index
-                row = [idx[_compose(ti, t)] for t in self._elements]
-                self._rows[i] = row
-            return row[j]
-        return self._index[_compose(self._elements[i], self._elements[j])]
+    def table(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(T, inv): int32 arrays with T[i, j] the index of i·j and inv[i]
+        that of i^-1, or None for groups above TABLE_CAP.
 
-    def inv(self, i: int) -> int:
+        Built on first use.  Only the rows of generators are tuple
+        compositions; every other row follows from row(g·y) = row_g[row(y)]
+        along a walk from the identity, so it costs one gather.  Groups
+        without known generators take the least index the walk has not
+        reached as the next one, as `generating_subset` would.
+        """
+        n = len(self)
+        if self._table is None and n <= TABLE_CAP:
+            elems, idx, e = self._elements, self._index, self.identity_index
+            T = np.empty((n, n), dtype=np.int32)
+            T[e] = np.arange(n, dtype=np.int32)
+            filled = bytearray(n)
+            filled[e] = 1
+            gen_rows: list = []
+            candidates = itertools.chain(self._generators or (), range(n))
+            while True:
+                reached = orbit(e, [row.__getitem__ for row, _ in gen_rows])
+                for y in reached:
+                    for row, arr in gen_rows:
+                        z = row[y]
+                        if not filled[z]:
+                            T[z] = arr[T[y]]
+                            filled[z] = 1
+                if len(reached) == n:
+                    break
+                g = next(x for x in candidates if not filled[x])
+                row = [idx[_compose(elems[g], t)] for t in elems]
+                gen_rows.append((row, np.array(row, dtype=np.int32)))
+            self._table = T, np.array(self._inverse_list(), dtype=np.int32)
+        return self._table
+
+    def mul(self, i: int, j: int) -> int:
+        rows = self._table_rows
+        if rows is None:
+            return self._index[_compose(self._elements[i], self._elements[j])]
+        row = rows[i]
+        if row is None:
+            row = rows[i] = self.table()[0][i].tolist()
+        return row[j]
+
+    def _inverse_list(self) -> list[int]:
         if self._inverses is None:
             idx = self._index
             self._inverses = [idx[_invert(t)] for t in self._elements]
-        return self._inverses[i]
+        return self._inverses
+
+    def inv(self, i: int) -> int:
+        return self._inverse_list()[i]
 
     def conj(self, i: int, by: int) -> int:
         """by · i · by^-1."""
@@ -262,8 +303,8 @@ class FiniteGroup:
 
     def conjugation_maps(self, by: Iterable[int]) -> list:
         """Point maps x ↦ g·x·g^-1 on element indices, one per g in `by`,
-        for `orbit`.  Each is one tuple composition; `conj` would fill a
-        lazy Cayley row for every element it meets."""
+        for `orbit`.  Each is one tuple composition, so it needs no Cayley
+        table and works at every group size."""
         elems, idx = self._elements, self._index
 
         def conj_by(g):
@@ -544,11 +585,13 @@ def set_product(G: FiniteGroup, A: Iterable[int], B: Iterable[int]) -> frozenset
     return frozenset(G.mul(a, b) for a in A for b in Bl)
 
 
-def generating_subset(G: FiniteGroup, S: Iterable[int] | None = None) -> list[int]:
+def generating_subset(G: FiniteGroup, S: Iterable[int] | None = None,
+                      cap: int | None = None) -> list[int] | None:
     """Greedy generating subset (least indices first) of the subgroup ⟨S⟩.
 
     With S omitted, a generating subset of the whole group (used when a
-    group was built from a bare element list).
+    group was built from a bare element list).  None once ⟨S⟩ would exceed
+    `cap` elements.
     """
     members = sorted(S) if S is not None else range(len(G))
     gens: list[int] = []
@@ -556,9 +599,12 @@ def generating_subset(G: FiniteGroup, S: Iterable[int] | None = None) -> list[in
     for x in members:
         if x not in closure:
             gens.append(x)
-            closure = set(orbit(G.identity_index,
-                                [partial(G.mul, g) for g in gens]))
-            if S is None and len(closure) == len(G):
+            reached = orbit(G.identity_index,
+                            [partial(G.mul, g) for g in gens], cap)
+            if reached is None:
+                return None
+            closure = set(reached)
+            if len(closure) == len(G):
                 break
     return gens
 
@@ -570,13 +616,18 @@ def generated_subgroup(G: FiniteGroup, S: Iterable[int]) -> frozenset:
 
 
 def is_subgroup(G: FiniteGroup, S: Iterable[int]) -> bool:
-    """Closure check; in a finite group closure under · implies inverses."""
+    """1 ∈ S and ⟨S⟩ has at most |S| elements.
+
+    ⟨S⟩ contains S, so the bound makes it equal to S.  Closing a generating
+    subset under the cap takes O(|S|·gens) products, not the |S|² of the
+    pairwise closure test.
+    """
     key = frozenset(S)
     cached = G._subgroup_memo.get(key)
     if cached is not None:
         return cached
-    ok = G.identity_index in key and all(
-        G.mul(a, b) in key for a in key for b in key)
+    ok = G.identity_index in key and \
+        generating_subset(G, key, cap=len(key)) is not None
     G._subgroup_memo[key] = ok
     return ok
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arithmetic import is_prime
 from .errors import CapExceededError
 from .fo import And, evaluate_detailed, parse_formula
@@ -34,6 +36,7 @@ __all__ = [
 ]
 
 COMMUTATOR_CAP = 2000
+_COVERAGE_BLOCK = 1 << 16  # commutators gathered per step of the coverage scan
 
 PHI2_TEXT = "forall g. exists h1. exists h2. g = [h1, h2]"
 
@@ -79,15 +82,17 @@ def commutator_coverage_bruteforce(G: FiniteGroup) -> bool:
     if len(G) > COMMUTATOR_CAP:
         raise CapExceededError(
             f"commutator coverage scan capped at {COMMUTATOR_CAP} elements")
-    seen = set()
+    T, inv = G.table()
     n = len(G)
-    for a in range(n):
-        ai = G.inv(a)
-        for b in range(n):
-            seen.add(G.mul(G.mul(a, b), G.mul(ai, G.inv(b))))
-        if len(seen) == n:
+    seen = np.zeros(n, dtype=bool)
+    block = max(1, _COVERAGE_BLOCK // n)
+    for start in range(0, n, block):
+        a = np.arange(start, min(start + block, n))
+        # [a, b] = (a·b)·(a^-1·b^-1), one row of b's per a
+        seen[T[T[a], T[inv[a]][:, inv]]] = True
+        if seen.all():
             return True
-    return len(seen) == n
+    return False
 
 
 # -- congruence sentences -----------------------------------------------------

@@ -11,6 +11,7 @@ from permlab.fo import (And, Comm, Eq, Implies, Int, Inv, MacroCall, Mul, Not,
                         parse_term, term_text, to_text, validate_formula)
 from permlab.groups import construct_group
 from permlab.perms import parse_permutation
+from permlab.sentences import phi2, prime_remark_sentence
 
 
 def G(spec):
@@ -357,15 +358,21 @@ def _close(f):
     return out
 
 
+def _connectives(kids):
+    return [st.builds(Not, kids), st.builds(And, kids, kids),
+            st.builds(Or, kids, kids), st.builds(Implies, kids, kids)]
+
+
 _eval_formulas = st.recursive(
     st.builds(Eq, _terms, _terms),
     lambda kids: st.one_of(
-        st.builds(Not, kids),
-        st.builds(And, kids, kids),
-        st.builds(Or, kids, kids),
-        st.builds(Implies, kids, kids),
+        *_connectives(kids),
         st.builds(Quant, st.sampled_from(["forall", "exists"]), _names, kids)),
     max_leaves=8)
+
+_quantifier_free = st.recursive(
+    st.builds(Eq, _terms, _terms),
+    lambda kids: st.one_of(*_connectives(kids)), max_leaves=8)
 
 
 @given(_eval_formulas)
@@ -389,3 +396,45 @@ def test_reduced_strategies_match_naive_on_random_formulas(f):
         naive = evaluate(sentence, g, "naive")
         assert evaluate(sentence, g, "class") == naive
         assert evaluate(sentence, g, "centralizer") == naive
+
+
+# -- whole-domain scans vs the per-binding walk ------------------------------------
+
+@given(_quantifier_free, st.sampled_from(["sym3", "z6", "alt4", "psl2(5)"]),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_whole_domain_scan_matches_per_binding_walk(body, spec, data):
+    g = G(spec)
+    env = {name: data.draw(st.integers(0, len(g) - 1)) for name in
+           ("g", "h", "k", "x1")}
+    for kind in ("exists", "forall"):
+        want = kind == "exists"
+        for var in ("g", "h", "k", "x1"):
+            # the reference: one quantifier-free evaluation per binding
+            first = next((x for x in range(len(g)) if evaluate(
+                body, g, "naive", env={**env, var: x}) == want), None)
+            q = Quant(kind, var, body)
+            r = evaluate_detailed(q, g, "naive", env=env)
+            assert r.value == (want == (first is not None))
+            expected = None if first is None else \
+                {var: g.element(first).to_cycle_string()}
+            assert r.witness == expected
+            # the same scan under a connective, below the quantifier prefix
+            assert evaluate(Not(q), g, "naive", env=env) is not r.value
+
+
+@pytest.mark.parametrize("sentence,spec,strategies,value,witness", [
+    ("phi2", "alt5", "naive class centralizer", True, None),
+    ("phi2", "sym4", "naive class centralizer", False, {"g": "(3 4)"}),
+    ("phi2", "psl2(7)", "naive class centralizer", True, None),
+    ("prime_remark", "alt5", "naive", True, {"g": "(3 4 5)"}),
+    ("prime_remark", "alt5", "class centralizer", True, {"g": "(2 3)(4 5)"}),
+    ("prime_remark", "sym4", "naive class centralizer", True, {"g": "(2 3 4)"}),
+    ("prime_remark", "psl2(7)", "naive class centralizer", True,
+     {"g": "(1 7 8)(2 4 6)"}),
+])
+def test_detailed_witnesses_are_frozen(sentence, spec, strategies, value, witness):
+    f = phi2() if sentence == "phi2" else prime_remark_sentence()
+    for strategy in strategies.split():
+        r = evaluate_detailed(f, G(spec), strategy)
+        assert (r.value, r.witness) == (value, witness), strategy

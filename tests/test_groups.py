@@ -1,6 +1,7 @@
 """Group model: constructors, centralizers, classes, subgroup machinery."""
 
 import itertools
+import time
 from collections import Counter
 from functools import partial
 from math import factorial
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from permlab.errors import CapExceededError
 from permlab.groups import (
+    TABLE_CAP,
     GroupSpec,
     are_isomorphic,
     construct_group,
@@ -114,6 +116,46 @@ def test_group_arithmetic_consistency():
     assert g.power(idx(g, "(1 2 3 4)"), -1) == idx(g, "(1 4 3 2)")
 
 
+def _raw_compose(p, q):
+    return tuple(p[j] for j in q)
+
+
+def _raw_invert(p):
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+@pytest.mark.parametrize("spec", [
+    "sym4", "psl2(7)", "dihedral(12)", "generated[(1 2 3 4),(1 2),(16 17)]",
+    "alt4 in sym4"])
+def test_cayley_table_matches_tuple_composition(spec):
+    if spec == "alt4 in sym4":  # no generators known: the table picks its own
+        s4 = G("sym4")
+        g = subgroup_as_group(s4, [x for x in range(24) if s4.element(x).is_even()])
+    else:
+        g = G(spec)
+    table, inv = g.table()
+    elems = [g.element_tuple(i) for i in range(len(g))]
+    assert table.shape == (len(g), len(g)) and inv.shape == (len(g),)
+    for i, p in enumerate(elems):
+        assert inv[i] == g.index_of(_raw_invert(p))
+        assert table[i].tolist() == [g.index_of(_raw_compose(p, q)) for q in elems]
+
+
+def test_cayley_table_is_lazy_and_capped():
+    fresh = subgroup_as_group(G("alt5"), range(60))
+    assert fresh._table is None  # never built at construction
+    fresh.mul(1, 2)
+    assert fresh._table is not None
+    g = G("sym7")
+    assert len(g) > TABLE_CAP and g.table() is None
+    a, b = idx(g, "(1 2 3 4 5 6 7)"), idx(g, "(1 2)")
+    assert g.element(g.mul(a, b)) == g.element(a) * g.element(b)
+    assert g.element(g.inv(a)) == g.element(a).inverse()
+
+
 def test_element_lookup_errors():
     g = G("alt4")
     with pytest.raises(ValueError):
@@ -213,6 +255,53 @@ def test_generated_subgroup_and_index():
     assert subgroup_index(g, h) == 2
     assert is_subgroup(g, h)
     assert not is_subgroup(g, {idx(g, "(1 2 3)")})
+
+
+def _closed_pairwise(g, s):
+    return g.identity_index in s and all(
+        g.mul(a, b) in s for a in s for b in s)
+
+
+def test_is_subgroup_matches_pairwise_closure_on_sym4():
+    g = G("sym4")
+    subgroups = {generated_subgroup(g, pair)
+                 for pair in itertools.combinations_with_replacement(range(24), 2)}
+    assert len(subgroups) == 30
+    for h in subgroups:
+        assert is_subgroup(g, h) and _closed_pairwise(g, h)
+        for x in range(24):
+            near = h ^ {x}  # one element added or removed
+            if near:
+                assert is_subgroup(g, near) == _closed_pairwise(g, near)
+
+
+@given(st.sampled_from(["sym3", "z6", "alt4", "d8", "d10"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_is_subgroup_matches_pairwise_closure_on_random_subsets(spec, data):
+    g = G(spec)
+    s = frozenset(data.draw(st.lists(st.integers(0, len(g) - 1), max_size=len(g))))
+    if data.draw(st.booleans()):
+        s |= {g.identity_index}
+    assert is_subgroup(g, s) == _closed_pairwise(g, s)
+
+
+def test_is_subgroup_of_a_large_centralizer_within_budget(monkeypatch):
+    g = G("sym9")
+    c = g.centralizer_of({idx(g, "(1 2)")})
+    assert len(c) == 2 * factorial(7)
+    g._subgroup_memo.pop(c, None)
+    products = 0
+    mul = g.mul
+
+    def counting_mul(i, j):
+        nonlocal products
+        products += 1
+        return mul(i, j)
+    monkeypatch.setattr(g, "mul", counting_mul)
+    t0 = time.perf_counter()
+    assert is_subgroup(g, c)
+    assert time.perf_counter() - t0 < 10.0
+    assert products < 100 * len(c)  # the pairwise test makes |C|² = 10^8
 
 
 def test_generating_subset_is_minimalish_and_generates():

@@ -36,14 +36,24 @@ def test_classifier_exact_on_default_corpus():
 # -- phi2 vs brute commutator coverage ----------------------------------------------
 
 def brute_commutators(g):
-    out = set()
-    for a in range(len(g)):
-        for b in range(len(g)):
-            out.add(g.mul(g.mul(a, b), g.mul(g.inv(a), g.inv(b))))
-    return out
+    """Commutator indices from raw element tuples, sharing no group arithmetic."""
+    elems = [g.element_tuple(i) for i in range(len(g))]
+    index = {t: i for i, t in enumerate(elems)}
+
+    def compose(p, q):
+        return tuple(p[j] for j in q)
+
+    def invert(p):
+        inv = [0] * len(p)
+        for i, j in enumerate(p):
+            inv[j] = i
+        return tuple(inv)
+    return {index[compose(compose(a, b), compose(invert(a), invert(b)))]
+            for a in elems for b in elems}
 
 
-@pytest.mark.parametrize("spec", ["sym3", "sym4", "alt4", "alt5", "z6", "d8"])
+@pytest.mark.parametrize("spec", ["sym3", "sym4", "alt4", "alt5", "z6", "d8",
+                                  "alt6"])
 def test_phi2_matches_bruteforce(spec):
     g = G(spec)
     covered = brute_commutators(g) == set(range(len(g)))
