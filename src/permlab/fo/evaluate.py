@@ -86,7 +86,18 @@ def eval_term(t, G: FiniteGroup, env: dict) -> int:
     if isinstance(t, One):
         return G.identity_index
     if isinstance(t, Mul):
-        return G.mul(eval_term(t.left, G, env), eval_term(t.right, G, env))
+        if not isinstance(t.left, Mul):
+            return G.mul(eval_term(t.left, G, env), eval_term(t.right, G, env))
+        # a left-nested chain folds in a loop, so long words cannot
+        # exhaust the recursion limit
+        rights = []
+        while isinstance(t, Mul):
+            rights.append(t.right)
+            t = t.left
+        value = eval_term(t, G, env)
+        for r in reversed(rights):
+            value = G.mul(value, eval_term(r, G, env))
+        return value
     if isinstance(t, Inv):
         return G.inv(eval_term(t.arg, G, env))
     if isinstance(t, Comm):

@@ -5,7 +5,10 @@ Conventions used throughout the package:
 * a permutation of degree n acts on the points 0..n-1 internally; all text
   I/O (cycle notation, one-line notation) is 1-based,
 * composition applies the right factor first: ``(p * q)(i) == p(q(i))``,
-* all metric values are exact ``fractions.Fraction`` numbers.
+* all metric values are exact ``fractions.Fraction`` numbers,
+* words (``evaluate_word``) are terms of the sentence language, parsed and
+  evaluated by ``permlab.fo``, so its keywords ``forall`` and ``exists``
+  are not valid symbol names.
 """
 
 from __future__ import annotations
@@ -391,104 +394,34 @@ def min_conjugate_distance(g: Permutation, h: Permutation, cap: int = 8) -> Frac
 
 # ---------------------------------------------------------------------------
 # word evaluation
-#
-# word  := product
-# product := factor { "*" factor }
-# factor := base [ "^-1" ]
-# base  := symbol | "1" | "[" word "," word "]" | "(" word ")"
-
-_WORD_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|\^-1|[][(),*1])")
 
 
-def _tokenize_word(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _WORD_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad token in word at {text[pos:]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+class _PermOps:
+    """The group operations `fo.eval_term` uses, on Permutation values."""
 
+    mul = staticmethod(Permutation.__mul__)
+    inv = staticmethod(Permutation.inverse)
 
-class _WordParser:
-    def __init__(self, tokens: list[str], assignment: Mapping[str, Permutation],
-                 degree: int | None):
-        self.tokens = tokens
-        self.pos = 0
-        self.assignment = assignment
-        self.degree = degree
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of word")
-        if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-    def product(self) -> Permutation:
-        value = self.factor()
-        while self.peek() == "*":
-            self.take()
-            value = value * self.factor()
-        return value
-
-    def factor(self) -> Permutation:
-        value = self.base()
-        if self.peek() == "^-1":
-            self.take()
-            value = value.inverse()
-        return value
-
-    def base(self) -> Permutation:
-        tok = self.take()
-        if tok == "1":
-            if self.degree is None:
-                raise ValueError(
-                    "cannot size the identity: empty assignment and no degree given")
-            return identity(self.degree)
-        if tok == "(":
-            value = self.product()
-            self.take(")")
-            return value
-        if tok == "[":
-            a = self.product()
-            self.take(",")
-            b = self.product()
-            self.take("]")
-            return a * b * a.inverse() * b.inverse()
-        if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
-            try:
-                return self.assignment[tok]
-            except KeyError:
-                raise ValueError(f"unbound symbol {tok!r} in word") from None
-        raise ValueError(f"unexpected token {tok!r} in word")
+    def __init__(self, degree: int):
+        self.identity_index = identity(degree)
 
 
 def evaluate_word(word: str, assignment: Mapping[str, Permutation],
                   degree: int | None = None) -> Permutation:
-    """Evaluate a formal word (symbols, ``*``, ``^-1``, ``1``, ``[a,b]``).
+    """Evaluate a word in the term grammar of the sentence language
+    (symbols, ``*``, ``^-1``, ``1``, ``[a,b]``, parentheses).
 
     The commutator is ``[a,b] = a b a^-1 b^-1``.  All assigned permutations
     must share one degree.  Unicode ``·`` and ``⁻¹`` are accepted as aliases.
     """
+    from .fo import eval_term, parse_term  # fo imports groups, which imports perms
+
     degrees = {p.degree for p in assignment.values()}
     if degree is not None:
         degrees.add(degree)
     if len(degrees) > 1:
         raise ValueError(f"mixed degrees in assignment: {sorted(degrees)}")
-    common = degrees.pop() if degrees else None
-    text = word.replace("·", "*").replace("⁻¹", "^-1")
-    parser = _WordParser(_tokenize_word(text), assignment, common)
-    value = parser.product()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing tokens in word: {parser.tokens[parser.pos:]}")
-    return value
+    term = parse_term(word.replace("·", "*").replace("⁻¹", "^-1"))
+    if not degrees:
+        raise ValueError("an empty assignment needs an explicit degree")
+    return eval_term(term, _PermOps(degrees.pop()), assignment)

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterable, Mapping
 
 from .errors import CapExceededError
@@ -206,73 +206,50 @@ def builtin_presentation(spec: GroupSpec | None) -> Presentation | None:
     return None
 
 
-def _order_bounds(pres: Presentation) -> dict[str, int]:
-    # a relator that is a pure power of one generator bounds that order
-    bounds: dict[str, int] = {}
-    for rel in pres.relators:
-        parts = [p.strip() for p in rel.split("*")]
-        if len(set(parts)) == 1 and parts[0] in pres.names:
-            name = parts[0]
-            bounds[name] = math.gcd(bounds.get(name, 0), len(parts))
-    return bounds
-
-
 def enumerate_homs(G: FiniteGroup, m: int,
                    group_cap: int = HOM_GROUP_CAP,
                    degree_cap: int = HOM_DEGREE_CAP) -> list[AlmostHom]:
     """All homomorphisms G -> Sym(m), each returned as a defect-zero AlmostHom.
 
-    A stored presentation prunes generator images through relator checks;
-    otherwise every assignment of the group's own generators is tried.  The
-    output is sorted by image tuples, so enumeration order is deterministic.
+    Each generator's image ranges over the elements of Sym(m) whose order
+    divides the generator's order; a stored presentation prunes those
+    assignments through relator checks.  The output is sorted by image
+    tuples, so enumeration order is deterministic.  Results are memoized
+    per (G, m, caps); every call returns a fresh list.
     """
+    return list(_homs(G, m, group_cap, degree_cap))
+
+
+@lru_cache(maxsize=64)
+def _homs(G: FiniteGroup, m: int, group_cap: int,
+          degree_cap: int) -> tuple[AlmostHom, ...]:
     if len(G) > group_cap:
         raise CapExceededError(f"homomorphism search capped at |G| <= {group_cap}")
     if m > degree_cap:
         raise CapExceededError(f"homomorphism search capped at degree <= {degree_cap}")
     sym_m = construct_group(f"sym{m}")
     pres = builtin_presentation(getattr(G, "spec", None))
-    if pres is not None and not pres.names:
-        return [AlmostHom(G, (identity(m),) * len(G))]
-    if pres is not None:
-        gen_indices = [G.index_of(p) for p in pres.images_in_group]
-        bounds = _order_bounds(pres)
-        candidate_lists = []
-        for name in pres.names:
-            bound = bounds.get(name, 0)
-            candidate_lists.append([
-                sym_m.element(i) for i in range(len(sym_m))
-                if bound == 0 or sym_m.order_of(i) == 1
-                or bound % sym_m.order_of(i) == 0])
-
-        def accepted(assignment):
-            env = dict(zip(pres.names, assignment))
-            return all(evaluate_word(rel, env).is_identity()
-                       for rel in pres.relators)
-    else:
-        gen_indices = list(G.generators)
-        if not gen_indices:
-            return [AlmostHom(G, (identity(m),) * len(G))]
-        candidate_lists = []
-        for gi in gen_indices:
-            order = G.order_of(gi)
-            candidate_lists.append([
-                sym_m.element(i) for i in range(len(sym_m))
-                if order % sym_m.order_of(i) == 0])
-
-        def accepted(assignment):
-            return True
+    gens = list(G.generators) if pres is None else \
+        [G.index_of(p) for p in pres.images_in_group]
+    if not gens:
+        return (AlmostHom(G, (identity(m),) * len(G)),)
+    candidate_lists = [[sym_m.element(i) for i in range(len(sym_m))
+                        if G.order_of(g) % sym_m.order_of(i) == 0]
+                       for g in gens]
     total = 1
     for lst in candidate_lists:
         total *= len(lst)
     if total * len(G) > HOM_BUDGET:
         raise CapExceededError("homomorphism search budget exceeded")
     # a map that agrees on every generator edge is multiplicative
-    src = [partial(G.mul, g) for g in gen_indices]
+    src = [partial(G.mul, g) for g in gens]
     out = []
     for assignment in itertools.product(*candidate_lists):
-        if not accepted(assignment):
-            continue
+        if pres is not None:
+            env = dict(zip(pres.names, assignment))
+            if not all(evaluate_word(rel, env).is_identity()
+                       for rel in pres.relators):
+                continue
         mapped = extend([None] * len(G), G.identity_index, identity(m), src,
                         [partial(Permutation.__mul__, p) for p in assignment])
         if mapped is None:
@@ -281,7 +258,7 @@ def enumerate_homs(G: FiniteGroup, m: int,
             raise ValueError("the given elements do not generate the group")
         out.append(AlmostHom(G, tuple(mapped)))
     out.sort(key=lambda s: tuple(p.images for p in s.images))
-    return out
+    return tuple(out)
 
 
 # -- nearest homomorphism -----------------------------------------------------------------

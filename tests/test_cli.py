@@ -84,6 +84,14 @@ def test_verify_congruence_id_with_comma(tmp_path):
     assert row["value"] is False and row["oracle"] is False
 
 
+def test_verify_congruence_with_large_q(tmp_path):
+    # the power g^q is a balanced product, so q = 1009 stays shallow
+    code, rep = run(tmp_path, "verify", "--groups", "alt5",
+                    "--sentences", "congruence(1,1009)")
+    assert code == 0
+    assert [c["pass"] for c in rep["checks"]] == [True]
+
+
 def test_verify_phi1_readings_report_only(tmp_path):
     code, rep = run(tmp_path, "verify", "--groups", "sym3",
                     "--sentences", "felgner.phi1.literal,felgner.phi1.generated")

@@ -356,3 +356,80 @@ def test_word_group_axioms(n, rng):
     assert evaluate_word("a*1", env) == a
     assert evaluate_word("[a,b]", env) == \
         evaluate_word("a*b*a^-1*b^-1", env)
+
+
+def test_long_word_does_not_recurse_per_factor():
+    a = parse_permutation("(1 2 3 4 5 6 7)")
+    assert evaluate_word("*".join(["a"] * 5000), {"a": a}) == a ** 5000
+
+
+# a word tree, rendered to text and evaluated on raw image tuples by a
+# reference that shares no code with permlab
+
+_WORD_SYMBOLS = ("a", "b", "c")
+
+
+def _word_trees():
+    leaves = st.sampled_from([("sym", x) for x in _WORD_SYMBOLS] + [("one",)])
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.tuples(st.just("mul"), kids, kids),
+        st.tuples(st.just("inv"), kids),
+        st.tuples(st.just("comm"), kids, kids),
+        st.tuples(st.just("paren"), kids)), max_leaves=12)
+
+
+def _word_text(node) -> str:
+    kind = node[0]
+    if kind == "sym":
+        return node[1]
+    if kind == "one":
+        return "1"
+    if kind == "paren":
+        return f"({_word_text(node[1])})"
+    if kind == "inv":
+        inner = _word_text(node[1])
+        return f"{inner}^-1" if node[1][0] in ("sym", "one", "comm", "paren") \
+            else f"({inner})^-1"
+    if kind == "mul":
+        return f"{_word_text(node[1])} * {_word_text(node[2])}"
+    return f"[{_word_text(node[1])}, {_word_text(node[2])}]"
+
+
+def _ref_compose(p, q):
+    return tuple(p[j] for j in q)
+
+
+def _ref_inverse(p):
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _ref_word(node, env, n):
+    kind = node[0]
+    if kind == "sym":
+        return env[node[1]]
+    if kind == "one":
+        return tuple(range(n))
+    if kind == "paren":
+        return _ref_word(node[1], env, n)
+    if kind == "inv":
+        return _ref_inverse(_ref_word(node[1], env, n))
+    a, b = _ref_word(node[1], env, n), _ref_word(node[2], env, n)
+    if kind == "mul":
+        return _ref_compose(a, b)
+    return _ref_compose(_ref_compose(a, b),
+                        _ref_compose(_ref_inverse(a), _ref_inverse(b)))
+
+
+@given(st.sampled_from([4, 5]).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), min_size=3, max_size=3))),
+    _word_trees())
+@settings(max_examples=200)
+def test_word_matches_tuple_reference(degree_and_images, tree):
+    n, images = degree_and_images
+    env = dict(zip(_WORD_SYMBOLS, (tuple(p) for p in images)))
+    value = evaluate_word(_word_text(tree),
+                          {x: Permutation(p) for x, p in env.items()})
+    assert value.images == _ref_word(tree, env, n)

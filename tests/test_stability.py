@@ -163,12 +163,51 @@ def test_enumerated_homs_are_homs_and_sorted():
     assert keys == sorted(keys)
 
 
+def _homs_by_element(G, m):
+    return {frozenset((G.element_tuple(i), p.images)
+                      for i, p in enumerate(h.images))
+            for h in enumerate_homs(G, m)}
+
+
 def test_brute_path_matches_presentation_path():
     # the same group through a generated recipe has no stored presentation
-    G1 = construct_group("cyclic3")
-    G2 = construct_group("generated[(1 2 3)]")
-    assert G2.spec.kind == "generated"
-    assert len(enumerate_homs(G1, 4)) == len(enumerate_homs(G2, 4)) == 9
+    for spec, copy in [("cyclic3", "generated[(1 2 3)]"),
+                       ("sym3", "generated[(1 2),(1 2 3)]"),
+                       ("alt4", "generated[(1 2 3),(2 3 4)]"),
+                       ("dihedral8", "generated[(1 2 3 4),(2 4)]")]:
+        G1 = construct_group(spec)
+        G2 = construct_group(copy)
+        assert builtin_presentation(G1.spec) is not None
+        assert G2.spec.kind == "generated"
+        assert {G1.element_tuple(i) for i in range(len(G1))} == \
+            {G2.element_tuple(i) for i in range(len(G2))}
+        for m in (3, 4):
+            assert _homs_by_element(G1, m) == _homs_by_element(G2, m)
+    assert len(enumerate_homs(construct_group("cyclic3"), 4)) == 9
+
+
+def test_enumerate_homs_is_memoized(monkeypatch):
+    import permlab.stability as stability
+    work = {"evaluate_word": 0, "extend": 0}
+
+    def counted(name):
+        fn = getattr(stability, name)
+
+        def wrapper(*args, **kwargs):
+            work[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in work:
+        monkeypatch.setattr(stability, name, counted(name))
+    stability._homs.cache_clear()
+    G = construct_group("dihedral6")
+    first = enumerate_homs(G, 3)
+    assert work["evaluate_word"] > 0 and work["extend"] > 0
+    done = dict(work)
+    second = enumerate_homs(G, 3)
+    assert work == done
+    assert second == first and second is not first
 
 
 def test_enumerate_homs_caps():
