@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CapExceededError
-from ..groups import FiniteGroup, generating_subset, orbits
+from ..groups import FiniteGroup, generating_subset
 from ..perms import Permutation
 from . import macros as _macros
 from .macros import ArgKind
@@ -154,9 +154,12 @@ def _gather_formula(f, ops: _Gathers, env: dict):
 # -- static validation -----------------------------------------------------------
 
 def _validate_term(t):
+    while isinstance(t, Mul):  # a left-nested chain in a loop, as in eval_term
+        _validate_term(t.right)
+        t = t.left
     if isinstance(t, (Var, One)):
         return
-    if isinstance(t, (Mul, Comm)):
+    if isinstance(t, Comm):
         _validate_term(t.left)
         _validate_term(t.right)
         return
@@ -420,9 +423,11 @@ def _orbit_reps(G: FiniteGroup, fixed: frozenset) -> list[int]:
     c = G.centralizer_of(fixed)
     if len(c) == len(G):
         return G.class_representatives()
-    conj = G.conjugation_maps(generating_subset(G, c))
-    orbs = sorted((len(o), o[0]) for o in orbits(len(G), conj))
-    return [least for _size, least in orbs]
+    reps = G._orbit_reps_memo.get(c)
+    if reps is None:  # the orbits depend on C(fixed) only
+        reps = G._orbit_reps_memo[c] = G.conjugation_orbit_reps(
+            generating_subset(G, c))
+    return reps
 
 
 # -- entry points ------------------------------------------------------------------------

@@ -29,10 +29,29 @@ class One:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul:
+    """A product.  Equality and hashing walk the left-nested chain of a long
+    word in a loop rather than recursing once per factor."""
+
     left: object
     right: object
+
+    def _spine(self) -> tuple:
+        rights, t = [], self
+        while isinstance(t, Mul):
+            rights.append(t.right)
+            t = t.left
+        return t, rights
+
+    def __eq__(self, other):
+        if not isinstance(other, Mul):
+            return NotImplemented
+        return self._spine() == other._spine()
+
+    def __hash__(self):
+        first, rights = self._spine()
+        return hash((Mul, first, *rights))
 
 
 @dataclass(frozen=True)
@@ -117,8 +136,15 @@ def term_text(t, parent_tight: bool = False) -> str:
         return "1"
     if isinstance(t, Mul):
         # products chain to the left without parens; a product on the right
-        # (or under ^-1) must be parenthesized
-        out = f"{term_text(t.left)}*{term_text(t.right, parent_tight=True)}"
+        # (or under ^-1) must be parenthesized.  The left-nested chain is
+        # walked in a loop, so long words cannot exhaust the recursion limit.
+        factors = []
+        chain = t
+        while isinstance(chain, Mul):
+            factors.append(term_text(chain.right, parent_tight=True))
+            chain = chain.left
+        factors.append(term_text(chain))
+        out = "*".join(reversed(factors))
         return f"({out})" if parent_tight else out
     if isinstance(t, Inv):
         inner = term_text(t.arg, parent_tight=True)
@@ -182,15 +208,19 @@ def to_text(f) -> str:
 # -- variable collection ----------------------------------------------------------
 
 def term_variables(t) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, One):
-        return set()
-    if isinstance(t, (Mul, Comm)):
-        return term_variables(t.left) | term_variables(t.right)
-    if isinstance(t, Inv):
-        return term_variables(t.arg)
-    raise TypeError(f"not a term: {t!r}")
+    out: set[str] = set()
+    stack = [t]  # an explicit stack: long products stay linear and shallow
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            out.add(t.name)
+        elif isinstance(t, (Mul, Comm)):
+            stack += (t.left, t.right)
+        elif isinstance(t, Inv):
+            stack.append(t.arg)
+        elif not isinstance(t, One):
+            raise TypeError(f"not a term: {t!r}")
+    return out
 
 
 def _arg_variables(a) -> set[str]:

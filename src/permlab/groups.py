@@ -12,10 +12,14 @@ caches only memoize pure queries), so sharing them between callers is
 safe.
 
 Every breadth-first walk in the package goes through one of two routines
-here: :func:`orbit` (closures, conjugacy classes, orbit representatives,
-Schreier-graph components; :func:`orbits` partitions a point range with
-it) or :func:`extend` (automorphism and isomorphism propagation,
-homomorphisms grown from generator images).
+here: :func:`orbit` (closures, Schreier-graph components; :func:`orbits`
+partitions a point range with it) or :func:`extend` (automorphism and
+isomorphism propagation, homomorphisms grown from generator images).
+Conjugation orbits do not walk: :meth:`FiniteGroup.conjugation_orbits`
+(conjugacy classes, the FO evaluator's orbit representatives, class
+representatives of subgroups) matches each generator's conjugates of all
+element rows to the rows themselves with one sort, and partitions by numpy
+min-label propagation over those index maps.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ __all__ = [
 ELEMENT_CAP = 10 ** 6
 TABLE_CAP = 5000
 SIMPLICITY_CAP = 10 ** 5
+_BLOCK = 1 << 14  # rows per block of conjugation_orbits' row gathers
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
@@ -91,20 +96,6 @@ def _tuple_order(p: tuple) -> int:
     return lcm(*lengths)
 
 
-def _tuple_is_even(p: tuple) -> bool:
-    seen = [False] * len(p)
-    cycles = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        cycles += 1
-        j = p[start]
-        while j != start:
-            seen[j] = True
-            j = p[j]
-    return (len(p) - cycles) % 2 == 0
-
-
 def orbit(seed, gens, cap: int | None = None) -> list | None:
     """Orbit of `seed` under the point maps `gens`, breadth first.
 
@@ -127,14 +118,13 @@ def orbit(seed, gens, cap: int | None = None) -> list | None:
     return out
 
 
-def orbits(n: int, gens, points: Iterable[int] | None = None) -> Iterator[list[int]]:
-    """The orbits of `gens` on 0..n-1 that meet `points` (default: all).
+def orbits(n: int, gens) -> Iterator[list[int]]:
+    """The orbits of `gens` on 0..n-1, by increasing least member.
 
-    Each orbit starts at its first point in `points` and follows in `orbit`
-    order; scanned in increasing order, that start is the least member.
+    Each orbit starts at its least member and follows in `orbit` order.
     """
     covered = bytearray(n)
-    for start in range(n) if points is None else points:
+    for start in range(n):
         if not covered[start]:
             orb = orbit(start, gens)
             for x in orb:
@@ -166,6 +156,42 @@ def extend(mapping: list, root, target, src_gens, dst_gens) -> list | None:
     return mapping
 
 
+def _void_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of an int32 matrix as one fixed-width bytes value, so whole
+    rows sort and compare as scalars."""
+    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
+
+
+def _min_labels(maps: list[np.ndarray], n: int) -> np.ndarray:
+    """The least point of each point's orbit under the index maps `maps`
+    (permutations of 0..n-1, each given with its inverse).
+
+    Min-label propagation: every round lowers each label to the least label
+    one edge away, then pointer jumping (label ↦ label[label]) shortcuts
+    chains.  Labels stay inside their orbit and never rise, so at the fixed
+    point, where labels agree along every edge, each is the orbit minimum.
+    """
+    labels = np.arange(n, dtype=np.int32)
+    before, step = np.empty_like(labels), np.empty_like(labels)
+    while True:
+        np.copyto(before, labels)
+        for m in maps:
+            np.minimum(labels, np.take(labels, m, out=step), out=labels)
+        while not np.array_equal(np.take(labels, labels, out=step), labels):
+            labels, step = step, labels
+        if np.array_equal(labels, before):
+            return labels
+
+
+def _size_order(labels: np.ndarray):
+    """(reps, sizes, order) of the orbits labelled by `labels`: least members
+    ascending, their orbit sizes, and the permutation of both into (size,
+    least member) order."""
+    reps, sizes = np.unique(labels, return_counts=True)
+    return reps, sizes, np.lexsort((reps, sizes))
+
+
 class FiniteGroup:
     """A finite group of permutations of one degree, fully enumerated."""
 
@@ -176,13 +202,12 @@ class FiniteGroup:
         self.name = name
         self.degree = len(elements[0])
         self._elements: list[tuple] = list(elements)
-        self._index: dict[tuple, int] = {}
-        for i, t in enumerate(self._elements):
-            if len(t) != self.degree:
-                raise ValueError("mixed degrees in element list")
-            if t in self._index:
-                raise ValueError("duplicate element in element list")
-            self._index[t] = i
+        if set(map(len, self._elements)) != {self.degree}:
+            raise ValueError("mixed degrees in element list")
+        self._index: dict[tuple, int] = {
+            t: i for i, t in enumerate(self._elements)}
+        if len(self._index) != len(self._elements):
+            raise ValueError("duplicate element in element list")
         ident = tuple(range(self.degree))
         if ident not in self._index:
             raise ValueError("identity missing from element list")
@@ -196,12 +221,15 @@ class FiniteGroup:
         self._inverses: list[int] | None = None
         self._orders: list[int] = [0] * len(self._elements)
         self._classes: tuple[frozenset, ...] | None = None
-        self._class_of: list[int] | None = None
+        self._class_reps: list[int] | None = None
+        self._class_of: np.ndarray | None = None
         self._np_matrix_cache = None
+        self._row_order_cache: np.ndarray | None = None
         # memo tables for pure queries; keyed by frozensets of element indices
         self._centralizer_memo: dict[frozenset, frozenset] = {}
         self._subgroup_memo: dict[frozenset, bool] = {}
         self._subclass_reps_memo: dict[frozenset, tuple] = {}
+        self._orbit_reps_memo: dict[frozenset, list] = {}
         self._macro_memo: dict = {}
         self.spec: GroupSpec | None = None  # set by construct_group
 
@@ -301,21 +329,6 @@ class FiniteGroup:
         """by · i · by^-1."""
         return self.mul(self.mul(by, i), self.inv(by))
 
-    def conjugation_maps(self, by: Iterable[int]) -> list:
-        """Point maps x ↦ g·x·g^-1 on element indices, one per g in `by`,
-        for `orbit`.  Each is one tuple composition, so it needs no Cayley
-        table and works at every group size."""
-        elems, idx = self._elements, self._index
-
-        def conj_by(g):
-            gt, git = elems[g], _invert(elems[g])
-
-            def conj(x):
-                xt = elems[x]
-                return idx[tuple([gt[xt[j]] for j in git])]
-            return conj
-        return [conj_by(g) for g in by]
-
     def power(self, i: int, k: int) -> int:
         if k < 0:
             return self.power(self.inv(i), -k)
@@ -336,21 +349,93 @@ class FiniteGroup:
 
     # -- conjugacy ----------------------------------------------------------
 
+    def _np_matrix(self):
+        if self._np_matrix_cache is None:
+            n, d = len(self), self.degree
+            self._np_matrix_cache = np.fromiter(
+                itertools.chain.from_iterable(self._elements), dtype=np.int32,
+                count=n * d).reshape(n, d)
+        return self._np_matrix_cache
+
+    def _row_order(self) -> np.ndarray:
+        """Stable argsort of the element rows viewed as fixed-width bytes."""
+        if self._row_order_cache is None:
+            self._row_order_cache = np.argsort(
+                _void_rows(self._np_matrix()), kind="stable").astype(np.int32)
+        return self._row_order_cache
+
+    def conjugation_orbits(self, by: Iterable[int],
+                           points: np.ndarray | None = None) -> np.ndarray:
+        """Orbit labels of conjugation x ↦ g·x·g^-1 by the elements `by`.
+
+        `points` is a sorted index array closed under those maps (default:
+        the whole group).  The result holds, for each point in order, the
+        least point of its orbit.
+
+        For each g, the rows of the conjugates g·x·g^-1 are one batch: the
+        points' rows permuted.  Sorting the batch as fixed-width bytes and
+        pairing it with the sorted point rows gives the index map, which
+        every row is then checked against, so a conjugate outside `points`
+        raises ValueError.  The partition is `_min_labels` over the maps.
+        """
+        mat = self._np_matrix()
+        if points is None:
+            rows, order = mat, self._row_order()
+        else:
+            rows = mat[points]
+            order = np.argsort(_void_rows(rows), kind="stable")
+        n = len(rows)
+        keys, conj = _void_rows(rows), np.empty_like(rows)
+        maps = []
+        for g in by:
+            gt = mat[g]
+            g_inv = np.argsort(gt)
+            for s in range(0, n, _BLOCK):  # (g·x·g^-1)(i) = g(x(g^-1(i)))
+                block = slice(s, s + _BLOCK)
+                np.take(gt, rows[block][:, g_inv], out=conj[block])
+            conj_keys = _void_rows(conj)
+            fwd = np.empty(n, dtype=np.int32)
+            fwd[np.argsort(conj_keys, kind="stable")] = order
+            for s in range(0, n, _BLOCK):
+                block = slice(s, s + _BLOCK)
+                if not np.array_equal(keys[fwd[block]], conj_keys[block]):
+                    raise ValueError(
+                        f"{self.name}: a conjugate is missing from the points")
+            bwd = np.empty_like(fwd)
+            bwd[fwd] = np.arange(n, dtype=np.int32)
+            maps += [fwd, bwd]
+        labels = _min_labels(maps, n)
+        return labels if points is None else np.asarray(points)[labels]
+
+    def conjugation_orbit_reps(self, by: Iterable[int]) -> list[int]:
+        """Least members of the orbits of conjugation by `by` on the whole
+        group, in (orbit size, least member) order."""
+        reps, _sizes, order = _size_order(self.conjugation_orbits(by))
+        return reps[order].tolist()
+
     def conjugacy_classes(self) -> tuple[frozenset, ...]:
         """Conjugacy classes, sorted by (size, least member)."""
         if self._classes is None:
-            raw = list(orbits(len(self), self.conjugation_maps(self.generators)))
-            raw.sort(key=lambda c: (len(c), c[0]))
-            self._classes = tuple(frozenset(c) for c in raw)
-            self._class_of = [0] * len(self)
-            for new_cid, c in enumerate(self._classes):
-                for x in c:
-                    self._class_of[x] = new_cid
+            labels = self.conjugation_orbits(self.generators)
+            reps, sizes, order = _size_order(labels)
+            starts = np.cumsum(sizes) - sizes
+            members = np.argsort(labels, kind="stable")
+            # the dict's own index ints, so the classes add no int objects
+            ints = list(self._index.values())
+            self._classes = tuple(
+                frozenset(map(ints.__getitem__,
+                              members[starts[k]:starts[k] + sizes[k]].tolist()))
+                for k in order)
+            self._class_reps = reps[order].tolist()
+            rank = np.empty(len(order), dtype=np.int32)
+            rank[order] = np.arange(len(order))
+            self._class_of = rank[np.searchsorted(reps, labels)]
         return self._classes
 
     def class_representatives(self) -> list[int]:
         """Least member of each class, in (class size, member) order."""
-        return [min(c) for c in self.conjugacy_classes()]
+        self.conjugacy_classes()
+        return list(self._class_reps)
 
     def class_of(self, i: int) -> frozenset:
         self.conjugacy_classes()
@@ -358,28 +443,29 @@ class FiniteGroup:
 
     # -- centralizers -------------------------------------------------------
 
-    def _np_matrix(self):
-        if self._np_matrix_cache is None:
-            self._np_matrix_cache = np.array(self._elements, dtype=np.int32)
-        return self._np_matrix_cache
-
     def centralizer_of(self, indices: Iterable[int]) -> frozenset:
         """Centralizer {x : xs = sx for all s in the given set} as index set."""
         key = frozenset(indices)
         cached = self._centralizer_memo.get(key)
         if cached is not None:
             return cached
-        if not key:
-            result = frozenset(range(len(self)))
-        else:
+        mask = np.ones(len(self), dtype=bool)
+        if key:
             mat = self._np_matrix()
-            mask = np.ones(len(self), dtype=bool)
             for g in generating_subset(self, key):
                 garr = np.array(self._elements[g], dtype=np.int32)
                 # x·g = g·x, one point i at a time: x(g(i)) = g(x(i))
                 for i, gi in enumerate(self._elements[g]):
                     mask &= mat[:, gi] == garr[mat[:, i]]
-            result = frozenset(np.nonzero(mask)[0].tolist())
+        if mask.all():
+            # one whole-group set, of the dict's own index ints, serves the
+            # empty key and every central one
+            result = self._centralizer_memo.get(frozenset())
+            if result is None:
+                result = self._centralizer_memo[frozenset()] = \
+                    frozenset(self._index.values())
+        else:
+            result = frozenset(np.flatnonzero(mask).tolist())
         self._centralizer_memo[key] = result
         return result
 
@@ -465,6 +551,19 @@ def _generated_group(gen_tuples: list[tuple], name: str,
     return FiniteGroup(elems, name, [elems.index(t) for t in gen_tuples])
 
 
+def _lexicographic_evenness(n: int) -> np.ndarray:
+    """Bool mask of the even permutations of 0..n-1 in lexicographic order.
+
+    The k-th permutation has as many inversions as the digits of k in the
+    factorial base sum to; its leading digit is k // (n-1)!, and the rest of
+    k is the rank of the remaining permutation among (n-1)!.
+    """
+    odd = np.zeros(1, dtype=np.int8)
+    for m in range(2, n + 1):
+        odd = (np.arange(m, dtype=np.int8)[:, None] + odd).ravel() & 1
+    return odd == 0
+
+
 def _build_sym_or_alt(kind: str, n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("degree must be at least 1")
@@ -480,7 +579,8 @@ def _build_sym_or_alt(kind: str, n: int) -> FiniteGroup:
         if n >= 3:
             gens.append(tuple(list(range(1, n)) + [0]))
     else:
-        elems = [p for p in itertools.permutations(range(n)) if _tuple_is_even(p)]
+        elems = list(itertools.compress(itertools.permutations(range(n)),
+                                        _lexicographic_evenness(n).tolist()))
         gens = []
         for k in range(2, n):
             t = list(range(n))
@@ -739,8 +839,9 @@ def _subgroup_class_reps(G: FiniteGroup, W: frozenset) -> tuple[int, ...]:
     cached = G._subclass_reps_memo.get(W)
     if cached is not None:
         return cached
-    conj = G.conjugation_maps(generating_subset(G, W))
-    result = tuple(c[0] for c in orbits(len(G), conj, sorted(W)))
+    points = np.array(sorted(W))
+    labels = G.conjugation_orbits(generating_subset(G, W), points)
+    result = tuple(points[labels == points].tolist())  # least members
     G._subclass_reps_memo[W] = result
     return result
 

@@ -177,6 +177,18 @@ def test_formula_round_trip(f):
     assert parse_formula(to_text(f)) == f
 
 
+def test_long_product_validates_prints_and_evaluates():
+    # a 3,001-factor word: validation, printing, variable collection,
+    # equality and hashing must not recurse once per factor
+    f = parse_formula("exists g. " + "g*" * 3000 + "g = 1")
+    for strategy in ("naive", "class", "centralizer"):
+        assert evaluate(f, G("alt5"), strategy)
+    text = to_text(f)
+    assert text == "exists g. " + "g*" * 3000 + "g = 1"
+    assert parse_formula(text) == f and hash(parse_formula(text)) == hash(f)
+    assert free_variables(f.body) == {"g"}
+
+
 # -- validation ---------------------------------------------------------------
 
 def test_validation_rejects_bad_calls():

@@ -7,12 +7,15 @@ from functools import partial
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from permlab import groups
 from permlab.errors import CapExceededError
+from permlab.fo.evaluate import _orbit_reps
 from permlab.groups import (
     TABLE_CAP,
+    FiniteGroup,
     GroupSpec,
     are_isomorphic,
     construct_group,
@@ -127,15 +130,17 @@ def _raw_invert(p):
     return tuple(inv)
 
 
+def _alt4_without_generators():
+    s4 = G("sym4")
+    return subgroup_as_group(s4, [x for x in range(24) if s4.element(x).is_even()])
+
+
 @pytest.mark.parametrize("spec", [
     "sym4", "psl2(7)", "dihedral(12)", "generated[(1 2 3 4),(1 2),(16 17)]",
     "alt4 in sym4"])
 def test_cayley_table_matches_tuple_composition(spec):
-    if spec == "alt4 in sym4":  # no generators known: the table picks its own
-        s4 = G("sym4")
-        g = subgroup_as_group(s4, [x for x in range(24) if s4.element(x).is_even()])
-    else:
-        g = G(spec)
+    # "alt4 in sym4" has no generators known: the table picks its own
+    g = _alt4_without_generators() if spec == "alt4 in sym4" else G(spec)
     table, inv = g.table()
     elems = [g.element_tuple(i) for i in range(len(g))]
     assert table.shape == (len(g), len(g)) and inv.shape == (len(g),)
@@ -173,13 +178,88 @@ def brute_classes(g):
     return classes
 
 
-@pytest.mark.parametrize("spec", ["sym3", "sym4", "alt4", "alt5", "d8", "z6"])
+@pytest.mark.parametrize("spec", [
+    "sym3", "sym4", "alt4", "alt5", "d8", "z6", "dihedral(12)",
+    "generated[(1 2 3 4),(1 2),(16 17)]", "alt4 in sym4"])
 def test_conjugacy_classes_match_bruteforce(spec):
-    g = G(spec)
-    assert set(g.conjugacy_classes()) == brute_classes(g)
-    sizes = [len(c) for c in g.conjugacy_classes()]
-    assert sizes == sorted(sizes)
-    assert sum(sizes) == len(g)
+    g = _alt4_without_generators() if spec == "alt4 in sym4" else G(spec)
+    classes = g.conjugacy_classes()
+    assert set(classes) == brute_classes(g)
+    keys = [(len(c), min(c)) for c in classes]
+    assert keys == sorted(keys)
+    assert sum(len(c) for c in classes) == len(g)
+    assert g.class_representatives() == [least for _size, least in keys]
+    assert all(g.class_of(x) == c for c in classes for x in c)
+
+
+def test_classes_of_a_set_not_closed_under_conjugation_raise():
+    # {1, (1 2), (2 3)} with both transpositions as "generators": conjugating
+    # (2 3) by (1 2) gives (1 3), which the element list lacks
+    g = FiniteGroup([(0, 1, 2), (1, 0, 2), (0, 2, 1)], "not a group", [1, 2])
+    with pytest.raises(ValueError):
+        g.conjugacy_classes()
+
+
+def test_conjugacy_classes_walk_no_orbit(monkeypatch):
+    # the class partition comes from the vectorized kernel, not from a
+    # breadth-first walk per element; fresh groups so nothing is cached
+    calls = []
+    real = groups.orbit
+    monkeypatch.setattr(groups, "orbit",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    for kind in ("sym", "alt"):
+        g = groups._build_sym_or_alt(kind, 8)
+        assert len(g.conjugacy_classes()) == {"sym": 22, "alt": 14}[kind]
+    assert calls == []
+
+
+# A reference for the kernel's three callers: orbits of tuple conjugation
+# walked by `orbit`, conjugating by every element of the acting subgroup.
+
+def _tuple_conj(g, x):
+    return _raw_compose(_raw_compose(g, x), _raw_invert(g))
+
+
+def _reference_orbits(g, acting, points):
+    """Orbits (sorted index lists) of conjugation by the elements `acting`
+    that meet `points`, in order of their first point in `points`."""
+    maps = [partial(_tuple_conj, g.element_tuple(a)) for a in acting]
+    seen, out = set(), []
+    for x in points:
+        if x not in seen:
+            orb = sorted(g.index_of(t) for t in orbit(g.element_tuple(x), maps))
+            seen.update(orb)
+            out.append(orb)
+    return out
+
+
+def _by_size(orbs):
+    return sorted(orbs, key=lambda o: (len(o), o[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_conjugation_kernel_matches_reference_orbits(data):
+    degree = data.draw(st.integers(1, 6))
+    gens = data.draw(st.lists(st.permutations(range(degree)).map(tuple),
+                              min_size=1, max_size=3))
+    try:
+        g = groups._generated_group(gens, "random", cap=200)
+    except CapExceededError:
+        assume(False)
+    n = len(g)
+    everything = range(n)
+    assert g.conjugacy_classes() == tuple(
+        frozenset(o) for o in _by_size(_reference_orbits(g, everything, everything)))
+    fixed = data.draw(st.frozensets(st.integers(0, n - 1), max_size=3))
+    cent = [x for x in everything
+            if all(_raw_compose(g.element_tuple(x), g.element_tuple(f)) ==
+                   _raw_compose(g.element_tuple(f), g.element_tuple(x)) for f in fixed)]
+    assert _orbit_reps(g, fixed) == [
+        o[0] for o in _by_size(_reference_orbits(g, cent, everything))]
+    W = generated_subgroup(g, data.draw(st.lists(st.integers(0, n - 1), max_size=2)))
+    assert groups._subgroup_class_reps(g, W) == tuple(
+        o[0] for o in _reference_orbits(g, sorted(W), sorted(W)))
 
 
 def test_class_of_membership():
@@ -208,6 +288,10 @@ def test_centralizer_sym3_example():
 def test_centralizer_of_empty_set_is_whole_group():
     g = G("sym3")
     assert g.centralizer_of([]) == frozenset(range(len(g)))
+    # every central key shares that one set instead of holding a copy
+    z4 = G("z4")
+    assert z4.centralizer_of([1, 2]) is z4.centralizer_of([]) is \
+        z4.centralizer_of([z4.identity_index])
 
 
 def test_centralizer_alt7_three_cycle():
