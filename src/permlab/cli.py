@@ -22,15 +22,15 @@ from . import __version__
 from .arithmetic import SelectorProblem, find_witness_prime, residue_pair
 from .errors import CapExceededError, DecompositionRequiredError, ParseError
 from .groups import FiniteGroup, construct_group, default_corpus, parse_group_spec
-from .perms import Permutation, hamming_distance, parse_permutation
+from .perms import Permutation, parse_permutation
 from .rigidity import (GroupAction, action_centralizer,
                        biregular_double_centralizer,
                        centralizer_in_sym_bruteforce, class_power_types)
 from .schreier import (EXHAUSTIVE_CAP, EXPANSION_CAP, cluster_scan,
-                       component_mass_profile, components,
-                       default_cluster_epsilon, directed_cycle_graph,
-                       edge_expansion, enumerate_eps_automorphisms,
-                       exact_automorphisms, histogram_csv, read_graph_file,
+                       component_mass_profile, components, default_cluster_epsilon,
+                       directed_cycle_graph, edge_expansion,
+                       enumerate_eps_automorphisms, exact_automorphisms,
+                       histogram_csv, pairwise_distances, read_graph_file,
                        regular_action_graph, spectral_gap, symmetrized_degree)
 from .sentences import (classify_nonabelian_simple,
                         commutator_coverage_bruteforce, congruence_oracle_alt,
@@ -215,14 +215,9 @@ def cmd_schreier(args) -> tuple[dict, bool]:
     config = {"graph": args.graph, "mode": args.mode}
     if args.mode == "exact-autos":
         autos = exact_automorphisms(graph)
-        dists = sorted({hamming_distance(p, q)
-                        for i, p in enumerate(autos) for q in autos[i + 1:]})
-        if not dists:
-            pairwise = None
-        elif len(dists) == 1:
-            pairwise = _num(dists[0])
-        else:
-            pairwise = [_num(d) for d in dists]
+        dists = [d for d, _ in pairwise_distances(autos)[0]]
+        pairwise = None if not dists else _num(dists[0]) if len(dists) == 1 \
+            else [_num(d) for d in dists]
         checks = [{"check": "pairwise distances all equal 1",
                    "pass": not dists or dists == [Fraction(1)]}]
         if G is not None:
@@ -415,6 +410,12 @@ def cmd_corpus(args) -> tuple[dict, bool]:
 
 # -- plumbing -------------------------------------------------------------------------
 
+def _nonnegative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permlab",
@@ -455,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="defect budget as a fraction, or 'auto'")
     p.add_argument("--search", default="auto",
                    choices=["auto", "exhaustive", "backtracking", "local-search"])
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=_nonnegative_int, default=20)
     common(p)
 
     p = sub.add_parser("rigidity", help="centralizer and double-centralizer checks")

@@ -115,9 +115,6 @@ class Permutation:
             counts[len(cyc)] = counts.get(len(cyc), 0) + 1
         return CycleType(tuple(sorted(counts.items())))
 
-    def fixed_point_count(self) -> int:
-        return sum(1 for i, j in enumerate(self.images) if i == j)
-
     def is_even(self) -> bool:
         # parity = (degree - number of cycles) mod 2
         return (self.degree - len(self.cycles(include_fixed=True))) % 2 == 0

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CapExceededError
 from .groups import (ELEMENT_CAP, FiniteGroup, _generated_group, extend,
                      left_regular_permutation, orbits)
-from .perms import Permutation, hamming_distance, identity, parse_permutation
+from .perms import Permutation, identity, parse_permutation
 
 __all__ = [
     "LabeledSchreierGraph", "build_schreier_graph", "regular_action_graph",
@@ -32,15 +32,17 @@ __all__ = [
     "epsilon_defect", "is_epsilon_automorphism",
     "exact_automorphisms", "enumerate_eps_automorphisms",
     "induced_component_graph", "connected_label_isomorphic",
-    "ClusterScan", "cluster_scan", "default_cluster_epsilon",
+    "ClusterScan", "cluster_scan", "pairwise_distances", "default_cluster_epsilon",
     "write_graph_file", "read_graph_file", "parse_graph_text",
     "graph_file_text", "histogram_csv",
-    "EXPANSION_CAP", "EXHAUSTIVE_CAP", "CLUSTER_THRESHOLD",
+    "EXPANSION_CAP", "GAP_CAP", "EXHAUSTIVE_CAP", "CLUSTER_THRESHOLD",
 ]
 
 EXPANSION_CAP = 24
+GAP_CAP = 5040  # dense n×n tables: the eigensolve takes ~19 s and 0.4 GB at the cap
 EXHAUSTIVE_CAP = 8
 CLUSTER_THRESHOLD = Fraction(3, 10)
+_PAIR_BLOCK = 1 << 20  # cells per block of mismatch counts or swap gains
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,10 @@ class LabeledSchreierGraph:
         for s, p in zip(self.labels, self.images):
             for i in range(self.n):
                 yield i, s, p.apply(i)
+
+    @property
+    def image_array(self) -> np.ndarray:  # row s holds sigma_s
+        return np.array([p.images for p in self.images], dtype=np.intp)
 
     def point_maps(self) -> list:
         """One vertex map i ↦ sigma_s(i) per label, for `orbit` and `extend`."""
@@ -158,8 +164,7 @@ def symmetrized_degree(g: LabeledSchreierGraph) -> int:
 def adjacency_matrix(g: LabeledSchreierGraph) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=np.int64)
     for p in symmetrized_generators(g):
-        for i in range(g.n):
-            a[i, p.apply(i)] += 1
+        a[np.arange(g.n), p.images] += 1
     return a
 
 
@@ -191,14 +196,58 @@ def spectral_gap(g: LabeledSchreierGraph) -> float:
     (up to eigensolver precision)."""
     if g.n < 2:
         raise ValueError("the spectral gap needs at least two vertices")
-    a = adjacency_matrix(g).astype(float)
-    eigs = np.linalg.eigvalsh(a)
-    lam2 = float(eigs[-2])
-    deg = symmetrized_degree(g)
-    return 1.0 - lam2 / deg
+    if g.n > GAP_CAP:
+        raise CapExceededError(f"the dense spectral gap is capped at n = {GAP_CAP}")
+    eigs = np.linalg.eigvalsh(adjacency_matrix(g).astype(float))
+    return 1.0 - float(eigs[-2]) / symmetrized_degree(g)
 
 
 # -- epsilon-automorphisms ------------------------------------------------------------
+
+def _preserved(S: np.ndarray, rows: np.ndarray):
+    """Edges (x, s) with sigma_s(r(x)) = r(sigma_s(x)), per index row r."""
+    return sum((s[rows] == rows[..., s]).sum(-1) for s in S)
+
+
+def _swap_gains(S: np.ndarray, T: np.ndarray, r: np.ndarray, i, j):
+    """Change in the preserved-edge count when r(i) and r(j) are swapped, for
+    broadcastable index arrays i != j; T holds the inverse images.  Only the
+    edges (x, s) with x in {i, j} ∪ sigma_s^-1{i, j} change; each counts once."""
+    gain, ri, rj = 0, r[i], r[j]
+    for s, t in zip(S, T):
+        f, si, sj, a, b = s[r], s[i], s[j], t[i], t[j]
+        fi, fj, fa, fb, gi, gj = f[i], f[j], f[a], f[b], r[si], r[sj]
+        new_i = np.where(si == i, rj, np.where(si == j, ri, gi))
+        new_j = np.where(sj == j, ri, np.where(sj == i, rj, gj))
+        ka, kb = (a != i) & (a != j), (b != i) & (b != j)
+        gain = (gain + (fj == new_i) + (fi == new_j) - (fi == gi) - (fj == gj)
+                + (ka & (fa == rj)) - (ka & (fa == ri))
+                + (kb & (fb == ri)) - (kb & (fb == rj)))
+    return gain
+
+
+def _descend(S: np.ndarray, T: np.ndarray, r: np.ndarray, count: int) -> int:
+    """First-improvement swap descent on r, in place; returns the final count.
+
+    Passes over the pairs i < j in order, taking each swap that strictly
+    raises the count until a pass takes none, always take next the first
+    improving pair after the last one taken, in cyclic order: here it is read
+    off an n×n gain table, redone after a swap at the vertices next to it."""
+    n, ids = len(r), np.arange(len(r))
+    gains = np.empty((n, n), dtype=np.int64)
+    for i0 in range(0, n, step := max(1, _PAIR_BLOCK // (n * len(S)))):
+        gains[i0:i0 + step] = _swap_gains(S, T, r, ids[i0:i0 + step, None], ids[None])
+    upper, pos = ids[:, None] < ids, 0
+    while count < S.size and (hits := np.flatnonzero(upper & (gains > 0))).size:
+        k = int(hits[np.searchsorted(hits, pos) % hits.size])
+        i, j = divmod(k, n)
+        r[i], r[j] = r[j], r[i]
+        count, pos = count + int(gains[i, j]), k + 1
+        near = np.unique(np.concatenate(([i, j], S[:, [i, j]], T[:, [i, j]]), None))
+        gains[near] = _swap_gains(S, T, r, near[:, None], ids[None])
+        gains[:, near] = gains[near].T
+    return count
+
 
 def epsilon_defect(g: LabeledSchreierGraph, rho: Permutation) -> Fraction:
     """1 - (labeled directed edges preserved by rho) / |E|.
@@ -208,12 +257,8 @@ def epsilon_defect(g: LabeledSchreierGraph, rho: Permutation) -> Fraction:
     """
     if rho.degree != g.n:
         raise ValueError(f"degree mismatch: graph {g.n}, permutation {rho.degree}")
-    preserved = 0
-    r = rho.images
-    for p in g.images:
-        pi = p.images
-        preserved += sum(1 for i in range(g.n) if pi[r[i]] == r[pi[i]])
-    return 1 - Fraction(preserved, g.edge_count)
+    count = _preserved(g.image_array, np.array(rho.images, dtype=np.intp))
+    return 1 - Fraction(int(count), g.edge_count)
 
 
 def is_epsilon_automorphism(g: LabeledSchreierGraph, rho: Permutation,
@@ -269,14 +314,15 @@ def enumerate_eps_automorphisms(g: LabeledSchreierGraph, eps,
                   seeded random starts; a sample, not an enumeration.
     """
     eps = Fraction(eps)
+    S, edges = g.image_array, g.edge_count
+    need = edges - eps * edges // 1  # defect <= eps iff count >= need
     if mode == "exhaustive":
         if g.n > EXHAUSTIVE_CAP:
             raise CapExceededError(
                 f"exhaustive scan over Sym({g.n}) refused; cap {EXHAUSTIVE_CAP}")
-        out = [Permutation(images)
-               for images in itertools.permutations(range(g.n))
-               if epsilon_defect(g, Permutation(images)) <= eps]
-        return out
+        rows = np.array(list(itertools.permutations(range(g.n))), dtype=np.intp)
+        return [Permutation(tuple(row))
+                for row in rows[_preserved(S, rows) >= need].tolist()]
     if mode == "backtracking":
         if eps != 0:
             raise ValueError("backtracking mode enumerates exact automorphisms;"
@@ -284,26 +330,18 @@ def enumerate_eps_automorphisms(g: LabeledSchreierGraph, eps,
         return exact_automorphisms(g)
     if mode != "local-search":
         raise ValueError(f"unknown mode {mode!r}")
+    if g.n > GAP_CAP:
+        raise CapExceededError(f"local search keeps n×n swap gains; n capped at {GAP_CAP}")
     found = {p.images: p for p in exact_automorphisms(g)}
+    T = np.argsort(S, axis=1)
     rng = random.Random(seed)
     for _ in range(restarts):
         current = list(range(g.n))
         rng.shuffle(current)
-        current_defect = epsilon_defect(g, Permutation(tuple(current)))
-        improved = True
-        while improved and current_defect > 0:
-            improved = False
-            for i in range(g.n):
-                for j in range(i + 1, g.n):
-                    current[i], current[j] = current[j], current[i]
-                    d = epsilon_defect(g, Permutation(tuple(current)))
-                    if d < current_defect:
-                        current_defect = d
-                        improved = True
-                    else:
-                        current[i], current[j] = current[j], current[i]
-        if current_defect <= eps:
-            found.setdefault(tuple(current), Permutation(tuple(current)))
+        r = np.array(current, dtype=np.intp)
+        if _descend(S, T, r, int(_preserved(S, r))) >= need and \
+                (key := tuple(r.tolist())) not in found:
+            found[key] = Permutation(key)
     return [found[k] for k in sorted(found)]
 
 
@@ -352,6 +390,22 @@ class ClusterScan:
     product_defects: tuple[tuple[tuple[int, int], Fraction], ...]
 
 
+def pairwise_distances(autos: Sequence[Permutation], threshold=0):
+    """Normalized Hamming distances over the pairs i < j of `autos`: their
+    sorted (distance, pair count) histogram and the index arrays of the pairs
+    at distance <= threshold, from mismatch counts in bounded row blocks."""
+    rows = np.array([p.images for p in autos], dtype=np.intp)
+    k, n = rows.shape
+    limit, hist, close = Fraction(threshold) * n // 1, 0, []
+    for i0 in range(0, k, step := max(1, _PAIR_BLOCK // (k * n))):
+        counts = (rows[i0:i0 + step, None] != rows[None, i0:]).sum(2)
+        upper = np.arange(len(counts))[:, None] < np.arange(k - i0)
+        hist = hist + np.bincount(counts[upper], minlength=n + 1)
+        close.append(np.array(np.nonzero(upper & (counts <= limit))) + i0)
+    return (tuple((Fraction(d, n), int(c)) for d, c in enumerate(hist) if c),
+            np.concatenate(close, axis=1))
+
+
 def cluster_scan(autos: Sequence[Permutation], g: LabeledSchreierGraph,
                  epsilon=Fraction(0), threshold=CLUSTER_THRESHOLD) -> ClusterScan:
     """Pairwise-distance histogram, distance-<=threshold clusters, the widest
@@ -359,52 +413,29 @@ def cluster_scan(autos: Sequence[Permutation], g: LabeledSchreierGraph,
     autos = list(autos)
     if len(autos) < 2:
         raise ValueError("cluster scans need at least two automorphisms")
-    k = len(autos)
-    dist: dict[tuple[int, int], Fraction] = {}
-    hist: dict[Fraction, int] = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = hamming_distance(autos[i], autos[j])
-            dist[i, j] = d
-            hist[d] = hist.get(d, 0) + 1
-    # union-find clusters under distance <= threshold
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, j), d in dist.items():
-        if d <= threshold:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for x in range(k):
-        groups.setdefault(find(x), []).append(x)
-    clusters = tuple(tuple(sorted(v)) for _root, v in sorted(groups.items()))
+    histogram, (a, b) = pairwise_distances(autos, threshold)
+    # clusters: components of the close pairs by min-label propagation, where
+    # labels never rise and stay in their component, so each ends at its least
+    labels, before = np.arange(len(autos)), None
+    while not np.array_equal(labels, before):
+        before = labels.copy()
+        np.minimum.at(labels, a, before[b])
+        np.minimum.at(labels, b, before[a])
+        labels = labels[labels]
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    clusters = tuple(tuple(c.tolist()) for c in np.split(order, cuts))
     # widest open interval between consecutive observed values (0, 1 anchored)
-    points = sorted({Fraction(0), Fraction(1)} | set(hist))
-    gap_lo, gap_hi = points[0], points[0]
-    for a, b in zip(points, points[1:]):
-        if b - a > gap_hi - gap_lo:
-            gap_lo, gap_hi = a, b
-    # representative-product probes, pairs of clusters in order
-    probes = []
-    for ci in range(len(clusters)):
-        for cj in range(ci, len(clusters)):
-            rep_i = autos[clusters[ci][0]]
-            rep_j = autos[clusters[cj][0]]
-            probes.append(((ci, cj), epsilon_defect(g, rep_i * rep_j)))
-    return ClusterScan(
-        epsilon=Fraction(epsilon), threshold=Fraction(threshold),
-        automorphisms=tuple(autos),
-        histogram=tuple(sorted(hist.items())),
-        clusters=clusters,
-        gap_interval=(gap_lo, gap_hi),
-        product_defects=tuple(probes))
+    points = sorted({Fraction(0), Fraction(1)} | {d for d, _ in histogram})
+    gap = max(zip(points, points[1:]), key=lambda pair: pair[1] - pair[0])
+    # representative-product probes, pairs of clusters in order, counted on
+    # the composed index rows rep_c(rep_d(x))
+    S, reps = g.image_array, np.array([autos[c[0]].images for c in clusters])
+    probes = [((c, c + d), 1 - Fraction(int(count), g.edge_count))
+              for c in range(len(clusters))
+              for d, count in enumerate(_preserved(S, reps[c][reps[c:]]))]
+    return ClusterScan(Fraction(epsilon), Fraction(threshold), tuple(autos),
+                       histogram, clusters, gap, tuple(probes))
 
 
 def default_cluster_epsilon(g: LabeledSchreierGraph) -> Fraction:

@@ -154,6 +154,28 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, config):
     capsys.readouterr()
 
 
+def test_negative_restarts_is_usage_error(tmp_path, capsys):
+    assert main(["schreier", "--graph", "cycle:4", "--mode", "clusters",
+                 "--restarts", "-3", "-o", str(tmp_path / "r.json")]) == 2
+    assert "--restarts" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"restarts": -1}), encoding="utf-8")
+    assert main(["schreier", "--graph", "cycle:4", "--config", str(cfg),
+                 "-o", str(tmp_path / "r.json")]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", ["report", "clusters"])
+def test_dense_spectral_gap_cap_exits_two(tmp_path, capsys, mode):
+    # regular:sym8 has 40,320 vertices; its dense adjacency would need ~26 GB
+    t0 = time.perf_counter()
+    assert main(["schreier", "--graph", "regular:sym8", "--mode", mode,
+                 "-o", str(tmp_path / "r.json")]) == 2
+    assert time.perf_counter() - t0 < 10
+    assert "capped" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_failed_check_exits_one(tmp_path):
     graph = tmp_path / "trivial.graph"
     graph.write_text("n=3 labels=s\n1 s 1\n2 s 2\n3 s 3\n", encoding="utf-8")

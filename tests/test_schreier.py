@@ -1,23 +1,28 @@
 """Schreier graph machinery: expansion, gaps, near-automorphisms, clusters."""
 
+import hashlib
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import permlab.schreier as schreier
 from permlab.errors import CapExceededError
 from permlab.groups import construct_group, right_regular_permutation
-from permlab.perms import Permutation, hamming_distance, identity, parse_permutation
+from permlab.perms import (Permutation, hamming_distance, identity, parse_permutation,
+                           random_permutation)
 from permlab.schreier import (
-    ClusterScan, EXHAUSTIVE_CAP, LabeledSchreierGraph, adjacency_matrix,
+    ClusterScan, EXHAUSTIVE_CAP, GAP_CAP, LabeledSchreierGraph, adjacency_matrix,
     build_schreier_graph, cluster_scan, component_mass_profile, components,
     default_cluster_epsilon, directed_cycle_graph, edge_expansion,
     enumerate_eps_automorphisms, epsilon_defect, exact_automorphisms,
-    graph_file_text, histogram_csv, is_epsilon_automorphism, parse_graph_text,
-    read_graph_file, regular_action_graph, spectral_gap, symmetrized_degree,
-    symmetrized_generators, write_graph_file)
+    graph_file_text, histogram_csv, is_epsilon_automorphism, pairwise_distances,
+    parse_graph_text, read_graph_file, regular_action_graph, spectral_gap,
+    symmetrized_degree, symmetrized_generators, write_graph_file)
 
 
 def prism():
@@ -350,3 +355,218 @@ def test_histogram_csv_shape():
     lines = histogram_csv(scan).splitlines()
     assert lines[0] == "numerator,denominator,count"
     assert lines[1] == "1,1,10"  # C(5,2) pairs, all at distance 1
+
+
+# -- integer count kernels against the per-Permutation definitions -----------------------
+
+def defect_oracle(g, rho):
+    """The edge-by-edge definition of epsilon_defect."""
+    r = rho.images
+    preserved = sum(1 for p in g.images for i in range(g.n)
+                    if p.images[r[i]] == r[p.images[i]])
+    return 1 - Fraction(preserved, g.edge_count)
+
+
+def descent_oracle(g, start):
+    """One swap at a time: passes over i < j, keep a swap when it strictly
+    lowers the defect, stop after a pass that keeps none."""
+    current = list(start)
+    d = defect_oracle(g, Permutation(tuple(current)))
+    improved = True
+    while improved and d > 0:
+        improved = False
+        for i in range(g.n):
+            for j in range(i + 1, g.n):
+                current[i], current[j] = current[j], current[i]
+                e = defect_oracle(g, Permutation(tuple(current)))
+                if e < d:
+                    d, improved = e, True
+                else:
+                    current[i], current[j] = current[j], current[i]
+    return tuple(current), d
+
+
+@st.composite
+def labeled_graphs(draw, max_n=12):
+    """1-3 labels on n <= max_n points; some labels are involutions with
+    fixed points, or the identity."""
+    n = draw(st.integers(1, max_n))
+    images = []
+    for _ in range(draw(st.integers(1, 3))):
+        pts = draw(st.permutations(range(n)))
+        if draw(st.booleans()):  # an involution pairing up a prefix of pts
+            img = list(range(n))
+            for k in range(0, 2 * draw(st.integers(0, n // 2)), 2):
+                img[pts[k]], img[pts[k + 1]] = pts[k + 1], pts[k]
+            pts = img
+        images.append(Permutation(tuple(pts)))
+    return build_schreier_graph([(f"s{k}", p) for k, p in enumerate(images)])
+
+
+def digest(perms):
+    return hashlib.sha256(repr([p.images for p in perms]).encode()).hexdigest()[:16]
+
+
+def probes_digest(scan):
+    probes = [(k, str(d)) for k, d in scan.product_defects]
+    return hashlib.sha256(repr(probes).encode()).hexdigest()[:16]
+
+
+@given(labeled_graphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_swap_gains_match_full_recounts_along_descents(g, data):
+    S = g.image_array
+    T = np.argsort(S, axis=1)
+    start = data.draw(st.permutations(range(g.n)))
+    real = schreier._swap_gains
+    calls = []
+
+    def checked(S, T, r, i, j):
+        # every gain equals the recount after the swap; the table is filled
+        # once and redone once per taken swap, which raises the count
+        calls.append(1)
+        assert len(calls) <= g.n + g.edge_count
+        gains = real(S, T, r, i, j)
+        base = schreier._preserved(S, r)
+        for x, y, gain in zip(*(a.ravel() for a in np.broadcast_arrays(i, j, gains))):
+            if x != y:
+                swapped = r.copy()
+                swapped[[x, y]] = r[[y, x]]
+                assert gain == schreier._preserved(S, swapped) - base
+        return gains
+
+    r = np.array(start)
+    with mock.patch.object(schreier, "_swap_gains", checked):
+        count = schreier._descend(S, T, r, int(schreier._preserved(S, r)))
+    images, d = descent_oracle(g, start)
+    assert tuple(r.tolist()) == images
+    assert 1 - Fraction(count, g.edge_count) == d == defect_oracle(g, Permutation(images))
+
+
+@given(labeled_graphs(max_n=6), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_defect_matches_definition(g, rng):
+    rho = random_permutation(rng, g.n)
+    assert epsilon_defect(g, rho) == defect_oracle(g, rho)
+
+
+def test_exhaustive_batch_matches_definition_at_every_boundary():
+    graphs = [prism(), pair_graph(), directed_cycle_graph(5),
+              build_schreier_graph({"a": parse_permutation("(1 2)(3 4)", degree=6),
+                                    "b": parse_permutation("(2 3 4 5 6)")})]
+    for g in graphs:
+        perms = [Permutation(images) for images in itertools.permutations(range(g.n))]
+        defects = [defect_oracle(g, p) for p in perms]
+        E = g.edge_count
+        for k in range(E + 1):
+            for eps in (Fraction(k, E), Fraction(k, E) - Fraction(1, 10 * E)):
+                got = enumerate_eps_automorphisms(g, eps, mode="exhaustive")
+                assert [p.images for p in got] == \
+                    [p.images for p, d in zip(perms, defects) if d <= eps]
+
+
+def test_pairwise_distances_match_hamming():
+    g = directed_cycle_graph(5)
+    autos = enumerate_eps_automorphisms(g, Fraction(3, 5), mode="exhaustive")
+    hist, (a, b) = pairwise_distances(autos, Fraction(2, 5))
+    dists = {(i, j): hamming_distance(p, q) for i, p in enumerate(autos)
+             for j, q in enumerate(autos) if i < j}
+    counts = {}
+    for d in dists.values():
+        counts[d] = counts.get(d, 0) + 1
+    assert hist == tuple(sorted(counts.items()))
+    assert list(zip(a.tolist(), b.tolist())) == \
+        [ij for ij, d in dists.items() if d <= Fraction(2, 5)]
+
+
+# outputs recorded with the one-swap-at-a-time descent and per-pair distances:
+# seed -> (maps, defects of the non-automorphisms, digest of the maps,
+#          clusters, gap interval, digest of the product probes)
+ALT5_LOCAL_SEARCH = {
+    0: (63, ["11/18", "13/30", "1/2"], "5a790254234c4f76", 63, ("0", "1/2"),
+        "cec0b640db5f703c"),
+    1: (64, ["49/90", "3/5", "23/90", "31/60"], "f30ddb587f083651", 63,
+        ("1/4", "13/20"), "1631dc098c486777"),
+    2: (64, ["7/12", "13/30", "7/12", "25/36"], "5a132b1fe331ddf4", 64,
+        ("0", "13/20"), "327a588db6eb8e38"),
+    3: (64, ["1/6", "11/18", "59/180", "11/18"], "4f99a233148831f9", 63,
+        ("3/20", "19/30"), "987c843f0b908fcd"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ALT5_LOCAL_SEARCH))
+def test_alt5_local_search_and_clusters_match_recorded(seed):
+    count, defects, maps_digest, clusters, gap, probes = ALT5_LOCAL_SEARCH[seed]
+    g = regular_action_graph(construct_group("alt5"))
+    exact = {p.images for p in exact_automorphisms(g)}
+    found = enumerate_eps_automorphisms(g, 1, mode="local-search", restarts=4, seed=seed)
+    assert len(found) == count
+    assert [str(epsilon_defect(g, p)) for p in found if p.images not in exact] == defects
+    assert digest(found) == maps_digest
+    scan = cluster_scan(found, g, epsilon=1)
+    assert len(scan.clusters) == clusters
+    assert tuple(map(str, scan.gap_interval)) == gap
+    assert probes_digest(scan) == probes
+
+
+def test_prism_local_search_matches_recorded():
+    g = prism()
+    exact = {p.images for p in exact_automorphisms(g)}
+    recorded = {
+        0: ["[1,6,3,5,4,2]", "[3,1,4,6,2,5]", "[4,3,2,1,5,6]", "[6,1,4,2,3,5]",
+            "[6,5,1,2,3,4]"],
+        1: ["[1,3,6,4,5,2]", "[3,1,4,6,2,5]", "[4,3,6,5,1,2]"],
+        2: ["[2,5,4,6,3,1]", "[3,1,4,6,2,5]", "[6,5,1,2,3,4]"],
+        3: ["[5,2,3,1,4,6]", "[6,5,1,2,3,4]"],
+    }
+    for seed, extra in recorded.items():
+        found = enumerate_eps_automorphisms(g, Fraction(1, 2), mode="local-search",
+                                            restarts=10, seed=seed)
+        assert [p.to_one_line_string() for p in found
+                if p.images not in exact] == extra
+    found = enumerate_eps_automorphisms(g, Fraction(1, 2), mode="local-search",
+                                        restarts=10, seed=0)
+    scan = cluster_scan(found, g, epsilon=Fraction(1, 2))
+    assert scan.histogram == ((Fraction(1, 2), 8), (Fraction(2, 3), 6), (Fraction(1), 41))
+    assert scan.clusters == tuple((i,) for i in range(11))
+    assert scan.gap_interval == (0, Fraction(1, 2))
+    assert scan.product_defects[:4] == (((0, 0), 0), ((0, 1), Fraction(1, 2)),
+                                        ((0, 2), 0), ((0, 3), Fraction(1, 2)))
+    assert probes_digest(scan) == "6442838a8fbede26"
+
+
+def test_cycle8_half_eps_cluster_scan_matches_recorded():
+    g = directed_cycle_graph(8)
+    autos = enumerate_eps_automorphisms(g, Fraction(1, 2), mode="exhaustive")
+    assert len(autos) == 1016
+    assert digest(autos) == "560b1c4911d3c78c"
+    scan = cluster_scan(autos, g, epsilon=Fraction(1, 2))
+    assert scan.histogram == (
+        (Fraction(1, 4), 2784), (Fraction(3, 8), 5376), (Fraction(1, 2), 17264),
+        (Fraction(5, 8), 36800), (Fraction(3, 4), 74176), (Fraction(7, 8), 140672),
+        (Fraction(1), 238548))
+    assert [len(c) for c in scan.clusters] == [1016]
+    assert scan.gap_interval == (0, Fraction(1, 4))
+    assert scan.product_defects == (((0, 0), 0),)
+
+
+def test_local_search_builds_one_permutation_per_new_map(monkeypatch):
+    g = regular_action_graph(construct_group("alt5"))
+    built = []
+    post_init = Permutation.__post_init__
+
+    def counting(self):
+        built.append(self.images)
+        post_init(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counting)
+    found = enumerate_eps_automorphisms(g, 1, mode="local-search", restarts=20, seed=3)
+    assert len(built) <= len(found)
+
+
+def test_dense_tables_are_capped():
+    big = directed_cycle_graph(GAP_CAP + 1)
+    with pytest.raises(CapExceededError):
+        spectral_gap(big)
+    with pytest.raises(CapExceededError):
+        enumerate_eps_automorphisms(big, Fraction(1, 2), mode="local-search")
