@@ -360,8 +360,8 @@ def cmd_stability(args) -> tuple[dict, bool]:
     window = Fraction(args.window)
     if args.map:
         s = read_almost_hom_file(args.map)
+        near = nearest_hom(s, window=window)  # caps refused before the |G|^2 defect
         rep = uniform_defect_report(s)
-        near = nearest_hom(s, window=window)
         checks = [{"check": f"distance within {STABILITY_BOUND} * defect",
                    "pass": near.within_bound}]
         report = {

@@ -17,6 +17,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -403,6 +404,13 @@ class _PermOps:
         self.identity_index = identity(degree)
 
 
+@lru_cache(maxsize=1024)
+def _word_term(word: str):
+    """The parsed term of a normalized word; fo terms are frozen, so shared."""
+    from .fo import parse_term  # fo imports groups, which imports perms
+    return parse_term(word)
+
+
 def evaluate_word(word: str, assignment: Mapping[str, Permutation],
                   degree: int | None = None) -> Permutation:
     """Evaluate a word in the term grammar of the sentence language
@@ -411,14 +419,14 @@ def evaluate_word(word: str, assignment: Mapping[str, Permutation],
     The commutator is ``[a,b] = a b a^-1 b^-1``.  All assigned permutations
     must share one degree.  Unicode ``·`` and ``⁻¹`` are accepted as aliases.
     """
-    from .fo import eval_term, parse_term  # fo imports groups, which imports perms
+    from .fo import eval_term  # fo imports groups, which imports perms
 
     degrees = {p.degree for p in assignment.values()}
     if degree is not None:
         degrees.add(degree)
     if len(degrees) > 1:
         raise ValueError(f"mixed degrees in assignment: {sorted(degrees)}")
-    term = parse_term(word.replace("·", "*").replace("⁻¹", "^-1"))
+    term = _word_term(word.replace("·", "*").replace("⁻¹", "^-1"))
     if not degrees:
         raise ValueError("an empty assignment needs an explicit degree")
     return eval_term(term, _PermOps(degrees.pop()), assignment)

@@ -11,7 +11,9 @@ surfaces of this package.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -35,12 +37,16 @@ __all__ = [
     "ClusterScan", "cluster_scan", "pairwise_distances", "default_cluster_epsilon",
     "write_graph_file", "read_graph_file", "parse_graph_text",
     "graph_file_text", "histogram_csv",
-    "EXPANSION_CAP", "GAP_CAP", "EXHAUSTIVE_CAP", "CLUSTER_THRESHOLD",
+    "EXPANSION_CAP", "GAP_CAP", "EXHAUSTIVE_CAP", "AUTOMORPHISM_TREE_CAP",
+    "CLUSTER_THRESHOLD",
 ]
 
 EXPANSION_CAP = 24
 GAP_CAP = 5040  # dense n×n tables: the eigensolve takes ~19 s and 0.4 GB at the cap
 EXHAUSTIVE_CAP = 8
+# leaves of exact_automorphisms' search tree: an n-point identity graph has
+# n^n, 823,543 at n = 7 (~1 s on a 2-vCPU host) and 16.8 M at n = 8 (~21 s)
+AUTOMORPHISM_TREE_CAP = 10 ** 6
 CLUSTER_THRESHOLD = Fraction(3, 10)
 _PAIR_BLOCK = 1 << 20  # cells per block of mismatch counts or swap gains
 
@@ -271,13 +277,19 @@ def exact_automorphisms(g: LabeledSchreierGraph) -> list[Permutation]:
 
     Per component, the image of one root vertex determines the rest by
     propagation along generator edges; candidates are tried in vertex order,
-    so the output is deterministic (sorted by image tuple).
+    so the output is deterministic (sorted by image tuple).  The search tree
+    has at most the product, over components, of the number of vertices in
+    components of the same size; above AUTOMORPHISM_TREE_CAP it is refused.
     """
     comps = components(g)
     comp_of = [0] * g.n
     for ci, c in enumerate(comps):
         for v in c:
             comp_of[v] = ci
+    sizes = Counter(len(c) for c in comps)
+    if math.prod(len(c) * sizes[len(c)] for c in comps) > AUTOMORPHISM_TREE_CAP:
+        raise CapExceededError("exact automorphism search capped at"
+                               f" {AUTOMORPHISM_TREE_CAP} candidate maps")
     roots = [min(c) for c in comps]
     maps = g.point_maps()
 

@@ -6,22 +6,27 @@ sigma(g*h) and sigma(g)*sigma(h).  The quantitative stability bound used in
 reports says a defect-delta map is within 2039*delta of an exact
 homomorphism after padding the degree by a bounded factor; searches here
 compare the observed distance/defect ratio against that constant.
+
+A map is held as a |G|×n int32 image array.  Defects, injectivity and
+distances are numpy counts of disagreeing points over blocks of pairs and
+batches of maps, and homomorphisms are filled from blocks of generator
+images; Permutations and Fractions are built only for results.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import CapExceededError
-from .groups import (FiniteGroup, GroupSpec, construct_group, extend,
-                     parse_group_spec)
-from .perms import Permutation, evaluate_word, hamming_distance, identity, \
-    parse_permutation
+from .groups import FiniteGroup, GroupSpec, construct_group, parse_group_spec
+from .perms import Permutation, evaluate_word, identity, parse_permutation
 
 __all__ = [
     "AlmostHom", "almost_hom", "is_homomorphism",
@@ -41,27 +46,48 @@ HOM_GROUP_CAP = 24
 HOM_DEGREE_CAP = 6
 HOM_BUDGET = 10 ** 6
 SCAN_CAP = 10 ** 4
+_BLOCK = 1 << 18  # array elements per block of the batch kernels
 
 
-@dataclass(frozen=True)
 class AlmostHom:
-    """A map from all elements of a finite group to permutations of one degree."""
+    """A map from all elements of a finite group to permutations of one degree.
 
-    domain: FiniteGroup = field(compare=False, hash=False)
-    images: tuple[Permutation, ...]
+    `array` holds the images as a |G|×n int32 array, row i the image of
+    element i; `images`, the same map as Permutations, is built on first
+    use.  Maps are equal when their images are, whatever their domains."""
 
-    def __post_init__(self):
-        if len(self.images) != len(self.domain):
+    def __init__(self, domain: FiniteGroup, images: tuple[Permutation, ...]):
+        if len(images) != len(domain):
             raise ValueError("one image per group element required")
-        if len({p.degree for p in self.images}) != 1:
+        if len({p.degree for p in images}) != 1:
             raise ValueError("mixed image degrees")
+        self.domain, self.images = domain, tuple(images)
+        self.array = np.array([p.images for p in images], dtype=np.int32)
+
+    @classmethod
+    def _of_array(cls, domain: FiniteGroup, array: np.ndarray) -> AlmostHom:
+        s = cls.__new__(cls)
+        s.domain, s.array = domain, array
+        return s
+
+    @cached_property
+    def images(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(tuple(row)) for row in self.array.tolist())
 
     @property
     def degree(self) -> int:
-        return self.images[0].degree
+        return self.array.shape[1]
 
     def image_of(self, i: int) -> Permutation:
         return self.images[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, AlmostHom):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.images,))
 
 
 def almost_hom(G: FiniteGroup, mapping: Mapping[Permutation, Permutation] | Mapping[int, Permutation],
@@ -86,30 +112,41 @@ def is_homomorphism(s: AlmostHom) -> bool:
 
 # -- defects -------------------------------------------------------------------------
 
+def _worst_pairs(maps: np.ndarray, G: FiniteGroup,
+                 F: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per map of the batch (B×|G|×n): the most points where sigma(g*h) and
+    sigma(g)*sigma(h) differ over g, h in F, and the flat index into F×F of
+    the first pair in row-major order with that many (0 if none differ)."""
+    B, f = len(maps), len(F)
+    on_F, worst, arg = maps[:, F], np.zeros(B, dtype=np.int64), np.zeros(B, dtype=np.intp)
+    step = max(1, _BLOCK // max(1, on_F.size))  # rows of F per block
+    for r0 in range(0, f, step):
+        prod = np.array([[G.mul(g, h) for h in F] for g in F[r0:r0 + step]], dtype=np.intp)
+        rhs = np.take_along_axis(on_F[:, r0:r0 + step, None], on_F[:, None], 3)
+        counts = (maps[:, prod] != rhs).sum(3).reshape(B, -1)
+        at = counts.argmax(1)
+        better = counts[np.arange(B), at] > worst
+        worst[better], arg[better] = counts[better, at[better]], r0 * f + at[better]
+    return worst, arg
+
+
 def local_defect(s: AlmostHom, F: Iterable[int]) -> Fraction:
     """max over pairs g, h in F of d(sigma(g*h), sigma(g)*sigma(h))."""
-    F = sorted(set(F))
-    G = s.domain
-    worst = Fraction(0)
-    for g in F:
-        for h in F:
-            d = hamming_distance(s.images[G.mul(g, h)], s.images[g] * s.images[h])
-            if d > worst:
-                worst = d
-    return worst
+    worst, _ = _worst_pairs(s.array[None], s.domain, sorted(set(F)))
+    return Fraction(int(worst[0]), s.degree)
 
 
 def local_injectivity(s: AlmostHom, F: Iterable[int]) -> Fraction:
     """min over distinct g, h in F of d(sigma(g), sigma(h)); 1 when fewer
     than two elements are given (vacuously as separated as possible)."""
-    F = sorted(set(F))
-    best = Fraction(1)
-    for i, g in enumerate(F):
-        for h in F[i + 1:]:
-            d = hamming_distance(s.images[g], s.images[h])
-            if d < best:
-                best = d
-    return best
+    rows = s.array[sorted(set(F))]
+    f, n = rows.shape
+    step, best = max(1, _BLOCK // max(1, f * n)), n
+    for r0 in range(0, f, step):
+        counts = (rows[r0:r0 + step, None] != rows).sum(2)
+        later = np.arange(f) > np.arange(r0, r0 + len(counts))[:, None]
+        best = min(best, int(counts.min(initial=n, where=later)))
+    return Fraction(best, n)
 
 
 def uniform_defect(s: AlmostHom) -> Fraction:
@@ -126,18 +163,12 @@ class DefectReport:
 
 def uniform_defect_report(s: AlmostHom) -> DefectReport:
     G = s.domain
-    worst = Fraction(0)
-    arg = (G.identity_index, G.identity_index)
-    for g in range(len(G)):
-        for h in range(len(G)):
-            d = hamming_distance(s.images[G.mul(g, h)], s.images[g] * s.images[h])
-            if d > worst:
-                worst = d
-                arg = (g, h)
+    worst, arg = _worst_pairs(s.array[None], G, list(range(len(G))))
+    g, h = divmod(int(arg[0]), len(G)) if worst[0] else \
+        (G.identity_index, G.identity_index)
     return DefectReport(
-        defect=worst,
-        argmax=(G.element(arg[0]).to_cycle_string(),
-                G.element(arg[1]).to_cycle_string()),
+        defect=Fraction(int(worst[0]), s.degree),
+        argmax=(G.element(g).to_cycle_string(), G.element(h).to_cycle_string()),
         injectivity=local_injectivity(s, range(len(G))),
         degree=s.degree)
 
@@ -149,7 +180,13 @@ def uniform_distance(s1: AlmostHom, s2: AlmostHom) -> Fraction:
         raise ValueError("the two maps must share a domain")
     if s1.degree != s2.degree:
         raise ValueError("the two maps must share a degree")
-    return max(hamming_distance(p, q) for p, q in zip(s1.images, s2.images))
+    return Fraction(int((s1.array != s2.array).sum(1).max()), s1.degree)
+
+
+def _pad(images: np.ndarray, m: int) -> np.ndarray:
+    """Image arrays (..., n) extended to degree m with fixed points."""
+    fixed = np.arange(images.shape[-1], m, dtype=np.int32)
+    return np.concatenate([images, np.broadcast_to(fixed, images.shape[:-1] + fixed.shape)], -1)
 
 
 def pad(s: AlmostHom, m: int) -> AlmostHom:
@@ -158,8 +195,7 @@ def pad(s: AlmostHom, m: int) -> AlmostHom:
         raise ValueError("padding cannot shrink the degree")
     if m == s.degree:
         return s
-    return AlmostHom(s.domain, tuple(
-        Permutation(p.images + tuple(range(p.degree, m))) for p in s.images))
+    return AlmostHom._of_array(s.domain, _pad(s.array, m))
 
 
 # -- exact homomorphism enumeration ----------------------------------------------------
@@ -217,12 +253,36 @@ def enumerate_homs(G: FiniteGroup, m: int,
     tuples, so enumeration order is deterministic.  Results are memoized
     per (G, m, caps); every call returns a fresh list.
     """
-    return list(_homs(G, m, group_cap, degree_cap))
+    return [AlmostHom._of_array(G, h) for h in _homs(G, m, group_cap, degree_cap)]
+
+
+def _fill_homs(images: np.ndarray, edges: np.ndarray, root: int) -> np.ndarray:
+    """The maps fixed by each row of generator images (b×k×m), filled breadth
+    first along the edges x -> edges[j, x] = gens[j]*x, and kept when they
+    agree on every edge: exactly the homomorphisms."""
+    b, k, m = images.shape
+    # images[a, j][p] is flat[j][a*m + p]: one gather composes a whole column
+    flat, offset = images.transpose(1, 0, 2).reshape(k, b * m), np.arange(0, b * m, m)[:, None]
+    H = np.empty((edges.shape[1], b, m), dtype=np.int32)
+    H[root] = np.arange(m)
+    queue, seen = [root], {root}
+    for x in queue:
+        for j, y in enumerate(edges[:, x].tolist()):
+            if y not in seen:
+                H[y] = flat[j][H[x] + offset]
+                queue.append(y)
+                seen.add(y)
+    if len(queue) < len(H):
+        raise ValueError("the given elements do not generate the group")
+    ok = np.ones(b, dtype=bool)
+    for j in range(k):
+        ok &= (H[edges[j]] == flat[j][H + offset]).all((0, 2))
+    return H.transpose(1, 0, 2)[ok]
 
 
 @lru_cache(maxsize=64)
-def _homs(G: FiniteGroup, m: int, group_cap: int,
-          degree_cap: int) -> tuple[AlmostHom, ...]:
+def _homs(G: FiniteGroup, m: int, group_cap: int, degree_cap: int) -> np.ndarray:
+    """enumerate_homs as one read-only (homs × |G| × m) image array."""
     if len(G) > group_cap:
         raise CapExceededError(f"homomorphism search capped at |G| <= {group_cap}")
     if m > degree_cap:
@@ -231,34 +291,27 @@ def _homs(G: FiniteGroup, m: int, group_cap: int,
     pres = builtin_presentation(getattr(G, "spec", None))
     gens = list(G.generators) if pres is None else \
         [G.index_of(p) for p in pres.images_in_group]
-    if not gens:
-        return (AlmostHom(G, (identity(m),) * len(G)),)
-    candidate_lists = [[sym_m.element(i) for i in range(len(sym_m))
+    candidate_lists = [[i for i in range(len(sym_m))
                         if G.order_of(g) % sym_m.order_of(i) == 0]
                        for g in gens]
-    total = 1
-    for lst in candidate_lists:
-        total *= len(lst)
-    if total * len(G) > HOM_BUDGET:
+    if math.prod(map(len, candidate_lists)) * len(G) > HOM_BUDGET:
         raise CapExceededError("homomorphism search budget exceeded")
-    # a map that agrees on every generator edge is multiplicative
-    src = [partial(G.mul, g) for g in gens]
-    out = []
-    for assignment in itertools.product(*candidate_lists):
-        if pres is not None:
-            env = dict(zip(pres.names, assignment))
-            if not all(evaluate_word(rel, env).is_identity()
-                       for rel in pres.relators):
-                continue
-        mapped = extend([None] * len(G), G.identity_index, identity(m), src,
-                        [partial(Permutation.__mul__, p) for p in assignment])
-        if mapped is None:
-            continue
-        if None in mapped:
-            raise ValueError("the given elements do not generate the group")
-        out.append(AlmostHom(G, tuple(mapped)))
-    out.sort(key=lambda s: tuple(p.images for p in s.images))
-    return tuple(out)
+    assignments = itertools.product(*candidate_lists)
+    if pres is not None:
+        perm = {i: sym_m.element(i) for lst in candidate_lists for i in lst}
+        assignments = (a for a in assignments if all(
+            evaluate_word(rel, dict(zip(pres.names, map(perm.get, a)))).is_identity()
+            for rel in pres.relators))
+    edges = np.array([[G.mul(g, x) for x in range(len(G))] for g in gens],
+                     dtype=np.intp).reshape(len(gens), len(G))
+    blocks = []  # the identity assignment always survives, so never empty
+    while block := list(itertools.islice(assignments, _BLOCK // (len(G) * m) + 1)):
+        block = np.array(block, dtype=np.intp).reshape(len(block), -1)
+        blocks.append(_fill_homs(sym_m._np_matrix()[block], edges, G.identity_index))
+    homs = np.concatenate(blocks)
+    homs = homs[np.lexsort(homs.reshape(len(homs), -1).T[::-1])]
+    homs.flags.writeable = False
+    return homs
 
 
 # -- nearest homomorphism -----------------------------------------------------------------
@@ -273,30 +326,44 @@ class NearestHomReport:
     within_bound: bool  # distance <= STABILITY_BOUND * defect
 
 
+def _nearest(maps: np.ndarray, G: FiniteGroup, window,
+             degree_cap: int) -> list[tuple[Fraction, int, AlmostHom]]:
+    """(distance, degree, hom) of the closest exact homomorphism to each map
+    of the batch (B×|G|×n) over padded degrees m in [n, ceil((1+w)n)]: least
+    distance, then least degree, then first in (sorted) enumeration order."""
+    n = maps.shape[2]
+    best: list = [None] * len(maps)
+    # top degree first, so an over-cap window is refused before any search
+    for m in range(math.ceil((1 + Fraction(window)) * n), n - 1, -1):
+        homs = enumerate_homs(G, m, degree_cap=degree_cap)
+        H, padded = np.stack([h.array for h in homs]), _pad(maps, m)
+        step = max(1, _BLOCK // H.size)
+        for b0 in range(0, len(maps), step):
+            counts = (padded[b0:b0 + step, None] != H).sum(3).max(2)
+            for i, a in enumerate(counts.argmin(1).tolist(), b0):
+                d = Fraction(int(counts[i - b0, a]), m)
+                if best[i] is None or d <= best[i][0]:
+                    best[i] = (d, m, homs[a])
+    if best[0] is None:
+        raise ValueError("no candidate degrees to search")
+    return best
+
+
+def _report(hom: AlmostHom, m: int, d: Fraction, defect: Fraction) -> NearestHomReport:
+    ratio = d / defect if defect > 0 else None
+    return NearestHomReport(
+        hom=hom, degree=m, distance=d, defect=defect, ratio=ratio,
+        within_bound=d <= STABILITY_BOUND * defect if defect > 0 else d == 0)
+
+
 def nearest_hom(s: AlmostHom, window=Fraction(0),
                 degree_cap: int = HOM_DEGREE_CAP) -> NearestHomReport:
     """Closest exact homomorphism over padded degrees m in [n, ceil((1+w)n)].
 
     Ties break toward smaller distance, then smaller degree, then
     lexicographically smaller image tuples."""
-    n = s.degree
-    top = math.ceil((1 + Fraction(window)) * n)
-    best = None
-    for m in range(n, top + 1):
-        padded = pad(s, m)
-        for hom in enumerate_homs(s.domain, m, degree_cap=degree_cap):
-            d = uniform_distance(padded, hom)
-            key = (d, m, tuple(p.images for p in hom.images))
-            if best is None or key < best[0]:
-                best = (key, hom, m, d)
-    if best is None:
-        raise ValueError("no candidate degrees to search")
-    _, hom, m, d = best
-    defect = uniform_defect(s)
-    ratio = d / defect if defect > 0 else None
-    return NearestHomReport(
-        hom=hom, degree=m, distance=d, defect=defect, ratio=ratio,
-        within_bound=d <= STABILITY_BOUND * defect if defect > 0 else d == 0)
+    [(d, m, hom)] = _nearest(s.array[None], s.domain, window, degree_cap)
+    return _report(hom, m, d, uniform_defect(s))
 
 
 # -- scans --------------------------------------------------------------------------------
@@ -328,23 +395,22 @@ def identity_preserving_scan(G: FiniteGroup, m: int, window=Fraction(0),
     total = len(sym_m) ** len(others)
     if total > cap:
         raise CapExceededError(f"scan of {total} maps exceeds the cap {cap}")
-    rows = []
-    max_ratio = None
-    all_within = True
-    for choice in itertools.product(range(len(sym_m)), repeat=len(others)):
-        images = [identity(m)] * len(G)
-        for pos, el in zip(others, choice):
-            images[pos] = sym_m.element(el)
-        s = AlmostHom(G, tuple(images))
-        rep = nearest_hom(s, window=window)
-        rows.append(ScanRow(
-            images=tuple(p.to_cycle_string() for p in s.images),
-            defect=rep.defect, distance=rep.distance, ratio=rep.ratio))
-        if rep.ratio is not None and (max_ratio is None or rep.ratio > max_ratio):
-            max_ratio = rep.ratio
-        all_within = all_within and rep.within_bound
-    return ScanReport(group=G.name, degree=m, rows=tuple(rows),
-                      max_ratio=max_ratio, all_within_bound=all_within)
+    choice = np.full((total, len(G)), sym_m.identity_index, dtype=np.intp)
+    choice[:, others] = np.array(list(itertools.product(
+        range(len(sym_m)), repeat=len(others))), dtype=np.intp).reshape(total, -1)
+    maps = sym_m._np_matrix()[choice]
+    nearest = _nearest(maps, G, window, HOM_DEGREE_CAP)
+    worst, _ = _worst_pairs(maps, G, list(range(len(G))))
+    names = [sym_m.element(i).to_cycle_string() for i in range(len(sym_m))]
+    reps = [_report(hom, k, d, Fraction(count, m))
+            for count, (d, k, hom) in zip(worst.tolist(), nearest)]
+    rows = tuple(ScanRow(images=tuple(names[c] for c in row), defect=r.defect,
+                         distance=r.distance, ratio=r.ratio)
+                 for row, r in zip(choice.tolist(), reps))
+    return ScanReport(group=G.name, degree=m, rows=rows,
+                      max_ratio=max((r.ratio for r in reps if r.ratio is not None),
+                                    default=None),
+                      all_within_bound=all(r.within_bound for r in reps))
 
 
 # -- files --------------------------------------------------------------------------------

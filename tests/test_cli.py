@@ -188,6 +188,29 @@ def test_failed_check_exits_one(tmp_path):
     assert rep["pairwise_distance"] == ["2/3", 1]
 
 
+def test_exact_autos_of_a_large_identity_graph_exits_two(tmp_path, capsys):
+    # eight fixed points: the backtracking would try 8^8 root placements
+    graph = tmp_path / "identity8.graph"
+    graph.write_text("n=8 labels=s\n" + "".join(f"{i} s {i}\n" for i in range(1, 9)),
+                     encoding="utf-8")
+    t0 = time.perf_counter()
+    assert main(["schreier", "--graph", f"file:{graph}", "--mode", "exact-autos",
+                 "-o", str(tmp_path / "r.json")]) == 2
+    assert time.perf_counter() - t0 < 5
+    assert "capped" in capsys.readouterr().err
+
+
+def test_stability_map_over_the_group_cap_exits_two_at_once(tmp_path, capsys):
+    # a Sym(6) map: 720 elements, refused before the 518,400-pair defect
+    G = construct_group("sym6")
+    path = tmp_path / "sym6.ahom"
+    write_almost_hom_file(almost_hom(G, {g: g for g in G.elements()}), path)
+    t0 = time.perf_counter()
+    assert main(["stability", "--map", str(path), "-o", str(tmp_path / "r.json")]) == 2
+    assert time.perf_counter() - t0 < 2
+    assert "capped at |G| <= 24" in capsys.readouterr().err
+
+
 # -- determinism and side outputs -----------------------------------------------------
 
 def test_reports_are_byte_identical_across_runs(tmp_path):

@@ -1,16 +1,22 @@
 """Almost-homomorphisms: defects, exact-homomorphism search, stability ratios."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permlab.errors import CapExceededError
-from permlab.groups import construct_group, generated_subgroup, left_regular_permutation
+from permlab.groups import FiniteGroup, construct_group, extend, \
+    generated_subgroup, left_regular_permutation
 from permlab.perms import Permutation, evaluate_word, hamming_distance, identity, \
     parse_permutation
+import permlab.stability as stability
 from permlab.stability import (
-    AlmostHom, almost_hom, almost_hom_file_text, builtin_presentation,
+    AlmostHom, ScanRow, almost_hom, almost_hom_file_text, builtin_presentation,
     enumerate_homs, identity_preserving_scan, is_homomorphism, local_defect,
     local_injectivity, nearest_hom, pad, parse_almost_hom_text,
     read_almost_hom_file, uniform_defect, uniform_defect_report,
@@ -188,7 +194,7 @@ def test_brute_path_matches_presentation_path():
 
 def test_enumerate_homs_is_memoized(monkeypatch):
     import permlab.stability as stability
-    work = {"evaluate_word": 0, "extend": 0}
+    work = {"evaluate_word": 0, "_fill_homs": 0}
 
     def counted(name):
         fn = getattr(stability, name)
@@ -203,7 +209,7 @@ def test_enumerate_homs_is_memoized(monkeypatch):
     stability._homs.cache_clear()
     G = construct_group("dihedral6")
     first = enumerate_homs(G, 3)
-    assert work["evaluate_word"] > 0 and work["extend"] > 0
+    assert work["evaluate_word"] > 0 and work["_fill_homs"] > 0
     done = dict(work)
     second = enumerate_homs(G, 3)
     assert work == done
@@ -218,6 +224,18 @@ def test_enumerate_homs_caps():
 
 
 # -- nearest homomorphism ------------------------------------------------------------
+
+def test_nearest_hom_refuses_an_over_cap_window_before_enumerating(monkeypatch):
+    # degree 6 with window 1/6 reaches degree 7, above HOM_DEGREE_CAP
+    s = almost_hom(construct_group("cyclic2"),
+                   {1: parse_permutation("(1 2)", degree=6)})
+    stability._homs.cache_clear()
+    calls = []
+    monkeypatch.setattr(stability, "_fill_homs", lambda *a: calls.append(a))
+    with pytest.raises(CapExceededError, match="degree <= 6"):
+        nearest_hom(s, window=Fraction(1, 6))
+    assert calls == []
+
 
 def test_nearest_hom_of_exact_hom_is_itself():
     G = construct_group("cyclic3")
@@ -325,3 +343,163 @@ def test_almost_hom_parse_errors():
         parse_almost_hom_text(good.rsplit("\n", 2)[0] + "\n")  # missing element
     with pytest.raises(ValueError):
         parse_almost_hom_text(good + "gibberish\n")
+
+
+# -- brute-force oracles: per-Permutation loops over the same definitions -----------
+
+@lru_cache(maxsize=None)
+def oracle_homs(name, m):
+    """All homomorphisms by the extend walk over every order-compatible
+    assignment of images to the group's own generators, sorted by images."""
+    G, sym_m = construct_group(name), construct_group(f"sym{m}")
+    src = [partial(G.mul, g) for g in G.generators]
+    out = []
+    for assignment in itertools.product(*[
+            [p for p in sym_m.elements() if G.order_of(g) % p.order() == 0]
+            for g in G.generators]):
+        mapped = extend([None] * len(G), G.identity_index, identity(m), src,
+                        [partial(Permutation.__mul__, p) for p in assignment])
+        if mapped is not None:
+            out.append(tuple(mapped))
+    return sorted(out, key=lambda images: tuple(p.images for p in images))
+
+
+def oracle_defect(s, F):
+    """(max defect over F x F, first pair attaining it, or the identity pair)."""
+    G = s.domain
+    worst, arg = Fraction(0), (G.identity_index, G.identity_index)
+    for g in F:
+        for h in F:
+            d = hamming_distance(s.images[G.mul(g, h)], s.images[g] * s.images[h])
+            if d > worst:
+                worst, arg = d, (g, h)
+    return worst, arg
+
+
+def oracle_injectivity(s, F):
+    return min((hamming_distance(s.images[g], s.images[h])
+                for g, h in itertools.combinations(F, 2)), default=Fraction(1))
+
+
+def oracle_distance(images1, images2):
+    return max(hamming_distance(p, q) for p, q in zip(images1, images2))
+
+
+def oracle_nearest(s, window):
+    """(distance, degree, hom images) minimizing (distance, degree, images)."""
+    n = s.degree
+    best = None
+    for m in range(n, math.ceil((1 + Fraction(window)) * n) + 1):
+        padded = [Permutation(p.images + tuple(range(n, m))) for p in s.images]
+        for hom in oracle_homs(s.domain.name, m):
+            key = (oracle_distance(padded, hom), m, tuple(p.images for p in hom))
+            if best is None or key < best[0]:
+                best = (key, hom)
+    (d, m, _), hom = best
+    return d, m, hom
+
+
+SMALL_GROUPS = ["cyclic2", "cyclic3", "cyclic4", "sym3", "dihedral6",
+                "dihedral8", "alt4"]
+
+
+@st.composite
+def small_almost_homs(draw):
+    G = construct_group(draw(st.sampled_from(SMALL_GROUPS)))
+    m = draw(st.integers(1, 4))
+    sym_m = construct_group(f"sym{m}")
+    if draw(st.booleans()):
+        images = (identity(m),) * len(G)  # an exact hom: defect 0
+    else:
+        images = tuple(sym_m.element(draw(st.integers(0, len(sym_m) - 1)))
+                       for _ in range(len(G)))
+    window = draw(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2)]))
+    F = sorted(draw(st.sets(st.integers(0, len(G) - 1))))
+    return AlmostHom(G, images), window, F
+
+
+@given(small_almost_homs())
+@settings(max_examples=150, deadline=None)
+def test_kernels_match_the_oracles(case):
+    s, window, F = case
+    G = s.domain
+    everything = range(len(G))
+    defect, (g, h) = oracle_defect(s, everything)
+    rep = uniform_defect_report(s)
+    assert rep.defect == uniform_defect(s) == defect
+    assert rep.argmax == (G.element(g).to_cycle_string(),
+                          G.element(h).to_cycle_string())
+    assert rep.injectivity == oracle_injectivity(s, everything)
+    assert local_defect(s, F) == oracle_defect(s, F)[0]
+    assert local_injectivity(s, F) == oracle_injectivity(s, F)
+    d, m, hom = oracle_nearest(s, window)
+    near = nearest_hom(s, window=window)
+    assert (near.distance, near.degree, near.hom.images) == (d, m, hom)
+    assert near.defect == defect
+    assert uniform_distance(pad(s, m), near.hom) == d
+
+
+def test_defect_free_report_names_the_identity_pair():
+    # the identity is not element 0 here, so a default argmax of 0 would show
+    G = FiniteGroup([(1, 0, 2), (0, 1, 2)], "c2")
+    assert G.identity_index == 1
+    s = AlmostHom(G, (identity(2), identity(2)))
+    rep = uniform_defect_report(s)
+    assert rep.defect == 0
+    assert rep.argmax == ("()", "()")
+
+
+@pytest.mark.parametrize("name", ["cyclic2", "cyclic4", "dihedral6", "sym3",
+                                  "alt4", "generated[(1 2),(1 2 3)]",
+                                  "generated[(1 2 3),(2 3 4)]",
+                                  "generated[(1 2 3 4),(2 4)]"])
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_enumerate_homs_equals_the_extend_walk(name, m):
+    G = construct_group(name)
+    assert [h.images for h in enumerate_homs(G, m)] == oracle_homs(name, m)
+
+
+@pytest.mark.parametrize("name, m", [("cyclic2", 3), ("cyclic2", 4), ("cyclic3", 3)])
+def test_scan_rows_match_per_map_oracle(name, m):
+    G = construct_group(name)
+    sym_m = construct_group(f"sym{m}")
+    others = [i for i in range(len(G)) if i != G.identity_index]
+    rows = []
+    for choice in itertools.product(range(len(sym_m)), repeat=len(others)):
+        images = [identity(m)] * len(G)
+        for pos, el in zip(others, choice):
+            images[pos] = sym_m.element(el)
+        s = AlmostHom(G, tuple(images))
+        defect, _ = oracle_defect(s, range(len(G)))
+        distance, _, _ = oracle_nearest(s, 0)
+        rows.append(ScanRow(images=tuple(p.to_cycle_string() for p in images),
+                            defect=defect, distance=distance,
+                            ratio=distance / defect if defect else None))
+    scan = identity_preserving_scan(G, m)
+    assert list(scan.rows) == rows
+    ratios = [r.ratio for r in rows if r.ratio is not None]
+    assert scan.max_ratio == (max(ratios) if ratios else None)
+    assert scan.all_within_bound == all(
+        r.distance <= STABILITY_BOUND * r.defect if r.defect else r.distance == 0
+        for r in rows)
+
+
+def test_nearest_hom_builds_permutations_only_for_the_result(monkeypatch):
+    G = construct_group("sym4")
+    rng = random.Random(5)
+    images = [Permutation(p.images + (4,)) for p in G.elements()]
+    for k in rng.sample(range(1, len(G)), 3):
+        images[k] = Permutation(tuple(rng.sample(range(5), 5)))
+    s = AlmostHom(G, tuple(images))
+    construct_group("sym5"), construct_group("sym6")
+    stability._homs.cache_clear()
+    built = [0]
+    check = Permutation.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        check(self)
+    monkeypatch.setattr(Permutation, "__post_init__", counted)
+    rep = nearest_hom(s, window=Fraction(1, 5))
+    assert len(rep.hom.images) == len(G)
+    assert built[0] <= len(G)
