@@ -26,13 +26,12 @@ Orbit representatives are the least index of each orbit, visited in
 (orbit size, least index) order, so evaluation order and any reported
 witnesses are deterministic.
 
-On groups with a Cayley table (FiniteGroup.table), every quantifier whose
-body has no quantifier and no macro is decided over its whole domain at
-once: inner quantifiers (centralizer-rewrite domains included) and the last
-level of the outermost prefix.  Each product in the body is one numpy
-gather over the domain, and the first deciding element in domain order is
-kept, so values and witnesses are those of the per-binding walk, which
-remains for every other quantifier and for groups without a table.
+Every quantifier whose body has no quantifier and no macro is decided over
+its domain in blocks of rows: inner quantifiers (centralizer-rewrite domains
+included) and the last level of the outermost prefix.  Each product in the
+body is one FiniteGroup.mul_many over a block, and the first deciding
+element in domain order is kept, so values and witnesses are those of the
+per-binding walk, which remains for every other quantifier.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import groups as _groups
 from ..errors import CapExceededError
 from ..groups import FiniteGroup, generating_subset
 from ..perms import Permutation
@@ -109,19 +109,17 @@ def eval_term(t, G: FiniteGroup, env: dict) -> int:
 
 # -- whole-domain scans ----------------------------------------------------------
 #
-# A quantifier- and macro-free body is decided for every value of the
-# quantified variable at once: that variable is bound to the array of the
-# domain, the others to indices, and `eval_term` runs on `_Gathers`, whose
-# products are Cayley-table gathers.
+# A quantifier- and macro-free body is decided for a block of values of the
+# quantified variable at once: that variable is bound to the block's index
+# array, the others to indices, and `eval_term` runs on `_Gathers`.
 
 class _Gathers:
-    """The group operations `eval_term` uses, over (T, inv) from
-    FiniteGroup.table; they accept index arrays as well as indices."""
+    """The group operations `eval_term` uses, batched: they accept index
+    arrays as well as indices."""
 
     def __init__(self, G: FiniteGroup):
-        T, inv = G.table()
-        self.mul = lambda a, b: T[a, b]
-        self.inv = inv.__getitem__
+        self.mul = G.mul_many
+        self.inv = lambda a: G.inverse_array()[a]
         self.identity_index = G.identity_index
 
 
@@ -378,13 +376,18 @@ class _Evaluator:
         """The first x in `domain` for which body[var := x] decides the
         quantifier (true for exists, false for forall), or None."""
         want = kind == "exists"
-        free = _qf_variables(body) if self.G.table() is not None else None
+        free = _qf_variables(body)
         if free is not None and free - {var} <= env.keys():
             xs = np.arange(domain.start, domain.stop) \
                 if isinstance(domain, range) else np.asarray(domain)
-            vals = _gather_formula(body, _Gathers(self.G), {**env, var: xs})
-            hits = np.flatnonzero(np.broadcast_to(vals == want, xs.shape))
-            return int(xs[hits[0]]) if hits.size else None
+            ops, step = _Gathers(self.G), _groups._BLOCK
+            for start in range(0, len(xs), step):
+                block = xs[start:start + step]
+                vals = _gather_formula(body, ops, {**env, var: block})
+                hits = np.flatnonzero(np.broadcast_to(vals == want, block.shape))
+                if hits.size:
+                    return int(block[hits[0]])
+            return None
         had_outer = var in env  # shadowed binding to restore afterwards
         outer = env.get(var)
         hit = None

@@ -1,25 +1,29 @@
 """Enumerated finite permutation groups and their definable-set algebra.
 
-A :class:`FiniteGroup` stores every element as an image tuple, indexed
-0..order-1 with the identity first for constructor groups.  Groups of at
-most TABLE_CAP elements also get one int32 numpy Cayley table and inverse
-array, built on first use (:meth:`FiniteGroup.table`): scalar `mul` reads
-it one row (as a Python list) at a time, and whole-domain scans gather from
-it.  Larger groups multiply by composing tuples.  Hot paths work on indices
-and raw tuples; :class:`~permlab.perms.Permutation` objects appear only at
-API boundaries.  Groups are immutable after construction (the internal
-caches only memoize pure queries), so sharing them between callers is
-safe.
+A :class:`FiniteGroup` stores its elements in one read-only C-contiguous
+int32 matrix (:attr:`FiniteGroup.matrix`, one row of images per element),
+indexed 0..order-1 with the identity first for constructor groups.  Rows
+are looked up by one rank function, a binary search over the rows sorted
+as fixed-width bytes.  Products of index arrays go through
+:meth:`FiniteGroup.mul_many`: a gather from the int32 Cayley table
+(:meth:`FiniteGroup.table`, built on first use) for groups of at most
+TABLE_CAP elements, composed and ranked rows above it; scalar `mul` and
+`inv` read the same table and inverse array.  No other module knows how
+elements are stored; :class:`~permlab.perms.Permutation` objects appear only
+at API boundaries.  Groups are immutable after construction (the internal
+caches only memoize pure queries), so sharing them between callers is safe.
 
-Every breadth-first walk in the package goes through one of two routines
-here: :func:`orbit` (closures, Schreier-graph components; :func:`orbits`
-partitions a point range with it) or :func:`extend` (automorphism and
-isomorphism propagation, homomorphisms grown from generator images).
-Conjugation orbits do not walk: :meth:`FiniteGroup.conjugation_orbits`
-(conjugacy classes, the FO evaluator's orbit representatives, class
-representatives of subgroups) matches each generator's conjugates of all
-element rows to the rows themselves with one sort, and partitions by numpy
-min-label propagation over those index maps.
+Every closure of generators goes through one breadth-first routine over
+element rows, `_closure` (constructor groups, image groups, subgroups,
+generating subsets).  Walks over point maps go through :func:`orbit`
+(Schreier-graph components; :func:`orbits` partitions a point range with
+it) or :func:`extend` (automorphism and isomorphism propagation,
+homomorphisms grown from generator images).  Conjugation orbits do not
+walk: :meth:`FiniteGroup.conjugation_orbits` (conjugacy classes, the FO
+evaluator's orbit representatives, class representatives of subgroups)
+matches each generator's conjugates of all element rows to the rows
+themselves with one sort, and partitions by numpy min-label propagation
+over those index maps.
 """
 
 from __future__ import annotations
@@ -64,19 +68,7 @@ __all__ = [
 ELEMENT_CAP = 10 ** 6
 TABLE_CAP = 5000
 SIMPLICITY_CAP = 10 ** 5
-_BLOCK = 1 << 14  # rows per block of conjugation_orbits' row gathers
-
-
-def _compose(p: tuple, q: tuple) -> tuple:
-    """Apply q first: (p∘q)(i) = p(q(i))."""
-    return tuple(p[j] for j in q)
-
-
-def _invert(p: tuple) -> tuple:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
+_BLOCK = 1 << 14  # rows per block of row gathers (conjugation orbits, FO scans)
 
 
 def _tuple_order(p: tuple) -> int:
@@ -99,8 +91,8 @@ def _tuple_order(p: tuple) -> int:
 def orbit(seed, gens, cap: int | None = None) -> list | None:
     """Orbit of `seed` under the point maps `gens`, breadth first.
 
-    Points come out in FIFO discovery order, which fixes the element
-    indexing of every group built by closure.  Only forward maps are
+    Points come out in FIFO discovery order, the order in which `_closure`
+    indexes the elements of every group it builds.  Only forward maps are
     needed: a permutation of a finite set has finite order, so its inverse
     is one of its powers.  Returns None once the orbit would exceed `cap`
     points.
@@ -195,36 +187,38 @@ def _size_order(labels: np.ndarray):
 class FiniteGroup:
     """A finite group of permutations of one degree, fully enumerated."""
 
-    def __init__(self, elements: Sequence[tuple], name: str,
+    def __init__(self, elements: Sequence[tuple] | np.ndarray, name: str,
                  generator_indices: Sequence[int] | None = None):
-        if not elements:
+        if len(elements) == 0:
             raise ValueError("a group needs at least the identity")
-        self.name = name
-        self.degree = len(elements[0])
-        self._elements: list[tuple] = list(elements)
-        if set(map(len, self._elements)) != {self.degree}:
+        if not isinstance(elements, np.ndarray) and len(set(map(len, elements))) != 1:
             raise ValueError("mixed degrees in element list")
-        self._index: dict[tuple, int] = {
-            t: i for i, t in enumerate(self._elements)}
-        if len(self._index) != len(self._elements):
+        self.name = name
+        # a view, so that freezing it leaves a caller's array writeable
+        self.matrix = np.ascontiguousarray(elements, dtype=np.int32).view()
+        self.matrix.flags.writeable = False
+        self.degree = self.matrix.shape[1]
+        # each row as one bytes value, their stable sort order (along which
+        # conjugation_orbits pairs conjugates) and the sorted values that
+        # `_rank` searches: the rows themselves when they are in order
+        self._keys = _void_rows(self.matrix)
+        self._row_order = np.argsort(self._keys, kind="stable").astype(np.int32)
+        ordered = self._keys[self._row_order]
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("duplicate element in element list")
-        ident = tuple(range(self.degree))
-        if ident not in self._index:
-            raise ValueError("identity missing from element list")
-        self.identity_index = self._index[ident]
+        self._sorted_keys = self._keys if np.array_equal(ordered, self._keys) else ordered
+        try:
+            self.identity_index = self.index_of(range(self.degree))
+        except ValueError:
+            raise ValueError("identity missing from element list") from None
         self._generators = (tuple(generator_indices)
                             if generator_indices is not None else None)
         self._table: tuple | None = None
-        # Python-list rows of the table for scalar `mul`, filled on first touch
-        self._table_rows: list | None = (
-            [None] * len(self._elements) if len(self._elements) <= TABLE_CAP else None)
-        self._inverses: list[int] | None = None
-        self._orders: list[int] = [0] * len(self._elements)
+        self._inverse: np.ndarray | None = None
+        self._orders: list[int] = [0] * len(self)
         self._classes: tuple[frozenset, ...] | None = None
         self._class_reps: list[int] | None = None
         self._class_of: np.ndarray | None = None
-        self._np_matrix_cache = None
-        self._row_order_cache: np.ndarray | None = None
         # memo tables for pure queries; keyed by frozensets of element indices
         self._centralizer_memo: dict[frozenset, frozenset] = {}
         self._subgroup_memo: dict[frozenset, bool] = {}
@@ -236,30 +230,46 @@ class FiniteGroup:
     # -- basic queries ------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return len(self.matrix)
 
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.name} order {len(self)} degree {self.degree}>"
 
     def element(self, i: int) -> Permutation:
-        return Permutation(self._elements[i])
+        return Permutation(self.element_tuple(i))
 
     def element_tuple(self, i: int) -> tuple:
-        return self._elements[i]
+        return tuple(self.matrix[i].tolist())
+
+    def _rank(self, rows) -> np.ndarray:
+        """Indices of the element rows `rows` (shape (..., degree)), by binary
+        search over the sorted rows; ValueError names the first row that is
+        not an element."""
+        rows = np.asarray(rows, dtype=np.int32)
+        flat = rows.reshape(-1, self.degree)
+        keys, wanted = self._sorted_keys, _void_rows(flat)
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        missing = keys[at] != wanted
+        if missing.any():
+            row = tuple(flat[np.argmax(missing)].tolist())
+            raise ValueError(f"not an element of {self.name}: {row}")
+        return self._row_order[at].reshape(rows.shape[:-1])
 
     def index_of(self, p: Permutation | tuple) -> int:
         t = p.images if isinstance(p, Permutation) else tuple(p)
-        try:
-            return self._index[t]
-        except KeyError:
-            raise ValueError(f"not an element of {self.name}: {t}") from None
+        if len(t) != self.degree:
+            raise ValueError(f"not an element of {self.name}: {t}")
+        return int(self._rank(t))
 
     def __contains__(self, p) -> bool:
-        t = p.images if isinstance(p, Permutation) else tuple(p)
-        return t in self._index
+        try:
+            self.index_of(p)
+        except (ValueError, OverflowError):  # OverflowError: no int32 row
+            return False
+        return True
 
     def elements(self) -> Iterator[Permutation]:
-        return (Permutation(t) for t in self._elements)
+        return (self.element(i) for i in range(len(self)))
 
     @property
     def generators(self) -> tuple[int, ...]:
@@ -276,93 +286,69 @@ class FiniteGroup:
         """(T, inv): int32 arrays with T[i, j] the index of i·j and inv[i]
         that of i^-1, or None for groups above TABLE_CAP.
 
-        Built on first use.  Only the rows of generators are tuple
+        Built on first use.  Only the rows of generators are ranked
         compositions; every other row follows from row(g·y) = row_g[row(y)]
-        along a walk from the identity, so it costs one gather.  Groups
-        without known generators take the least index the walk has not
-        reached as the next one, as `generating_subset` would.
+        along a walk from the identity, so it costs one gather.
         """
         n = len(self)
         if self._table is None and n <= TABLE_CAP:
-            elems, idx, e = self._elements, self._index, self.identity_index
+            mat, e = self.matrix, self.identity_index
+            # (g·x)(i) = g(x(i)) for every x
+            rows = [self._rank(mat[g][mat]) for g in self.generators]
+            lists = [row.tolist() for row in rows]
             T = np.empty((n, n), dtype=np.int32)
             T[e] = np.arange(n, dtype=np.int32)
             filled = bytearray(n)
             filled[e] = 1
-            gen_rows: list = []
-            candidates = itertools.chain(self._generators or (), range(n))
-            while True:
-                reached = orbit(e, [row.__getitem__ for row, _ in gen_rows])
-                for y in reached:
-                    for row, arr in gen_rows:
-                        z = row[y]
-                        if not filled[z]:
-                            T[z] = arr[T[y]]
-                            filled[z] = 1
-                if len(reached) == n:
-                    break
-                g = next(x for x in candidates if not filled[x])
-                row = [idx[_compose(elems[g], t)] for t in elems]
-                gen_rows.append((row, np.array(row, dtype=np.int32)))
-            self._table = T, np.array(self._inverse_list(), dtype=np.int32)
+            for y in orbit(e, [points.__getitem__ for points in lists]):
+                for points, row in zip(lists, rows):
+                    if not filled[z := points[y]]:
+                        T[z] = row[T[y]]
+                        filled[z] = 1
+            self._table = T, self.inverse_array()
         return self._table
 
-    def mul(self, i: int, j: int) -> int:
-        rows = self._table_rows
-        if rows is None:
-            return self._index[_compose(self._elements[i], self._elements[j])]
-        row = rows[i]
-        if row is None:
-            row = rows[i] = self.table()[0][i].tolist()
-        return row[j]
+    def mul_many(self, a, b) -> np.ndarray:
+        """Indices of the products a·b of index arrays, broadcast like T[a, b]:
+        a Cayley-table gather within TABLE_CAP, else composed rows, ranked."""
+        if (table := self._table or self.table()) is not None:
+            return table[0][a, b]
+        a, b = np.broadcast_arrays(a, b)
+        return self._rank(np.take_along_axis(self.matrix[a], self.matrix[b], -1))
 
-    def _inverse_list(self) -> list[int]:
-        if self._inverses is None:
-            idx = self._index
-            self._inverses = [idx[_invert(t)] for t in self._elements]
-        return self._inverses
+    def mul(self, i: int, j: int) -> int:
+        if (table := self._table or self.table()) is None:
+            return int(self._rank(self.matrix[i][self.matrix[j]]))
+        return table[0].item(i, j)
+
+    def inverse_array(self) -> np.ndarray:
+        """Read-only int32 array: inverse_array()[i] is the index of i^-1."""
+        if self._inverse is None:
+            # a permutation row's argsort is its inverse
+            self._inverse = self._rank(np.argsort(self.matrix, axis=1))
+            self._inverse.flags.writeable = False
+        return self._inverse
 
     def inv(self, i: int) -> int:
-        return self._inverse_list()[i]
+        return self.inverse_array().item(i)
 
     def conj(self, i: int, by: int) -> int:
         """by · i · by^-1."""
         return self.mul(self.mul(by, i), self.inv(by))
 
     def power(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(i), -k)
         acc = self.identity_index
-        base = i
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
+        for _ in range(k % self.order_of(i)):
+            acc = self.mul(acc, i)
         return acc
 
     def order_of(self, i: int) -> int:
         o = self._orders[i]
         if o == 0:
-            o = self._orders[i] = _tuple_order(self._elements[i])
+            o = self._orders[i] = _tuple_order(self.element_tuple(i))
         return o
 
     # -- conjugacy ----------------------------------------------------------
-
-    def _np_matrix(self):
-        if self._np_matrix_cache is None:
-            n, d = len(self), self.degree
-            self._np_matrix_cache = np.fromiter(
-                itertools.chain.from_iterable(self._elements), dtype=np.int32,
-                count=n * d).reshape(n, d)
-        return self._np_matrix_cache
-
-    def _row_order(self) -> np.ndarray:
-        """Stable argsort of the element rows viewed as fixed-width bytes."""
-        if self._row_order_cache is None:
-            self._row_order_cache = np.argsort(
-                _void_rows(self._np_matrix()), kind="stable").astype(np.int32)
-        return self._row_order_cache
 
     def conjugation_orbits(self, by: Iterable[int],
                            points: np.ndarray | None = None) -> np.ndarray:
@@ -378,9 +364,9 @@ class FiniteGroup:
         every row is then checked against, so a conjugate outside `points`
         raises ValueError.  The partition is `_min_labels` over the maps.
         """
-        mat = self._np_matrix()
+        mat = self.matrix
         if points is None:
-            rows, order = mat, self._row_order()
+            rows, order = mat, self._row_order
         else:
             rows = mat[points]
             order = np.argsort(_void_rows(rows), kind="stable")
@@ -420,11 +406,8 @@ class FiniteGroup:
             reps, sizes, order = _size_order(labels)
             starts = np.cumsum(sizes) - sizes
             members = np.argsort(labels, kind="stable")
-            # the dict's own index ints, so the classes add no int objects
-            ints = list(self._index.values())
             self._classes = tuple(
-                frozenset(map(ints.__getitem__,
-                              members[starts[k]:starts[k] + sizes[k]].tolist()))
+                frozenset(members[starts[k]:starts[k] + sizes[k]].tolist())
                 for k in order)
             self._class_reps = reps[order].tolist()
             rank = np.empty(len(order), dtype=np.int32)
@@ -451,19 +434,18 @@ class FiniteGroup:
             return cached
         mask = np.ones(len(self), dtype=bool)
         if key:
-            mat = self._np_matrix()
+            mat = self.matrix
             for g in generating_subset(self, key):
-                garr = np.array(self._elements[g], dtype=np.int32)
+                garr = mat[g]
                 # x·g = g·x, one point i at a time: x(g(i)) = g(x(i))
-                for i, gi in enumerate(self._elements[g]):
+                for i, gi in enumerate(garr.tolist()):
                     mask &= mat[:, gi] == garr[mat[:, i]]
         if mask.all():
-            # one whole-group set, of the dict's own index ints, serves the
-            # empty key and every central one
+            # one whole-group set serves the empty key and every central one
             result = self._centralizer_memo.get(frozenset())
             if result is None:
                 result = self._centralizer_memo[frozenset()] = \
-                    frozenset(self._index.values())
+                    frozenset(range(len(self)))
         else:
             result = frozenset(np.flatnonzero(mask).tolist())
         self._centralizer_memo[key] = result
@@ -540,28 +522,42 @@ def parse_group_spec(spec) -> GroupSpec:
     raise ValueError(f"unrecognized group spec: {spec!r}")
 
 
+def _closure(gen_rows: np.ndarray, cap: int | None = None) -> np.ndarray | None:
+    """Rows of the group generated by the permutation rows `gen_rows` (k×d),
+    breadth first from the identity; None once it would exceed `cap` rows.
+
+    One level at a time: the next level holds the products g·x of each row x
+    of the last level with each generator g, ordered by x first and then by
+    g, first occurrence kept, rows already seen dropped.  That is the FIFO
+    order in which `orbit` would discover them.
+    """
+    d = gen_rows.shape[1]
+    width = 4 * d  # bytes per row
+    level = np.arange(d, dtype=np.int32)[None]
+    found = [level.tobytes()]
+    seen = set(found)
+    while len(level):
+        products = gen_rows[:, level].swapaxes(0, 1).tobytes()
+        new = [key for i in range(0, len(products), width)
+               if (key := products[i:i + width]) not in seen and not seen.add(key)]
+        if cap is not None and len(seen) > cap:
+            return None
+        found += new
+        level = np.frombuffer(b"".join(new), dtype=np.int32).reshape(-1, d)
+    return np.frombuffer(b"".join(found), dtype=np.int32).reshape(-1, d)
+
+
 def _generated_group(gen_tuples: list[tuple], name: str,
                      cap: int = ELEMENT_CAP) -> FiniteGroup:
     """The group generated by image tuples of one degree, its elements in
-    `orbit` order from the identity."""
-    elems = orbit(tuple(range(len(gen_tuples[0]))),
-                  [partial(_compose, g) for g in gen_tuples], cap)
-    if elems is None:
+    `_closure` order from the identity."""
+    gen_rows = np.array(gen_tuples, dtype=np.int32)
+    rows = _closure(gen_rows, cap)
+    if rows is None:
         raise CapExceededError(f"closure exceeded the element cap {cap}")
-    return FiniteGroup(elems, name, [elems.index(t) for t in gen_tuples])
-
-
-def _lexicographic_evenness(n: int) -> np.ndarray:
-    """Bool mask of the even permutations of 0..n-1 in lexicographic order.
-
-    The k-th permutation has as many inversions as the digits of k in the
-    factorial base sum to; its leading digit is k // (n-1)!, and the rest of
-    k is the rank of the remaining permutation among (n-1)!.
-    """
-    odd = np.zeros(1, dtype=np.int8)
-    for m in range(2, n + 1):
-        odd = (np.arange(m, dtype=np.int8)[:, None] + odd).ravel() & 1
-    return odd == 0
+    G = FiniteGroup(rows, name)
+    G._generators = tuple(G._rank(gen_rows).tolist())
+    return G
 
 
 def _build_sym_or_alt(kind: str, n: int) -> FiniteGroup:
@@ -569,25 +565,22 @@ def _build_sym_or_alt(kind: str, n: int) -> FiniteGroup:
         raise ValueError("degree must be at least 1")
     if factorial(n) > 2 * ELEMENT_CAP:
         raise CapExceededError(f"{kind}({n}) exceeds the element cap {ELEMENT_CAP}")
-    if kind == "sym":
-        elems = [p for p in itertools.permutations(range(n))]
-        gens: list[tuple] = []
-        if n >= 2:
-            t = list(range(n))
-            t[0], t[1] = 1, 0
-            gens.append(tuple(t))
-        if n >= 3:
-            gens.append(tuple(list(range(1, n)) + [0]))
-    else:
-        elems = list(itertools.compress(itertools.permutations(range(n)),
-                                        _lexicographic_evenness(n).tolist()))
-        gens = []
-        for k in range(2, n):
-            t = list(range(n))
-            t[0], t[1], t[k] = 1, k, 0
-            gens.append(tuple(t))
-    g = FiniteGroup(elems, f"{kind}({n})",
-                    [elems.index(t) for t in gens] if gens else [])
+    # the permutations of 0..m-1 in lexicographic order, from those of
+    # 0..m-2: each leading value f, then the rest renumbered around it; the
+    # leading f adds f inversions to the parity of the rest
+    mat, odd = np.zeros((1, 0), dtype=np.int32), np.zeros(1, dtype=bool)
+    for m in range(1, n + 1):
+        mat = np.concatenate([np.concatenate(
+            [np.full((len(mat), 1), f, dtype=np.int32), mat + (mat >= f)], 1)
+            for f in range(m)])
+        odd = np.concatenate([odd ^ bool(f & 1) for f in range(m)])
+    if kind == "sym":  # (1 2) and (1 2 ... n), as far as the degree allows
+        gens = [[1, 0, *range(2, n)], [*range(1, n), 0]][:n - 1]
+    else:  # the even rows, generated by the 3-cycles (1 2 k) for k = 3..n
+        mat = mat[~odd]
+        gens = [[1, k, *range(2, k), 0, *range(k + 1, n)] for k in range(2, n)]
+    g = FiniteGroup(mat, f"{kind}({n})")
+    g._generators = tuple(g._rank(np.array(gens, dtype=np.int32).reshape(-1, n)).tolist())
     return g
 
 
@@ -681,8 +674,25 @@ def default_corpus() -> list[GroupSpec]:
 
 def set_product(G: FiniteGroup, A: Iterable[int], B: Iterable[int]) -> frozenset:
     """{a·b : a ∈ A, b ∈ B} as an index set."""
-    Bl = list(B)
-    return frozenset(G.mul(a, b) for a in A for b in Bl)
+    a = np.fromiter(A, dtype=np.intp)
+    return frozenset(G.mul_many(a[:, None], np.fromiter(B, dtype=np.intp)).ravel().tolist())
+
+
+def _generate(G: FiniteGroup, S: Iterable[int] | None,
+              cap: int | None) -> tuple[list[int], np.ndarray] | None:
+    """(greedy generating subset of ⟨S⟩, the member indices of ⟨S⟩), or
+    None once ⟨S⟩ would exceed `cap` elements; see `generating_subset`."""
+    members = np.array(sorted(S) if S is not None else range(len(G)), dtype=np.intp)
+    inside = np.zeros(len(G), dtype=bool)
+    inside[G.identity_index] = True
+    gens: list[int] = []
+    while (outside := members[~inside[members]]).size:
+        gens.append(int(outside[0]))
+        rows = _closure(G.matrix[gens], cap)
+        if rows is None:
+            return None
+        inside[G._rank(rows)] = True
+    return gens, np.flatnonzero(inside)
 
 
 def generating_subset(G: FiniteGroup, S: Iterable[int] | None = None,
@@ -693,26 +703,13 @@ def generating_subset(G: FiniteGroup, S: Iterable[int] | None = None,
     group was built from a bare element list).  None once ⟨S⟩ would exceed
     `cap` elements.
     """
-    members = sorted(S) if S is not None else range(len(G))
-    gens: list[int] = []
-    closure = {G.identity_index}
-    for x in members:
-        if x not in closure:
-            gens.append(x)
-            reached = orbit(G.identity_index,
-                            [partial(G.mul, g) for g in gens], cap)
-            if reached is None:
-                return None
-            closure = set(reached)
-            if len(closure) == len(G):
-                break
-    return gens
+    found = _generate(G, S, cap)
+    return None if found is None else found[0]
 
 
 def generated_subgroup(G: FiniteGroup, S: Iterable[int]) -> frozenset:
     """Subgroup generated by S (the empty set generates the trivial subgroup)."""
-    return frozenset(orbit(G.identity_index, [
-        partial(G.mul, g) for g in generating_subset(G, S)]))
+    return frozenset(_generate(G, S, None)[1].tolist())
 
 
 def is_subgroup(G: FiniteGroup, S: Iterable[int]) -> bool:
@@ -785,8 +782,7 @@ def subgroup_as_group(G: FiniteGroup, S: Iterable[int],
                       name: str | None = None) -> FiniteGroup:
     """Package a subgroup's index set as a standalone FiniteGroup."""
     idxs = sorted(frozenset(S))
-    elems = [G.element_tuple(i) for i in idxs]
-    return FiniteGroup(elems, name or f"sub({G.name},{len(idxs)})")
+    return FiniteGroup(G.matrix[idxs], name or f"sub({G.name},{len(idxs)})")
 
 
 def element_order_spectrum(G: FiniteGroup,
@@ -876,11 +872,10 @@ def iter_alt_subgroups(G: FiniteGroup, l: int,
     seen: set[frozenset] = set()
     for a in reps:
         for b in members:
-            S = orbit(G.identity_index, [partial(G.mul, a), partial(G.mul, b)],
-                      target)
-            if S is None or len(S) != target:
+            rows = _closure(G.matrix[[a, b]], target)
+            if rows is None or len(rows) != target:
                 continue
-            fs = frozenset(S)
+            fs = frozenset(G._rank(rows).tolist())
             if fs in seen:
                 continue
             seen.add(fs)
@@ -933,9 +928,9 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup,
 
 def left_regular_permutation(G: FiniteGroup, i: int) -> Permutation:
     """x ↦ i·x on element indices (degree |G|)."""
-    return Permutation(tuple(G.mul(i, x) for x in range(len(G))))
+    return Permutation(tuple(G.mul_many(i, np.arange(len(G))).tolist()))
 
 
 def right_regular_permutation(G: FiniteGroup, i: int) -> Permutation:
     """x ↦ x·i on element indices (degree |G|)."""
-    return Permutation(tuple(G.mul(x, i) for x in range(len(G))))
+    return Permutation(tuple(G.mul_many(np.arange(len(G)), i).tolist()))

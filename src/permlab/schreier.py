@@ -276,10 +276,12 @@ def exact_automorphisms(g: LabeledSchreierGraph) -> list[Permutation]:
     """All label-respecting graph automorphisms, by backtracking.
 
     Per component, the image of one root vertex determines the rest by
-    propagation along generator edges; candidates are tried in vertex order,
-    so the output is deterministic (sorted by image tuple).  The search tree
-    has at most the product, over components, of the number of vertices in
-    components of the same size; above AUTOMORPHISM_TREE_CAP it is refused.
+    propagation along generator edges, and it is the whole component of that
+    image, so a root skips targets in components already hit; candidates
+    are tried in vertex order, so the output is deterministic (sorted by
+    image tuple).  The search tree has at most the product, over
+    components, of the number of vertices in components of the same size;
+    above AUTOMORPHISM_TREE_CAP it is refused.
     """
     comps = components(g)
     comp_of = [0] * g.n
@@ -295,21 +297,22 @@ def exact_automorphisms(g: LabeledSchreierGraph) -> list[Permutation]:
 
     results: list[Permutation] = []
 
-    def backtrack(ci: int, partial: list[int]):
+    def backtrack(ci: int, partial: list[int], hit: set[int]):
         if ci == len(comps):
             if len(set(partial)) == g.n:
                 results.append(Permutation(tuple(partial)))
             return
         root = roots[ci]
-        # the root can land anywhere in a component of matching size
+        # the root can land anywhere in a free component of matching size
         for target in range(g.n):
-            if len(comps[comp_of[target]]) != len(comps[ci]):
+            if comp_of[target] in hit or \
+                    len(comps[comp_of[target]]) != len(comps[ci]):
                 continue
             trial = extend(partial[:], root, target, maps, maps)
             if trial is not None:
-                backtrack(ci + 1, trial)
+                backtrack(ci + 1, trial, hit | {comp_of[target]})
 
-    backtrack(0, [None] * g.n)
+    backtrack(0, [None] * g.n, set())
     results.sort(key=lambda p: p.images)
     return results
 

@@ -81,14 +81,13 @@ def commutator_coverage_bruteforce(G: FiniteGroup) -> bool:
     if len(G) > COMMUTATOR_CAP:
         raise CapExceededError(
             f"commutator coverage scan capped at {COMMUTATOR_CAP} elements")
-    T, inv = G.table()
-    n = len(G)
+    n, inv = len(G), G.inverse_array()
     seen = np.zeros(n, dtype=bool)
     block = max(1, _COVERAGE_BLOCK // n)
     for start in range(0, n, block):
-        a = np.arange(start, min(start + block, n))
+        a = np.arange(start, min(start + block, n))[:, None]
         # [a, b] = (a·b)·(a^-1·b^-1), one row of b's per a
-        seen[T[T[a], T[inv[a]][:, inv]]] = True
+        seen[G.mul_many(G.mul_many(a, np.arange(n)), G.mul_many(inv[a], inv))] = True
         if seen.all():
             return True
     return False

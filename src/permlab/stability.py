@@ -121,7 +121,7 @@ def _worst_pairs(maps: np.ndarray, G: FiniteGroup,
     on_F, worst, arg = maps[:, F], np.zeros(B, dtype=np.int64), np.zeros(B, dtype=np.intp)
     step = max(1, _BLOCK // max(1, on_F.size))  # rows of F per block
     for r0 in range(0, f, step):
-        prod = np.array([[G.mul(g, h) for h in F] for g in F[r0:r0 + step]], dtype=np.intp)
+        prod = G.mul_many(np.array(F[r0:r0 + step], dtype=np.intp)[:, None], F)
         rhs = np.take_along_axis(on_F[:, r0:r0 + step, None], on_F[:, None], 3)
         counts = (maps[:, prod] != rhs).sum(3).reshape(B, -1)
         at = counts.argmax(1)
@@ -176,7 +176,7 @@ def uniform_defect_report(s: AlmostHom) -> DefectReport:
 def uniform_distance(s1: AlmostHom, s2: AlmostHom) -> Fraction:
     """max over g of d(sigma1(g), sigma2(g)); domains and degrees must match."""
     if s1.domain is not s2.domain and \
-            s1.domain._elements != s2.domain._elements:
+            not np.array_equal(s1.domain.matrix, s2.domain.matrix):
         raise ValueError("the two maps must share a domain")
     if s1.degree != s2.degree:
         raise ValueError("the two maps must share a degree")
@@ -302,12 +302,11 @@ def _homs(G: FiniteGroup, m: int, group_cap: int, degree_cap: int) -> np.ndarray
         assignments = (a for a in assignments if all(
             evaluate_word(rel, dict(zip(pres.names, map(perm.get, a)))).is_identity()
             for rel in pres.relators))
-    edges = np.array([[G.mul(g, x) for x in range(len(G))] for g in gens],
-                     dtype=np.intp).reshape(len(gens), len(G))
+    edges = G.mul_many(np.array(gens, dtype=np.intp)[:, None], np.arange(len(G)))
     blocks = []  # the identity assignment always survives, so never empty
     while block := list(itertools.islice(assignments, _BLOCK // (len(G) * m) + 1)):
         block = np.array(block, dtype=np.intp).reshape(len(block), -1)
-        blocks.append(_fill_homs(sym_m._np_matrix()[block], edges, G.identity_index))
+        blocks.append(_fill_homs(sym_m.matrix[block], edges, G.identity_index))
     homs = np.concatenate(blocks)
     homs = homs[np.lexsort(homs.reshape(len(homs), -1).T[::-1])]
     homs.flags.writeable = False
@@ -398,7 +397,7 @@ def identity_preserving_scan(G: FiniteGroup, m: int, window=Fraction(0),
     choice = np.full((total, len(G)), sym_m.identity_index, dtype=np.intp)
     choice[:, others] = np.array(list(itertools.product(
         range(len(sym_m)), repeat=len(others))), dtype=np.intp).reshape(total, -1)
-    maps = sym_m._np_matrix()[choice]
+    maps = sym_m.matrix[choice]
     nearest = _nearest(maps, G, window, HOM_DEGREE_CAP)
     worst, _ = _worst_pairs(maps, G, list(range(len(G))))
     names = [sym_m.element(i).to_cycle_string() for i in range(len(sym_m))]

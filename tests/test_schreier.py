@@ -259,6 +259,25 @@ def test_directed_six_cycle_has_exactly_the_rotations():
     assert {p.images for p in autos} == {(rot ** k).images for k in range(6)}
 
 
+def test_exact_automorphisms_skip_components_already_hit(monkeypatch):
+    # seven fixed points: every permutation is an automorphism, and a root
+    # never lands in a component an earlier root took, so the k-th level of
+    # the search makes 7!/(7-k)! extensions instead of 7^k
+    g = build_schreier_graph({"e": identity(7)})
+    calls = 0
+    extend = schreier.extend
+
+    def counting_extend(*args):
+        nonlocal calls
+        calls += 1
+        return extend(*args)
+    monkeypatch.setattr(schreier, "extend", counting_extend)
+    autos = exact_automorphisms(g)
+    assert len(autos) == math.factorial(7)
+    assert [p.images for p in autos] == sorted(itertools.permutations(range(7)))
+    assert calls <= sum(math.perm(7, k) for k in range(1, 8)) == 13_699
+
+
 def test_eps_enumeration_monotone_in_eps():
     g = directed_cycle_graph(4)
     small = {p.images for p in enumerate_eps_automorphisms(g, 0, mode="exhaustive")}
