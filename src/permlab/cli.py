@@ -17,6 +17,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .arithmetic import SelectorProblem, find_witness_prime, residue_pair
@@ -32,10 +33,10 @@ from .schreier import (EXHAUSTIVE_CAP, EXPANSION_CAP, cluster_scan,
                        enumerate_eps_automorphisms, exact_automorphisms,
                        histogram_csv, pairwise_distances, read_graph_file,
                        regular_action_graph, spectral_gap, symmetrized_degree)
-from .sentences import (classify_nonabelian_simple,
-                        commutator_coverage_bruteforce, congruence_oracle_alt,
-                        congruence_sentence, phi1, phi2, prime_remark_oracle,
-                        prime_remark_sentence, sentence_report)
+from .sentences import (classify_nonabelian_simple, congruence_oracle_alt,
+                        congruence_sentence, felgner_report,
+                        prime_remark_oracle, prime_remark_sentence,
+                        sentence_report)
 from .stability import (STABILITY_BOUND, identity_preserving_scan, nearest_hom,
                         read_almost_hom_file, uniform_defect_report)
 
@@ -86,10 +87,7 @@ def _split_outside_parens(text: str) -> list[str]:
             parts.append("".join(cur))
             cur = []
             continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
+        depth += (ch == "(") - (ch == ")")
         cur.append(ch)
     parts.append("".join(cur))
     return [p.strip() for p in parts if p.strip()]
@@ -121,36 +119,28 @@ def cmd_verify(args) -> tuple[dict, bool]:
         for sid in ids:
             m = _CONGRUENCE_ID.match(sid)
             if sid == "felgner":
-                covered = commutator_coverage_bruteforce(G)
-                rows.append(_report_row(
-                    sentence_report(G, "felgner.phi2", phi2(), strategy,
-                                    oracle=covered), oracle_backed=True))
+                rows.append(_report_row(felgner_report(G, "felgner.phi2", strategy),
+                                        oracle_backed=True))
                 rows.append({"group": G.name, "sentence": "felgner.verdict",
                              "strategy": "bruteforce",
                              "value": classify_nonabelian_simple(G),
                              "oracle": None, "witness": None, "pass": None})
             elif sid in ("felgner.phi1.literal", "felgner.phi1.generated"):
-                reading = sid.rsplit(".", 1)[1]
-                rows.append(_report_row(
-                    sentence_report(G, sid, phi1(reading), strategy,
-                                    oracle=classify_nonabelian_simple(G)),
-                    oracle_backed=False))
-            elif m:
-                l, q = int(m.group(1)), int(m.group(2))
+                rows.append(_report_row(felgner_report(G, sid, strategy),
+                                        oracle_backed=False))
+            elif m or sid == "prime_remark":
+                # the arithmetic oracle, on the family it speaks about
+                if m:
+                    l, q = int(m.group(1)), int(m.group(2))
+                    formula, family = congruence_sentence(l, q), "alt"
+                    oracle_of = partial(congruence_oracle_alt, l=l, q=q)
+                else:
+                    formula, family = prime_remark_sentence(), "sym"
+                    oracle_of = prime_remark_oracle
                 spec = getattr(G, "spec", None)
-                oracle = (congruence_oracle_alt(spec.n, l, q)
-                          if spec is not None and spec.kind == "alt" else None)
+                oracle = oracle_of(spec.n) if getattr(spec, "kind", None) == family else None
                 rows.append(_report_row(
-                    sentence_report(G, sid, congruence_sentence(l, q), strategy,
-                                    oracle=oracle),
-                    oracle_backed=oracle is not None))
-            elif sid == "prime_remark":
-                spec = getattr(G, "spec", None)
-                oracle = (prime_remark_oracle(spec.n)
-                          if spec is not None and spec.kind == "sym" else None)
-                rows.append(_report_row(
-                    sentence_report(G, sid, prime_remark_sentence(), strategy,
-                                    oracle=oracle),
+                    sentence_report(G, sid, formula, strategy, oracle=oracle),
                     oracle_backed=oracle is not None))
             else:
                 raise ValueError(f"unknown sentence id {sid!r}")

@@ -189,22 +189,15 @@ def _validate_call_args(name: str, args: tuple, spec):
             if not isinstance(arg, SetCall):
                 raise ValueError(f"{name}: expected a set expression")
             _validate_set_call(arg)
-        elif kind is ArgKind.ELEM:
-            if isinstance(arg, Int):
-                if arg.value != 1:
-                    raise ValueError(f"{name}: integer {arg.value} is not a group element")
-            elif isinstance(arg, SetCall):
+        elif isinstance(arg, SetCall):  # ELEM or ELEM_OR_SET from here on
+            if kind is ArgKind.ELEM:
                 raise ValueError(f"{name}: expected an element, got a set expression")
-            else:
-                _validate_term(arg)
-        elif kind is ArgKind.ELEM_OR_SET:
-            if isinstance(arg, SetCall):
-                _validate_set_call(arg)
-            elif isinstance(arg, Int):
-                if arg.value != 1:
-                    raise ValueError(f"{name}: integer {arg.value} is not a group element")
-            else:
-                _validate_term(arg)
+            _validate_set_call(arg)
+        elif isinstance(arg, Int):
+            if arg.value != 1:
+                raise ValueError(f"{name}: integer {arg.value} is not a group element")
+        else:
+            _validate_term(arg)
 
 
 def _validate_set_call(node: SetCall):
@@ -248,16 +241,9 @@ def _resolve_arg(arg, kind, G: FiniteGroup, env: dict):
         return arg.value
     if kind is ArgKind.READING:
         return arg.name
-    if kind is ArgKind.SET:
+    if isinstance(arg, SetCall):  # a SET, or an ELEM_OR_SET given as a set
         return _eval_set_call(arg, G, env)
-    if kind is ArgKind.ELEM:
-        if isinstance(arg, Int):  # validated to be 1
-            return G.identity_index
-        return eval_term(arg, G, env)
-    # ELEM_OR_SET
-    if isinstance(arg, SetCall):
-        return _eval_set_call(arg, G, env)
-    if isinstance(arg, Int):
+    if isinstance(arg, Int):  # an element, validated to be 1
         return G.identity_index
     return eval_term(arg, G, env)
 
@@ -316,13 +302,12 @@ def _match_conjugacy_exists(q: Quant):
     kv = Var(q.var)
     if l.right == kv and r.left == kv:
         t1, t2 = l.left, r.right
-        if q.var not in term_variables(t1) | term_variables(t2):
-            return t1, t2
-    if l.left == kv and r.right == kv:
+    elif l.left == kv and r.right == kv:
         t1, t2 = r.left, l.right
-        if q.var not in term_variables(t1) | term_variables(t2):
-            return t1, t2
-    return None
+    else:
+        return None
+    # both shapes at once would need k*k on each side, with k in t1
+    return None if q.var in term_variables(t1) | term_variables(t2) else (t1, t2)
 
 
 # -- the evaluator ---------------------------------------------------------------------

@@ -15,11 +15,13 @@ caches only memoize pure queries), so sharing them between callers is safe.
 
 Every closure of generators goes through one breadth-first routine over
 element rows, `_closure` (constructor groups, image groups, subgroups,
-generating subsets).  Walks over point maps go through :func:`orbit`
-(Schreier-graph components; :func:`orbits` partitions a point range with
-it) or :func:`extend` (automorphism and isomorphism propagation,
-homomorphisms grown from generator images).  Conjugation orbits do not
-walk: :meth:`FiniteGroup.conjugation_orbits` (conjugacy classes, the FO
+generating subsets).  Components of point maps come from :func:`orbits`.
+Values pushed along generator edges go through one batched kernel,
+:func:`spread`: Cayley-table rows, homomorphisms from blocks of generator
+images, automorphisms and isomorphisms from blocks of root targets (the
+scalar :func:`extend` is their reference and the :func:`are_isomorphic`
+oracle's walk).  Conjugation orbits do not walk:
+:meth:`FiniteGroup.conjugation_orbits` (conjugacy classes, the FO
 evaluator's orbit representatives, class representatives of subgroups)
 matches each generator's conjugates of all element rows to the rows
 themselves with one sort, and partitions by numpy min-label propagation
@@ -32,7 +34,7 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from math import factorial, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -148,10 +150,36 @@ def extend(mapping: list, root, target, src_gens, dst_gens) -> list | None:
     return mapping
 
 
-def _void_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row of an int32 matrix as one fixed-width bytes value, so whole
-    rows sort and compare as scalars."""
-    rows = np.ascontiguousarray(rows, dtype=np.int32)
+def spread(edges: np.ndarray, root: int, starts: np.ndarray,
+           step) -> tuple[np.ndarray, np.ndarray]:
+    """Push the block of values `starts` from `root` along a breadth-first
+    tree of the edges x → edges[j, x] (k×n, each row a permutation): the
+    value at edges[j, x] is step(j, value at x), for a stack of values at
+    once.  Returns the orbit of `root` (ascending) and `values`, set at the
+    orbit's points.  A caller that needs every edge to agree compares
+    values[edges[j, orbit]] with step(j, values[orbit])."""
+    values = np.empty((edges.shape[1],) + starts.shape, dtype=starts.dtype)
+    values[root] = starts
+    seen = np.zeros(edges.shape[1], dtype=bool)
+    seen[root] = True
+    level = np.array([root])
+    while level.size:
+        new = []
+        for j, heads in enumerate(edges[:, level]):
+            fresh = ~seen[heads]  # one row maps distinct points apart
+            heads = heads[fresh]
+            seen[heads] = True
+            values[heads] = step(j, values[level[fresh]])
+            new.append(heads)
+        level = np.concatenate([level[:0], *new])
+    return np.flatnonzero(seen), values
+
+
+def _void_rows(rows: np.ndarray, dtype=np.int32) -> np.ndarray:
+    """Each row of an int matrix as one fixed-width bytes value, so whole
+    rows sort and compare as scalars; with dtype ">i4" (big-endian) bytes
+    order is the lexicographic order of nonnegative rows."""
+    rows = np.ascontiguousarray(rows, dtype=dtype)
     return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
 
 
@@ -282,30 +310,23 @@ class FiniteGroup:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(T, inv): int32 arrays with T[i, j] the index of i·j and inv[i]
-        that of i^-1, or None for groups above TABLE_CAP.
+    def left_table(self) -> np.ndarray:
+        """The int32 Cayley table T[i, j] = index of i·j at any order (`table`
+        keeps it within TABLE_CAP): row i is x ↦ i·x, column j is x ↦ x·j.
+        Only generator rows are ranked compositions; every other row follows
+        from row(g·y) = row_g[row(y)], spread from the identity."""
+        mat, n = self.matrix, len(self)
+        # (g·x)(i) = g(x(i)) for every x
+        rows = np.array([self._rank(mat[g][mat]) for g in self.generators],
+                        dtype=np.int32).reshape(-1, n)
+        return spread(rows, self.identity_index, np.arange(n, dtype=np.int32),
+                      lambda j, T: rows[j][T])[1]
 
-        Built on first use.  Only the rows of generators are ranked
-        compositions; every other row follows from row(g·y) = row_g[row(y)]
-        along a walk from the identity, so it costs one gather.
-        """
-        n = len(self)
-        if self._table is None and n <= TABLE_CAP:
-            mat, e = self.matrix, self.identity_index
-            # (g·x)(i) = g(x(i)) for every x
-            rows = [self._rank(mat[g][mat]) for g in self.generators]
-            lists = [row.tolist() for row in rows]
-            T = np.empty((n, n), dtype=np.int32)
-            T[e] = np.arange(n, dtype=np.int32)
-            filled = bytearray(n)
-            filled[e] = 1
-            for y in orbit(e, [points.__getitem__ for points in lists]):
-                for points, row in zip(lists, rows):
-                    if not filled[z := points[y]]:
-                        T[z] = row[T[y]]
-                        filled[z] = 1
-            self._table = T, self.inverse_array()
+    def table(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(T, inv): int32 arrays with T = `left_table()` and inv[i] the index
+        of i^-1, or None for groups above TABLE_CAP.  Built on first use."""
+        if self._table is None and len(self) <= TABLE_CAP:
+            self._table = self.left_table(), self.inverse_array()
         return self._table
 
     def mul_many(self, a, b) -> np.ndarray:
@@ -627,10 +648,7 @@ def _build_psl2(p: int) -> FiniteGroup:
 def _build_generated(gens: tuple[str, ...]) -> FiniteGroup:
     perms = [parse_permutation(g) for g in gens]
     degree = max(p.degree for p in perms)
-    padded = []
-    for p in perms:
-        images = tuple(p.images) + tuple(range(p.degree, degree))
-        padded.append(images)
+    padded = [p.images + tuple(range(p.degree, degree)) for p in perms]
     return _generated_group(padded, "generated[" + ",".join(gens) + "]")
 
 
@@ -768,12 +786,9 @@ def internal_direct_factor_check(G: FiniteGroup, H: Iterable[int],
     Hs, As, Bs = frozenset(H), frozenset(A), frozenset(B)
     if not is_subgroup(G, Hs):
         raise ValueError("H must be a subgroup")
-    if As & Bs != {G.identity_index}:
+    if As & Bs != {G.identity_index} or \
+            any(G.mul(a, b) != G.mul(b, a) for a in As for b in Bs):
         return False
-    for a in As:
-        for b in Bs:
-            if G.mul(a, b) != G.mul(b, a):
-                return False
     prod = set_product(G, As, Bs)
     return len(prod) == len(As) * len(Bs) and prod == Hs
 
@@ -807,27 +822,17 @@ def is_simple_bruteforce(G: FiniteGroup, cap: int = SIMPLICITY_CAP) -> bool:
         raise CapExceededError(f"simplicity check capped at {cap} elements")
     if len(G) == 1:
         return False
-    for cls in G.conjugacy_classes():
-        if cls == frozenset((G.identity_index,)):
-            continue
-        if len(generated_subgroup(G, cls)) != len(G):
-            return False
-    return True
+    return all(len(generated_subgroup(G, cls)) == len(G)
+               for cls in G.conjugacy_classes() if cls != {G.identity_index})
 
 
 # ---------------------------------------------------------------------------
 # Alt(l) subgroup search
 
 
-_ALT_SPECTRUM_CACHE: dict[int, Counter] = {}
-
-
+@lru_cache(maxsize=None)
 def _alt_spectrum(l: int) -> Counter:
-    spec = _ALT_SPECTRUM_CACHE.get(l)
-    if spec is None:
-        spec = _ALT_SPECTRUM_CACHE[l] = element_order_spectrum(
-            construct_group(GroupSpec("alt", l)))
-    return spec
+    return element_order_spectrum(construct_group(GroupSpec("alt", l)))
 
 
 def _subgroup_class_reps(G: FiniteGroup, W: frozenset) -> tuple[int, ...]:

@@ -5,24 +5,31 @@ generated by left translations x -> g*x, right translations x -> x*g^-1, and
 the inversion flip x -> x^-1.  The flip conjugates each left translation to
 the matching right translation, and the centralizer of the left-regular copy
 inside the full symmetric group on G is exactly the right-regular copy, so
-double centralizing recovers the left copy.  Centralizers of transitive
-actions are computed by base-point propagation: a commuting permutation is
-determined by the image of one point, pushed along generator edges.
+double centralizing recovers the left copy (Dixon and Mortimer,
+*Permutation Groups*, ch. 4).  Centralizers of transitive actions are
+computed by base-point propagation: a commuting permutation is determined by
+the image of one point, pushed along generator edges for every candidate
+image at once, and goes as int32 rows straight into a FiniteGroup.  The
+biregular check compares row sets: the left copy is the Cayley table, the
+right copy its transpose, the flip the inverse array.  Permutations are
+built only by the public functions that return them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import CapExceededError, DecompositionRequiredError
-from .groups import (ELEMENT_CAP, FiniteGroup, left_regular_permutation,
+from .groups import (ELEMENT_CAP, FiniteGroup, left_regular_permutation, orbit,
                      right_regular_permutation, set_product)
 from .perms import CycleType, Permutation, hamming_distance, identity
-from .schreier import (LabeledSchreierGraph, components,
-                       connected_label_isomorphic, exact_automorphisms,
-                       induced_component_graph)
+from .schreier import (LabeledSchreierGraph, _automorphism_rows, components,
+                       connected_label_isomorphic, induced_component_graph)
 
 __all__ = [
     "GroupAction", "action_from_group",
@@ -34,11 +41,13 @@ __all__ = [
     "BiregularReport", "biregular_double_centralizer",
     "is_regular_via_centralizer", "one_discrete_check", "class_power_types",
     "BRUTE_DEGREE_CAP", "CLASS_POWER_GROUP_CAP", "CLASS_POWER_EXPONENT_CAP",
+    "BIREGULAR_CAP",
 ]
 
 BRUTE_DEGREE_CAP = 8
 CLASS_POWER_GROUP_CAP = 10 ** 4
 CLASS_POWER_EXPONENT_CAP = 6
+BIREGULAR_CAP = 5040  # the check holds |G|×|G| int32 copies, ~100 MB each here
 
 
 GroupAction = LabeledSchreierGraph
@@ -86,9 +95,7 @@ def biregular_action(G: FiniteGroup, cap: int = CLASS_POWER_GROUP_CAP) -> GroupA
             raise AssertionError("flip conjugation identity failed")
         labels += [f"L{k + 1}", f"R{k + 1}"]
         images += [left, right]
-    labels.append("t")
-    images.append(t)
-    return GroupAction(tuple(labels), tuple(images), name=f"twosided({G.name})")
+    return GroupAction((*labels, "t"), (*images, t), name=f"twosided({G.name})")
 
 
 # -- centralizers of actions ---------------------------------------------------------
@@ -102,9 +109,16 @@ def centralizer_transitive_action(action: GroupAction,
     """
     if not action.is_transitive():
         raise ValueError("the action is intransitive; decompose it first")
-    autos = exact_automorphisms(action)
-    return FiniteGroup([p.images for p in autos],
-                       name=name or f"C({action.name or 'action'})")
+    rows = _automorphism_rows(action)
+    # the centralizer of a transitive action is semiregular, so x lies in
+    # <gens> exactly when x(0) lies in the orbit of 0 under gens: the greedy
+    # generating subset (least indices first) without closing over rows
+    gens, reached = [], {0}
+    while len(reached) < len(rows):
+        gens.append(next(i for i, x in enumerate(rows[:, 0].tolist())
+                         if x not in reached))
+        reached = set(orbit(0, [rows[g].tolist().__getitem__ for g in gens]))
+    return FiniteGroup(rows, name or f"C({action.name or 'action'})", gens)
 
 
 def centralizer_in_sym_bruteforce(perms: Sequence[Permutation],
@@ -144,30 +158,16 @@ def action_centralizer(action: GroupAction) -> FiniteGroup:
                 raise DecompositionRequiredError(
                     f"orbits {sorted(comps[i])} and {sorted(comps[j])} are "
                     "label-isomorphic; the centralizer is not a plain product")
-    n = action.n
-    per_comp: list[list[tuple[int, ...]]] = []
-    for comp, sub in zip(comps, induced):
-        verts = sorted(comp)
-        embedded = []
-        for a in exact_automorphisms(sub):
-            img = list(range(n))
-            for local, v in enumerate(verts):
-                img[v] = verts[a.apply(local)]
-            embedded.append(tuple(img))
-        per_comp.append(embedded)
-    total = 1
-    for block in per_comp:
-        total *= len(block)
-        if total > ELEMENT_CAP:
-            raise CapExceededError("centralizer product exceeds the element cap")
-    elements = []
-    for choice in itertools.product(*per_comp):
-        img = list(range(n))
-        for part in choice:
-            for v in range(n):
-                if part[v] != v:
-                    img[v] = part[v]
-        elements.append(tuple(img))
+    # each orbit's centralizer on its own points; the product in
+    # itertools.product order, the first orbit varying slowest
+    per_comp = [np.array(sorted(c))[_automorphism_rows(sub)]
+                for c, sub in zip(comps, induced)]
+    if math.prod(map(len, per_comp)) > ELEMENT_CAP:
+        raise CapExceededError("centralizer product exceeds the element cap")
+    elements = np.arange(action.n, dtype=np.int32)[None]
+    for comp, rows in zip(comps, per_comp):
+        elements = np.repeat(elements, len(rows), 0)
+        elements[:, sorted(comp)] = np.tile(rows, (len(elements) // len(rows), 1))
     return FiniteGroup(elements, name=f"C({action.name or 'action'})")
 
 
@@ -236,28 +236,34 @@ class BiregularReport:
     centralizer_order: int
 
 
+def _is_copy(rows: np.ndarray, copy: np.ndarray, e: int) -> bool:
+    """Whether distinct permutation rows are those of `copy`, a regular copy
+    whose row i sends e to i: each must be the copy's row with its image of e."""
+    return rows.shape == copy.shape and np.array_equal(rows, copy[rows[:, e]])
+
+
 def biregular_double_centralizer(G: FiniteGroup) -> BiregularReport:
     """Verify, on the left-regular copy of G, that the centralizer is the
     right-regular copy, that double centralizing returns the left copy, and
-    that the flip conjugates the centralizer onto the left copy."""
-    left = left_copy_permutations(G)
-    right = right_copy_permutations(G)
-    t = flip_permutation(G)
-    gens = [left_regular_permutation(G, g) for g in G.generators] or [left[G.identity_index]]
+    that the flip conjugates the centralizer onto the left copy.
+
+    Groups above BIREGULAR_CAP are refused before any |G|×|G| copy exists."""
+    if len(G) > BIREGULAR_CAP:
+        raise CapExceededError(
+            f"the biregular check is capped at groups of size {BIREGULAR_CAP}")
+    left = G.left_table()  # row i: x -> i*x
+    right = left.T  # row i: x -> x*i
+    t, e = G.inverse_array(), G.identity_index  # the flip x -> x^-1
+    gens = [Permutation(tuple(left[g].tolist())) for g in G.generators or [e]]
     C, CC = _double_centralizer(gens, BRUTE_DEGREE_CAP)
-    C_perms = list(C.elements())
-    left_set = {p.images for p in left}
-    gen_ok = all(
-        t * left_regular_permutation(G, g) * t
-        == right_regular_permutation(G, G.inv(g))
-        for g in G.generators)
     return BiregularReport(
         group=G.name,
-        centralizer_is_right_copy={p.images for p in C_perms} == {p.images for p in right},
-        double_is_left_copy={p.images for p in CC.elements()} == left_set,
-        flip_conjugates_centralizer_to_left=
-            {(t * c * t).images for c in C_perms} == left_set,
-        generator_identities=gen_ok,
+        centralizer_is_right_copy=_is_copy(C.matrix, right, e),
+        double_is_left_copy=_is_copy(CC.matrix, left, e),
+        # (t*c*t)(x) = t(c(t(x))), row by row
+        flip_conjugates_centralizer_to_left=_is_copy(t[C.matrix[:, t]], left, e),
+        generator_identities=all(np.array_equal(t[left[g][t]], right[t[g]])
+                                 for g in G.generators),
         centralizer_order=len(C))
 
 

@@ -21,8 +21,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CapExceededError
-from .groups import (ELEMENT_CAP, FiniteGroup, _generated_group, extend,
-                     left_regular_permutation, orbits)
+from .groups import (ELEMENT_CAP, FiniteGroup, _generated_group, _void_rows,
+                     left_regular_permutation, orbits, spread)
 from .perms import Permutation, identity, parse_permutation
 
 __all__ = [
@@ -49,6 +49,7 @@ EXHAUSTIVE_CAP = 8
 AUTOMORPHISM_TREE_CAP = 10 ** 6
 CLUSTER_THRESHOLD = Fraction(3, 10)
 _PAIR_BLOCK = 1 << 20  # cells per block of mismatch counts or swap gains
+_TARGET_BLOCK = 1 << 20  # targets × points per block of root targets
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,8 @@ class LabeledSchreierGraph:
         return np.array([p.images for p in self.images], dtype=np.intp)
 
     def point_maps(self) -> list:
-        """One vertex map i ↦ sigma_s(i) per label, for `orbit` and `extend`."""
+        """One vertex map i ↦ sigma_s(i) per label, for `orbits` (components)
+        and the scalar `extend`; batched walks use `image_array`."""
         return [p.images.__getitem__ for p in self.images]
 
     def is_transitive(self) -> bool:
@@ -272,49 +274,64 @@ def is_epsilon_automorphism(g: LabeledSchreierGraph, rho: Permutation,
     return epsilon_defect(g, rho) <= eps
 
 
-def exact_automorphisms(g: LabeledSchreierGraph) -> list[Permutation]:
-    """All label-respecting graph automorphisms, by backtracking.
+def _label_maps(src: np.ndarray, dst: np.ndarray, root: int,
+                targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label-respecting maps from the component of `root` under the index
+    rows `src` into those of `dst`, root ↦ each target that has one:
+    (component points, targets kept, their image rows over those points).
+    Targets go through :func:`spread` in blocks of _TARGET_BLOCK targets ×
+    points, kept when every labelled edge agrees: one comparison per label."""
+    kept, rows = [], []
+    for t0 in range(0, len(targets), step := max(1, _TARGET_BLOCK // src.shape[1])):
+        block = targets[t0:t0 + step]
+        comp, values = spread(src, root, block, lambda j, v: np.take(dst[j], v))
+        on, ok = np.take(values, comp, 0), np.ones(len(block), dtype=bool)
+        for s, d in zip(src, dst):
+            ok &= (np.take(values, s[comp], 0) == np.take(d, on)).all(0)
+        kept.append(block[ok])
+        rows.append(on[:, ok].T)
+    return comp, np.concatenate(kept), np.concatenate(rows)
 
-    Per component, the image of one root vertex determines the rest by
-    propagation along generator edges, and it is the whole component of that
-    image, so a root skips targets in components already hit; candidates
-    are tried in vertex order, so the output is deterministic (sorted by
-    image tuple).  The search tree has at most the product, over
-    components, of the number of vertices in components of the same size;
-    above AUTOMORPHISM_TREE_CAP it is refused.
-    """
+
+def _automorphism_rows(g: LabeledSchreierGraph) -> np.ndarray:
+    """exact_automorphisms as one int32 array of image rows, in order."""
     comps = components(g)
-    comp_of = [0] * g.n
+    comp_of = np.empty(g.n, dtype=np.intp)
     for ci, c in enumerate(comps):
-        for v in c:
-            comp_of[v] = ci
+        comp_of[list(c)] = ci
     sizes = Counter(len(c) for c in comps)
     if math.prod(len(c) * sizes[len(c)] for c in comps) > AUTOMORPHISM_TREE_CAP:
         raise CapExceededError("exact automorphism search capped at"
                                f" {AUTOMORPHISM_TREE_CAP} candidate maps")
-    roots = [min(c) for c in comps]
-    maps = g.point_maps()
+    S = g.image_array.astype(np.int32)
+    size = np.array([len(c) for c in comps])[comp_of]
+    # partial maps over the components done so far and the components they
+    # hit, each extended by every map of the next root into a free component
+    maps, points = np.zeros((1, 0), dtype=np.int32), []
+    hit = np.zeros((1, len(comps)), dtype=bool)
+    for c in comps:
+        targets = np.flatnonzero(size == len(c)).astype(np.int32)
+        comp, targets, images = _label_maps(S, S, min(c), targets)
+        at, pick = np.nonzero(~hit[:, comp_of[targets]])
+        maps, hit = np.concatenate([maps[at], images[pick]], 1), hit[at]
+        hit[np.arange(len(hit)), comp_of[targets[pick]]] = True
+        points.append(comp)
+    maps = np.take(maps, np.argsort(np.concatenate(points)), 1)
+    return maps[np.argsort(_void_rows(maps, ">i4"), kind="stable")]
 
-    results: list[Permutation] = []
 
-    def backtrack(ci: int, partial: list[int], hit: set[int]):
-        if ci == len(comps):
-            if len(set(partial)) == g.n:
-                results.append(Permutation(tuple(partial)))
-            return
-        root = roots[ci]
-        # the root can land anywhere in a free component of matching size
-        for target in range(g.n):
-            if comp_of[target] in hit or \
-                    len(comps[comp_of[target]]) != len(comps[ci]):
-                continue
-            trial = extend(partial[:], root, target, maps, maps)
-            if trial is not None:
-                backtrack(ci + 1, trial, hit | {comp_of[target]})
+def exact_automorphisms(g: LabeledSchreierGraph) -> list[Permutation]:
+    """All label-respecting graph automorphisms, sorted by image tuple.
 
-    backtrack(0, [None] * g.n, set())
-    results.sort(key=lambda p: p.images)
-    return results
+    Per component, the image of one root vertex determines the rest, and it
+    is the whole component of that image.  So each root is tried against
+    every vertex of the components of its size at once (`_label_maps`), and
+    an automorphism picks one map per component, hitting each once.  The
+    search tree has at most the product, over components, of the number of
+    vertices in components of the same size; above AUTOMORPHISM_TREE_CAP it
+    is refused.
+    """
+    return [Permutation(tuple(row)) for row in _automorphism_rows(g).tolist()]
 
 
 def enumerate_eps_automorphisms(g: LabeledSchreierGraph, eps,
@@ -377,19 +394,21 @@ def induced_component_graph(g: LabeledSchreierGraph,
 
 def connected_label_isomorphic(g1: LabeledSchreierGraph,
                                g2: LabeledSchreierGraph) -> bool:
-    """Whether a label-respecting isomorphism g1 -> g2 exists; g1 connected."""
+    """Whether a label-respecting isomorphism g1 -> g2 exists; g1 connected.
+
+    Such a map sends g1 onto the component of its root's image, so it is a
+    bijection exactly when g2 is connected too; the root is then tried
+    against every vertex of g2 at once (`_label_maps`)."""
     if g1.labels != g2.labels:
         raise ValueError("the graphs must share one label list")
     if g1.n != g2.n:
         return False
     if len(components(g1)) != 1:
         raise ValueError("the first graph must be connected")
-    maps1, maps2 = g1.point_maps(), g2.point_maps()
-    for target in range(g2.n):
-        mapping = extend([None] * g1.n, 0, target, maps1, maps2)
-        if mapping is not None and len(set(mapping)) == g1.n:
-            return True
-    return False
+    if len(components(g2)) != 1:
+        return False
+    targets = np.arange(g2.n, dtype=np.int32)
+    return len(_label_maps(g1.image_array, g2.image_array, 0, targets)[1]) > 0
 
 
 # -- cluster scans ----------------------------------------------------------------------

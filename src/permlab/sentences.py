@@ -30,12 +30,16 @@ __all__ = [
     "congruence_shift", "congruence_sentence", "satisfies_congruence",
     "congruence_oracle_alt",
     "prime_remark_sentence", "holds_on_sym", "prime_remark_oracle",
-    "SentenceReport", "sentence_report", "felgner_corpus_report",
+    "SentenceReport", "sentence_report", "felgner_report",
+    "felgner_corpus_report", "FELGNER_SENTENCES",
     "COMMUTATOR_CAP",
 ]
 
 COMMUTATOR_CAP = 2000
 _COVERAGE_BLOCK = 1 << 16  # commutators gathered per step of the coverage scan
+
+FELGNER_SENTENCES = ("felgner.phi2", "felgner.phi1.literal",
+                     "felgner.phi1.generated")
 
 PHI2_TEXT = "forall g. exists h1. exists h2. g = [h1, h2]"
 
@@ -189,23 +193,24 @@ def sentence_report(G: FiniteGroup, sentence_id: str, formula,
                           witness=r.witness)
 
 
+def felgner_report(G: FiniteGroup, sentence_id: str,
+                   strategy: str = "class") -> SentenceReport:
+    """One felgner sentence on G, paired with its oracle: commutator coverage
+    for phi2, the brute-force classifier for the exploratory phi1 rows."""
+    if sentence_id == "felgner.phi2":
+        return sentence_report(G, sentence_id, phi2(), strategy,
+                               oracle=commutator_coverage_bruteforce(G))
+    if sentence_id not in FELGNER_SENTENCES:
+        raise ValueError(f"unknown felgner sentence {sentence_id!r}")
+    return sentence_report(G, sentence_id, phi1(sentence_id.rsplit(".", 1)[1]),
+                           strategy, oracle=classify_nonabelian_simple(G))
+
+
 def felgner_corpus_report(specs=None, strategy: str = "class") -> list[SentenceReport]:
-    """phi1 under both readings and phi2 across the corpus, with the
-    brute-force classifier as the oracle column.  Ordered by (group,
-    sentence id).  phi1 rows are exploratory: their oracle is the same
-    classifier, and disagreement is information, not failure."""
-    if specs is None:
-        specs = default_corpus()
-    rows = []
-    for spec in specs:
-        G = construct_group(spec)
-        oracle = classify_nonabelian_simple(G)
-        covered = commutator_coverage_bruteforce(G)
-        rows.append(sentence_report(G, "felgner.phi2", phi2(), strategy,
-                                    oracle=covered))
-        for reading in ("literal", "generated"):
-            rows.append(sentence_report(
-                G, f"felgner.phi1.{reading}", phi1(reading), strategy,
-                oracle=oracle))
-    rows.sort(key=lambda r: (r.group, r.sentence))
-    return rows
+    """`felgner_report` for every felgner sentence across the corpus.
+    Ordered by (group, sentence id).  phi1 rows are exploratory: their
+    oracle is the classifier, and disagreement is information, not failure."""
+    rows = [felgner_report(construct_group(spec), sid, strategy)
+            for spec in (default_corpus() if specs is None else specs)
+            for sid in FELGNER_SENTENCES]
+    return sorted(rows, key=lambda r: (r.group, r.sentence))

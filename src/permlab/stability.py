@@ -9,8 +9,10 @@ compare the observed distance/defect ratio against that constant.
 
 A map is held as a |G|×n int32 image array.  Defects, injectivity and
 distances are numpy counts of disagreeing points over blocks of pairs and
-batches of maps, and homomorphisms are filled from blocks of generator
-images; Permutations and Fractions are built only for results.
+batches of maps.  Homomorphisms are spread from the identity by
+:func:`~permlab.groups.spread`, one block of generator images at a time,
+and kept when every generator edge agrees.  Permutations and Fractions are
+built only for results.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CapExceededError
-from .groups import FiniteGroup, GroupSpec, construct_group, parse_group_spec
+from .groups import (FiniteGroup, GroupSpec, construct_group, parse_group_spec,
+                     spread)
 from .perms import Permutation, evaluate_word, identity, parse_permutation
 
 __all__ = [
@@ -256,30 +259,6 @@ def enumerate_homs(G: FiniteGroup, m: int,
     return [AlmostHom._of_array(G, h) for h in _homs(G, m, group_cap, degree_cap)]
 
 
-def _fill_homs(images: np.ndarray, edges: np.ndarray, root: int) -> np.ndarray:
-    """The maps fixed by each row of generator images (b×k×m), filled breadth
-    first along the edges x -> edges[j, x] = gens[j]*x, and kept when they
-    agree on every edge: exactly the homomorphisms."""
-    b, k, m = images.shape
-    # images[a, j][p] is flat[j][a*m + p]: one gather composes a whole column
-    flat, offset = images.transpose(1, 0, 2).reshape(k, b * m), np.arange(0, b * m, m)[:, None]
-    H = np.empty((edges.shape[1], b, m), dtype=np.int32)
-    H[root] = np.arange(m)
-    queue, seen = [root], {root}
-    for x in queue:
-        for j, y in enumerate(edges[:, x].tolist()):
-            if y not in seen:
-                H[y] = flat[j][H[x] + offset]
-                queue.append(y)
-                seen.add(y)
-    if len(queue) < len(H):
-        raise ValueError("the given elements do not generate the group")
-    ok = np.ones(b, dtype=bool)
-    for j in range(k):
-        ok &= (H[edges[j]] == flat[j][H + offset]).all((0, 2))
-    return H.transpose(1, 0, 2)[ok]
-
-
 @lru_cache(maxsize=64)
 def _homs(G: FiniteGroup, m: int, group_cap: int, degree_cap: int) -> np.ndarray:
     """enumerate_homs as one read-only (homs × |G| × m) image array."""
@@ -302,11 +281,27 @@ def _homs(G: FiniteGroup, m: int, group_cap: int, degree_cap: int) -> np.ndarray
         assignments = (a for a in assignments if all(
             evaluate_word(rel, dict(zip(pres.names, map(perm.get, a)))).is_identity()
             for rel in pres.relators))
+    # each block of generator images fixes maps spread from the identity along
+    # x -> gens[j]*x; those agreeing on every edge are exactly the homomorphisms
     edges = G.mul_many(np.array(gens, dtype=np.intp)[:, None], np.arange(len(G)))
     blocks = []  # the identity assignment always survives, so never empty
     while block := list(itertools.islice(assignments, _BLOCK // (len(G) * m) + 1)):
-        block = np.array(block, dtype=np.intp).reshape(len(block), -1)
-        blocks.append(_fill_homs(sym_m.matrix[block], edges, G.identity_index))
+        images = sym_m.matrix[np.array(block, dtype=np.intp).reshape(len(block), -1)]
+        b, k, _ = images.shape
+        # images[a, j][p] is flat[j][a*m + p]: one gather composes a whole column
+        flat = images.transpose(1, 0, 2).reshape(k, b * m)
+        offset = np.arange(0, b * m, m, dtype=np.int32)[:, None]
+
+        def step(j, H):
+            return flat[j][H + offset]
+        orbit, H = spread(edges, G.identity_index,
+                          np.broadcast_to(np.arange(m, dtype=np.int32), (b, m)), step)
+        if len(orbit) < len(G):
+            raise ValueError("the given elements do not generate the group")
+        ok = np.ones(b, dtype=bool)
+        for j in range(k):
+            ok &= (H[edges[j]] == step(j, H)).all((0, 2))
+        blocks.append(H.transpose(1, 0, 2)[ok])
     homs = np.concatenate(blocks)
     homs = homs[np.lexsort(homs.reshape(len(homs), -1).T[::-1])]
     homs.flags.writeable = False

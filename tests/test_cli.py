@@ -51,6 +51,23 @@ def test_rigidity_biregular_alt6_within_budget(tmp_path):
     assert rep["double_centralizer"] == "closes"
 
 
+def test_rigidity_biregular_alt7_within_budget(tmp_path):
+    t0 = time.perf_counter()
+    code, rep = run(tmp_path, "rigidity", "--group", "alt7",
+                    "--check", "biregular")
+    assert time.perf_counter() - t0 < 10
+    assert code == 0
+    assert rep["centralizer_order"] == 2520
+    assert rep["double_centralizer"] == "closes"
+
+
+def test_rigidity_biregular_sym8_refused_at_once(tmp_path, capsys):
+    t0 = time.perf_counter()
+    assert main(["rigidity", "--group", "sym8", "--check", "biregular"]) == 2
+    assert time.perf_counter() - t0 < 2
+    assert "capped at groups of size 5040" in capsys.readouterr().err
+
+
 def test_schreier_exact_autos_example(tmp_path):
     code, rep = run(tmp_path, "schreier", "--graph", "regular:alt4",
                     "--mode", "exact-autos")

@@ -6,6 +6,7 @@ from collections import Counter
 from functools import partial
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -589,6 +590,45 @@ def test_orbit_matches_fixpoint_of_repeated_application(case):
     parts = list(orbits(n, maps))
     assert sorted(x for part in parts for x in part) == list(range(n))
     assert all(set(part) == _fixpoint_orbit(part[0], perms) for part in parts)
+
+
+_spread_cases = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.integers(0, 3).flatmap(lambda k: st.tuples(
+        st.lists(st.permutations(range(n)).map(tuple), min_size=k, max_size=k),
+        st.lists(st.permutations(range(n)).map(tuple), min_size=k, max_size=k))),
+    st.integers(0, n - 1), st.just(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spread_cases)
+def test_spread_and_edge_check_match_extend(case):
+    # the batched kernel with every root target at once, against the scalar
+    # extension of each target along the same edges
+    (src, dst), root, n = case
+    edges = np.array(src, dtype=np.intp).reshape(-1, n)
+    images = np.array(dst, dtype=np.intp).reshape(-1, n)
+    got, values = groups.spread(edges, root, np.arange(n), lambda j, v: images[j][v])
+    maps = [p.__getitem__ for p in src]
+    assert got.tolist() == sorted(orbit(root, maps))
+    on = values[got]
+    agree = np.ones(n, dtype=bool)
+    for s, d in zip(edges, images):
+        agree &= (values[s[got]] == d[on]).all(0)
+    for t in range(n):
+        ref = extend([None] * n, root, t, maps, [p.__getitem__ for p in dst])
+        assert agree[t] == (ref is not None)
+        if ref is not None:
+            assert on[:, t].tolist() == [ref[x] for x in got]
+
+
+def test_left_table_above_the_table_cap(monkeypatch):
+    monkeypatch.setattr(groups, "TABLE_CAP", 10)
+    g = groups._build_sym_or_alt("sym", 4)
+    assert g.table() is None
+    T = g.left_table()
+    n = np.arange(len(g))
+    assert np.array_equal(T, g.mul_many(n[:, None], n))
+    assert np.array_equal(T[:, 0], n) and np.array_equal(T[0], n)
 
 
 def test_closure_element_order_is_breadth_first():

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from permlab.errors import CapExceededError, DecompositionRequiredError
-from permlab.groups import construct_group
+from permlab.groups import FiniteGroup, construct_group, extend, generating_subset
 from permlab.perms import Permutation, identity, parse_permutation
 from permlab.rigidity import (
-    BiregularReport, GroupAction, action_centralizer, action_from_group,
-    biregular_action, biregular_double_centralizer,
+    BIREGULAR_CAP, BiregularReport, GroupAction, _is_copy, action_centralizer,
+    action_from_group, biregular_action, biregular_double_centralizer,
     centralizer_in_sym_bruteforce, centralizer_transitive_action,
     class_power_types, double_centralizer_check, flip_permutation,
     is_regular_via_centralizer, left_copy_permutations, one_discrete_check,
@@ -169,6 +169,58 @@ def test_biregular_double_centralizer_report(name):
     assert r.flip_conjugates_centralizer_to_left
     assert r.generator_identities
     assert r.centralizer_order == len(G)
+
+
+def _image_set(perms):
+    return {p.images for p in perms}
+
+
+def _extend_centralizer(n, gens):
+    """Centralizer in Sym(n) of transitive index maps `gens`: each image of
+    point 0 extended one at a time by the scalar `extend`."""
+    maps = [g.__getitem__ for g in gens]
+    found = (extend([None] * n, 0, y, maps, maps) for y in range(n))
+    return [Permutation(tuple(m)) for m in found if m is not None]
+
+
+@pytest.mark.parametrize("name", ["cyclic5", "sym3", "alt4", "dihedral8", "psl2(7)"])
+def test_biregular_report_matches_permutation_sets(name):
+    G = construct_group(name)
+    n = len(G)
+    left = [Permutation(tuple(G.mul(i, x) for x in range(n))) for i in range(n)]
+    right = [Permutation(tuple(G.mul(x, i) for x in range(n))) for i in range(n)]
+    t = Permutation(tuple(G.inv(x) for x in range(n)))
+    C = _extend_centralizer(n, [left[g].images for g in G.generators])
+    C_gens = generating_subset(FiniteGroup([c.images for c in C], "C"))
+    CC = _extend_centralizer(n, [C[k].images for k in C_gens])
+    assert biregular_double_centralizer(G) == BiregularReport(
+        group=G.name,
+        centralizer_is_right_copy=_image_set(C) == _image_set(right),
+        double_is_left_copy=_image_set(CC) == _image_set(left),
+        flip_conjugates_centralizer_to_left=
+            _image_set(t * c * t for c in C) == _image_set(left),
+        generator_identities=all(t * left[g] * t == right[G.inv(g)]
+                                 for g in G.generators),
+        centralizer_order=len(C))
+
+
+def test_copy_comparison_detects_other_row_sets():
+    G = construct_group("sym3")
+    left, e = G.left_table(), G.identity_index
+    assert _is_copy(left[::-1], left, e)  # a set of rows: order is free
+    assert _is_copy(left.T, left.T, e)
+    assert not _is_copy(left.T, left, e)  # sym3 is not abelian
+    assert not _is_copy(left[1:], left, e)
+    assert _is_copy(construct_group("cyclic4").left_table().T,
+                    construct_group("cyclic4").left_table(), 0)
+
+
+def test_biregular_cap_refuses_before_building_copies(monkeypatch):
+    calls = []
+    monkeypatch.setattr(FiniteGroup, "left_table", lambda self: calls.append(self))
+    with pytest.raises(CapExceededError, match=f"size {BIREGULAR_CAP}"):
+        biregular_double_centralizer(construct_group("sym8"))
+    assert calls == []
 
 
 # -- discreteness and class powers ----------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import permlab.schreier as schreier
 from permlab.errors import CapExceededError
-from permlab.groups import construct_group, right_regular_permutation
+from permlab.groups import construct_group, extend, right_regular_permutation
 from permlab.perms import (Permutation, hamming_distance, identity, parse_permutation,
                            random_permutation)
 from permlab.schreier import (
@@ -260,22 +260,98 @@ def test_directed_six_cycle_has_exactly_the_rotations():
 
 
 def test_exact_automorphisms_skip_components_already_hit(monkeypatch):
-    # seven fixed points: every permutation is an automorphism, and a root
-    # never lands in a component an earlier root took, so the k-th level of
-    # the search makes 7!/(7-k)! extensions instead of 7^k
+    # seven fixed points: every permutation is an automorphism.  Each root is
+    # pushed through the kernel once with every vertex of its size class as a
+    # target (7 × 7 = 49 targets), and the choices that hit a component twice
+    # are dropped, so the kernel sees far fewer targets than the 7!/(7-k)!
+    # extensions per level of a per-target search
     g = build_schreier_graph({"e": identity(7)})
-    calls = 0
-    extend = schreier.extend
+    targets = 0
+    spread = schreier.spread
 
-    def counting_extend(*args):
-        nonlocal calls
-        calls += 1
-        return extend(*args)
-    monkeypatch.setattr(schreier, "extend", counting_extend)
+    def counting_spread(edges, root, starts, step):
+        nonlocal targets
+        targets += len(starts)
+        return spread(edges, root, starts, step)
+    monkeypatch.setattr(schreier, "spread", counting_spread)
     autos = exact_automorphisms(g)
     assert len(autos) == math.factorial(7)
     assert [p.images for p in autos] == sorted(itertools.permutations(range(7)))
-    assert calls <= sum(math.perm(7, k) for k in range(1, 8)) == 13_699
+    assert targets <= sum(math.perm(7, k) for k in range(1, 8)) == 13_699
+    assert targets == 49
+
+
+# Per-target references for the batched kernel: every root target extended
+# one at a time by the scalar `extend`, as the search did before batching.
+
+def _extend_automorphisms(g):
+    comps = components(g)
+    comp_of = {v: ci for ci, c in enumerate(comps) for v in c}
+    maps, results = g.point_maps(), []
+
+    def backtrack(ci, partial, hit):
+        if ci == len(comps):
+            if len(set(partial)) == g.n:
+                results.append(tuple(partial))
+            return
+        for target in range(g.n):
+            if comp_of[target] in hit or \
+                    len(comps[comp_of[target]]) != len(comps[ci]):
+                continue
+            trial = extend(partial[:], min(comps[ci]), target, maps, maps)
+            if trial is not None:
+                backtrack(ci + 1, trial, hit | {comp_of[target]})
+
+    backtrack(0, [None] * g.n, set())
+    return sorted(results)
+
+
+def _extend_isomorphic(g1, g2):
+    return g1.n == g2.n and any(
+        (m := extend([None] * g1.n, 0, t, g1.point_maps(), g2.point_maps()))
+        is not None and len(set(m)) == g1.n for t in range(g2.n))
+
+
+def _kernel_graphs():
+    # two isomorphic 3-cycle components (one wound the other way round) and a
+    # third of the same size where label b moves too
+    three = build_schreier_graph([
+        ("a", parse_permutation("(1 2 3)(4 6 5)(7 8 9)", degree=9)),
+        ("b", parse_permutation("(7 8 9)", degree=9))])
+    return [regular_action_graph(construct_group(name))
+            for name in ("psl2(7)", "alt5", "dihedral12")] + [
+        directed_cycle_graph(6), build_schreier_graph({"e": identity(7)}), three]
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_kernel_automorphisms_match_per_target_extend(monkeypatch, rows):
+    for g in _kernel_graphs():
+        if rows is not None:  # a few targets per block: every boundary is hit
+            monkeypatch.setattr(schreier, "_TARGET_BLOCK", rows * g.n + 1)
+        assert [p.images for p in exact_automorphisms(g)] == _extend_automorphisms(g)
+    assert len(exact_automorphisms(_kernel_graphs()[-1])) == 2 * 3 ** 3
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_kernel_isomorphism_matches_per_target_extend(monkeypatch, rows):
+    rng = np.random.default_rng(5)
+    for g in _kernel_graphs():
+        if rows is not None:
+            monkeypatch.setattr(schreier, "_TARGET_BLOCK", rows * g.n + 1)
+        parts = [schreier.induced_component_graph(g, c) for c in components(g)]
+        # the components, and a copy of each with its vertices renumbered
+        relabel = [Permutation(tuple(rng.permutation(h.n).tolist())) for h in parts]
+        parts += [LabeledSchreierGraph(h.labels, tuple(r * p * r.inverse()
+                                                        for p in h.images))
+                  for h, r in zip(parts, relabel)]
+        # the whole graph too: a target graph with several components
+        for g1 in parts:
+            for g2 in parts + [g]:
+                assert schreier.connected_label_isomorphic(g1, g2) == \
+                    _extend_isomorphic(g1, g2)
+    twice = build_schreier_graph({"s1": parse_permutation("(1 2 3)(4 5 6)")})
+    assert not schreier.connected_label_isomorphic(directed_cycle_graph(6), twice)
+    assert not _extend_isomorphic(directed_cycle_graph(6), twice)
 
 
 def test_eps_enumeration_monotone_in_eps():

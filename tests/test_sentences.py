@@ -9,7 +9,7 @@ from permlab.sentences import (classify_nonabelian_simple,
                                commutator_coverage_bruteforce,
                                congruence_oracle_alt, congruence_sentence,
                                congruence_shift, felgner_corpus_report,
-                               felgner_phi, holds_on_sym, phi1, phi2,
+                               felgner_phi, felgner_report, holds_on_sym, phi1, phi2,
                                prime_remark_oracle, prime_remark_sentence,
                                satisfies_congruence, sentence_report)
 
@@ -213,3 +213,16 @@ def test_felgner_corpus_report_subset():
     phi2_rows = {r.group: r for r in rows if r.sentence == "felgner.phi2"}
     assert phi2_rows["alt(5)"].agrees() is True
     assert phi2_rows["sym(3)"].agrees() is True
+
+
+def test_felgner_report_pairs_each_sentence_with_its_oracle():
+    g = G("alt5")
+    phi2_row = felgner_report(g, "felgner.phi2", "naive")
+    assert (phi2_row.strategy, phi2_row.oracle) == \
+        ("naive", commutator_coverage_bruteforce(g))
+    for reading in ("literal", "generated"):
+        row = felgner_report(g, f"felgner.phi1.{reading}")
+        assert row == sentence_report(g, f"felgner.phi1.{reading}", phi1(reading),
+                                      oracle=classify_nonabelian_simple(g))
+    with pytest.raises(ValueError):
+        felgner_report(g, "felgner.verdict")

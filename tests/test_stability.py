@@ -194,7 +194,7 @@ def test_brute_path_matches_presentation_path():
 
 def test_enumerate_homs_is_memoized(monkeypatch):
     import permlab.stability as stability
-    work = {"evaluate_word": 0, "_fill_homs": 0}
+    work = {"evaluate_word": 0, "spread": 0}
 
     def counted(name):
         fn = getattr(stability, name)
@@ -209,7 +209,7 @@ def test_enumerate_homs_is_memoized(monkeypatch):
     stability._homs.cache_clear()
     G = construct_group("dihedral6")
     first = enumerate_homs(G, 3)
-    assert work["evaluate_word"] > 0 and work["_fill_homs"] > 0
+    assert work["evaluate_word"] > 0 and work["spread"] > 0
     done = dict(work)
     second = enumerate_homs(G, 3)
     assert work == done
@@ -231,7 +231,7 @@ def test_nearest_hom_refuses_an_over_cap_window_before_enumerating(monkeypatch):
                    {1: parse_permutation("(1 2)", degree=6)})
     stability._homs.cache_clear()
     calls = []
-    monkeypatch.setattr(stability, "_fill_homs", lambda *a: calls.append(a))
+    monkeypatch.setattr(stability, "spread", lambda *a: calls.append(a))
     with pytest.raises(CapExceededError, match="degree <= 6"):
         nearest_hom(s, window=Fraction(1, 6))
     assert calls == []
