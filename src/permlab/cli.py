@@ -17,7 +17,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 
 from . import __version__
 from .arithmetic import SelectorProblem, find_witness_prime, residue_pair
@@ -87,7 +86,10 @@ def _split_outside_parens(text: str) -> list[str]:
             parts.append("".join(cur))
             cur = []
             continue
-        depth += (ch == "(") - (ch == ")")
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
         cur.append(ch)
     parts.append("".join(cur))
     return [p.strip() for p in parts if p.strip()]
@@ -128,19 +130,22 @@ def cmd_verify(args) -> tuple[dict, bool]:
             elif sid in ("felgner.phi1.literal", "felgner.phi1.generated"):
                 rows.append(_report_row(felgner_report(G, sid, strategy),
                                         oracle_backed=False))
-            elif m or sid == "prime_remark":
-                # the arithmetic oracle, on the family it speaks about
-                if m:
-                    l, q = int(m.group(1)), int(m.group(2))
-                    formula, family = congruence_sentence(l, q), "alt"
-                    oracle_of = partial(congruence_oracle_alt, l=l, q=q)
-                else:
-                    formula, family = prime_remark_sentence(), "sym"
-                    oracle_of = prime_remark_oracle
+            elif m:
+                l, q = int(m.group(1)), int(m.group(2))
                 spec = getattr(G, "spec", None)
-                oracle = oracle_of(spec.n) if getattr(spec, "kind", None) == family else None
+                oracle = (congruence_oracle_alt(spec.n, l, q)
+                          if spec is not None and spec.kind == "alt" else None)
                 rows.append(_report_row(
-                    sentence_report(G, sid, formula, strategy, oracle=oracle),
+                    sentence_report(G, sid, congruence_sentence(l, q), strategy,
+                                    oracle=oracle),
+                    oracle_backed=oracle is not None))
+            elif sid == "prime_remark":
+                spec = getattr(G, "spec", None)
+                oracle = (prime_remark_oracle(spec.n)
+                          if spec is not None and spec.kind == "sym" else None)
+                rows.append(_report_row(
+                    sentence_report(G, sid, prime_remark_sentence(), strategy,
+                                    oracle=oracle),
                     oracle_backed=oracle is not None))
             else:
                 raise ValueError(f"unknown sentence id {sid!r}")

@@ -189,15 +189,22 @@ def _validate_call_args(name: str, args: tuple, spec):
             if not isinstance(arg, SetCall):
                 raise ValueError(f"{name}: expected a set expression")
             _validate_set_call(arg)
-        elif isinstance(arg, SetCall):  # ELEM or ELEM_OR_SET from here on
-            if kind is ArgKind.ELEM:
+        elif kind is ArgKind.ELEM:
+            if isinstance(arg, Int):
+                if arg.value != 1:
+                    raise ValueError(f"{name}: integer {arg.value} is not a group element")
+            elif isinstance(arg, SetCall):
                 raise ValueError(f"{name}: expected an element, got a set expression")
-            _validate_set_call(arg)
-        elif isinstance(arg, Int):
-            if arg.value != 1:
-                raise ValueError(f"{name}: integer {arg.value} is not a group element")
-        else:
-            _validate_term(arg)
+            else:
+                _validate_term(arg)
+        elif kind is ArgKind.ELEM_OR_SET:
+            if isinstance(arg, SetCall):
+                _validate_set_call(arg)
+            elif isinstance(arg, Int):
+                if arg.value != 1:
+                    raise ValueError(f"{name}: integer {arg.value} is not a group element")
+            else:
+                _validate_term(arg)
 
 
 def _validate_set_call(node: SetCall):
@@ -241,9 +248,16 @@ def _resolve_arg(arg, kind, G: FiniteGroup, env: dict):
         return arg.value
     if kind is ArgKind.READING:
         return arg.name
-    if isinstance(arg, SetCall):  # a SET, or an ELEM_OR_SET given as a set
+    if kind is ArgKind.SET:
         return _eval_set_call(arg, G, env)
-    if isinstance(arg, Int):  # an element, validated to be 1
+    if kind is ArgKind.ELEM:
+        if isinstance(arg, Int):  # validated to be 1
+            return G.identity_index
+        return eval_term(arg, G, env)
+    # ELEM_OR_SET
+    if isinstance(arg, SetCall):
+        return _eval_set_call(arg, G, env)
+    if isinstance(arg, Int):
         return G.identity_index
     return eval_term(arg, G, env)
 
@@ -302,12 +316,13 @@ def _match_conjugacy_exists(q: Quant):
     kv = Var(q.var)
     if l.right == kv and r.left == kv:
         t1, t2 = l.left, r.right
-    elif l.left == kv and r.right == kv:
+        if q.var not in term_variables(t1) | term_variables(t2):
+            return t1, t2
+    if l.left == kv and r.right == kv:
         t1, t2 = r.left, l.right
-    else:
-        return None
-    # both shapes at once would need k*k on each side, with k in t1
-    return None if q.var in term_variables(t1) | term_variables(t2) else (t1, t2)
+        if q.var not in term_variables(t1) | term_variables(t2):
+            return t1, t2
+    return None
 
 
 # -- the evaluator ---------------------------------------------------------------------

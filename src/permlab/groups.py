@@ -34,7 +34,7 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from math import factorial, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -648,7 +648,10 @@ def _build_psl2(p: int) -> FiniteGroup:
 def _build_generated(gens: tuple[str, ...]) -> FiniteGroup:
     perms = [parse_permutation(g) for g in gens]
     degree = max(p.degree for p in perms)
-    padded = [p.images + tuple(range(p.degree, degree)) for p in perms]
+    padded = []
+    for p in perms:
+        images = tuple(p.images) + tuple(range(p.degree, degree))
+        padded.append(images)
     return _generated_group(padded, "generated[" + ",".join(gens) + "]")
 
 
@@ -786,9 +789,12 @@ def internal_direct_factor_check(G: FiniteGroup, H: Iterable[int],
     Hs, As, Bs = frozenset(H), frozenset(A), frozenset(B)
     if not is_subgroup(G, Hs):
         raise ValueError("H must be a subgroup")
-    if As & Bs != {G.identity_index} or \
-            any(G.mul(a, b) != G.mul(b, a) for a in As for b in Bs):
+    if As & Bs != {G.identity_index}:
         return False
+    for a in As:
+        for b in Bs:
+            if G.mul(a, b) != G.mul(b, a):
+                return False
     prod = set_product(G, As, Bs)
     return len(prod) == len(As) * len(Bs) and prod == Hs
 
@@ -822,17 +828,27 @@ def is_simple_bruteforce(G: FiniteGroup, cap: int = SIMPLICITY_CAP) -> bool:
         raise CapExceededError(f"simplicity check capped at {cap} elements")
     if len(G) == 1:
         return False
-    return all(len(generated_subgroup(G, cls)) == len(G)
-               for cls in G.conjugacy_classes() if cls != {G.identity_index})
+    for cls in G.conjugacy_classes():
+        if cls == frozenset((G.identity_index,)):
+            continue
+        if len(generated_subgroup(G, cls)) != len(G):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # Alt(l) subgroup search
 
 
-@lru_cache(maxsize=None)
+_ALT_SPECTRUM_CACHE: dict[int, Counter] = {}
+
+
 def _alt_spectrum(l: int) -> Counter:
-    return element_order_spectrum(construct_group(GroupSpec("alt", l)))
+    spec = _ALT_SPECTRUM_CACHE.get(l)
+    if spec is None:
+        spec = _ALT_SPECTRUM_CACHE[l] = element_order_spectrum(
+            construct_group(GroupSpec("alt", l)))
+    return spec
 
 
 def _subgroup_class_reps(G: FiniteGroup, W: frozenset) -> tuple[int, ...]:

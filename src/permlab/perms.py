@@ -328,11 +328,17 @@ def find_conjugator(p: Permutation, q: Permutation) -> Permutation | None:
         raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
     if p.cycle_type() != q.cycle_type():
         return None
+    by_len_p: dict[int, list[tuple[int, ...]]] = {}
+    by_len_q: dict[int, list[tuple[int, ...]]] = {}
+    for cyc in p.cycles(include_fixed=True):
+        by_len_p.setdefault(len(cyc), []).append(cyc)
+    for cyc in q.cycles(include_fixed=True):
+        by_len_q.setdefault(len(cyc), []).append(cyc)
     images = [0] * p.degree
-    for cp, cq in zip(sorted(p.cycles(include_fixed=True), key=len),
-                      sorted(q.cycles(include_fixed=True), key=len)):
-        for a, b in zip(cp, cq):
-            images[a] = b
+    for length, cycs_p in by_len_p.items():
+        for cp, cq in zip(cycs_p, by_len_q[length]):
+            for a, b in zip(cp, cq):
+                images[a] = b
     return Permutation(tuple(images))
 
 

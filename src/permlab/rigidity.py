@@ -25,10 +25,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceededError, DecompositionRequiredError
-from .groups import (ELEMENT_CAP, FiniteGroup, left_regular_permutation, orbit,
+from .groups import (ELEMENT_CAP, FiniteGroup, left_regular_permutation,
                      right_regular_permutation, set_product)
 from .perms import CycleType, Permutation, hamming_distance, identity
-from .schreier import (LabeledSchreierGraph, _automorphism_rows, components,
+from .schreier import (LabeledSchreierGraph, automorphism_rows, components,
                        connected_label_isomorphic, induced_component_graph)
 
 __all__ = [
@@ -95,7 +95,9 @@ def biregular_action(G: FiniteGroup, cap: int = CLASS_POWER_GROUP_CAP) -> GroupA
             raise AssertionError("flip conjugation identity failed")
         labels += [f"L{k + 1}", f"R{k + 1}"]
         images += [left, right]
-    return GroupAction((*labels, "t"), (*images, t), name=f"twosided({G.name})")
+    labels.append("t")
+    images.append(t)
+    return GroupAction(tuple(labels), tuple(images), name=f"twosided({G.name})")
 
 
 # -- centralizers of actions ---------------------------------------------------------
@@ -109,16 +111,8 @@ def centralizer_transitive_action(action: GroupAction,
     """
     if not action.is_transitive():
         raise ValueError("the action is intransitive; decompose it first")
-    rows = _automorphism_rows(action)
-    # the centralizer of a transitive action is semiregular, so x lies in
-    # <gens> exactly when x(0) lies in the orbit of 0 under gens: the greedy
-    # generating subset (least indices first) without closing over rows
-    gens, reached = [], {0}
-    while len(reached) < len(rows):
-        gens.append(next(i for i, x in enumerate(rows[:, 0].tolist())
-                         if x not in reached))
-        reached = set(orbit(0, [rows[g].tolist().__getitem__ for g in gens]))
-    return FiniteGroup(rows, name or f"C({action.name or 'action'})", gens)
+    return FiniteGroup(automorphism_rows(action),
+                       name=name or f"C({action.name or 'action'})")
 
 
 def centralizer_in_sym_bruteforce(perms: Sequence[Permutation],
@@ -160,7 +154,7 @@ def action_centralizer(action: GroupAction) -> FiniteGroup:
                     "label-isomorphic; the centralizer is not a plain product")
     # each orbit's centralizer on its own points; the product in
     # itertools.product order, the first orbit varying slowest
-    per_comp = [np.array(sorted(c))[_automorphism_rows(sub)]
+    per_comp = [np.array(sorted(c))[automorphism_rows(sub)]
                 for c, sub in zip(comps, induced)]
     if math.prod(map(len, per_comp)) > ELEMENT_CAP:
         raise CapExceededError("centralizer product exceeds the element cap")

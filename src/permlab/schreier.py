@@ -32,7 +32,7 @@ __all__ = [
     "symmetrized_generators", "symmetrized_degree", "adjacency_matrix",
     "edge_expansion", "spectral_gap",
     "epsilon_defect", "is_epsilon_automorphism",
-    "exact_automorphisms", "enumerate_eps_automorphisms",
+    "automorphism_rows", "exact_automorphisms", "enumerate_eps_automorphisms",
     "induced_component_graph", "connected_label_isomorphic",
     "ClusterScan", "cluster_scan", "pairwise_distances", "default_cluster_epsilon",
     "write_graph_file", "read_graph_file", "parse_graph_text",
@@ -293,8 +293,19 @@ def _label_maps(src: np.ndarray, dst: np.ndarray, root: int,
     return comp, np.concatenate(kept), np.concatenate(rows)
 
 
-def _automorphism_rows(g: LabeledSchreierGraph) -> np.ndarray:
-    """exact_automorphisms as one int32 array of image rows, in order."""
+def automorphism_rows(g: LabeledSchreierGraph) -> np.ndarray:
+    """All label-respecting graph automorphisms as one int32 array: row r
+    holds the images of the vertices 0..n-1 under automorphism r, and rows
+    are in lexicographic order.
+
+    Per component, the image of one root vertex determines the rest, and it
+    is the whole component of that image.  So each root is tried against
+    every vertex of the components of its size at once (`_label_maps`), and
+    an automorphism picks one map per component, hitting each once.  The
+    search tree has at most the product, over components, of the number of
+    vertices in components of the same size; above AUTOMORPHISM_TREE_CAP it
+    is refused.
+    """
     comps = components(g)
     comp_of = np.empty(g.n, dtype=np.intp)
     for ci, c in enumerate(comps):
@@ -321,17 +332,9 @@ def _automorphism_rows(g: LabeledSchreierGraph) -> np.ndarray:
 
 
 def exact_automorphisms(g: LabeledSchreierGraph) -> list[Permutation]:
-    """All label-respecting graph automorphisms, sorted by image tuple.
-
-    Per component, the image of one root vertex determines the rest, and it
-    is the whole component of that image.  So each root is tried against
-    every vertex of the components of its size at once (`_label_maps`), and
-    an automorphism picks one map per component, hitting each once.  The
-    search tree has at most the product, over components, of the number of
-    vertices in components of the same size; above AUTOMORPHISM_TREE_CAP it
-    is refused.
-    """
-    return [Permutation(tuple(row)) for row in _automorphism_rows(g).tolist()]
+    """All label-respecting graph automorphisms, sorted by image tuple:
+    the rows of :func:`automorphism_rows` as Permutations."""
+    return [Permutation(tuple(row)) for row in automorphism_rows(g).tolist()]
 
 
 def enumerate_eps_automorphisms(g: LabeledSchreierGraph, eps,

@@ -31,15 +31,12 @@ __all__ = [
     "congruence_oracle_alt",
     "prime_remark_sentence", "holds_on_sym", "prime_remark_oracle",
     "SentenceReport", "sentence_report", "felgner_report",
-    "felgner_corpus_report", "FELGNER_SENTENCES",
+    "felgner_corpus_report",
     "COMMUTATOR_CAP",
 ]
 
 COMMUTATOR_CAP = 2000
 _COVERAGE_BLOCK = 1 << 16  # commutators gathered per step of the coverage scan
-
-FELGNER_SENTENCES = ("felgner.phi2", "felgner.phi1.literal",
-                     "felgner.phi1.generated")
 
 PHI2_TEXT = "forall g. exists h1. exists h2. g = [h1, h2]"
 
@@ -193,24 +190,40 @@ def sentence_report(G: FiniteGroup, sentence_id: str, formula,
                           witness=r.witness)
 
 
+_FELGNER_SENTENCES = ("felgner.phi2", "felgner.phi1.literal",
+                      "felgner.phi1.generated")
+
+
+def _felgner_reports(G: FiniteGroup, sentence_ids,
+                     strategy: str) -> list[SentenceReport]:
+    """`felgner_report` for each id, running the classifier at most once."""
+    rows, simple = [], None
+    for sid in sentence_ids:
+        if sid == "felgner.phi2":
+            formula, oracle = phi2(), commutator_coverage_bruteforce(G)
+        elif sid in _FELGNER_SENTENCES:
+            if simple is None:
+                simple = classify_nonabelian_simple(G)
+            formula, oracle = phi1(sid.rsplit(".", 1)[1]), simple
+        else:
+            raise ValueError(f"unknown felgner sentence {sid!r}")
+        rows.append(sentence_report(G, sid, formula, strategy, oracle=oracle))
+    return rows
+
+
 def felgner_report(G: FiniteGroup, sentence_id: str,
                    strategy: str = "class") -> SentenceReport:
     """One felgner sentence on G, paired with its oracle: commutator coverage
     for phi2, the brute-force classifier for the exploratory phi1 rows."""
-    if sentence_id == "felgner.phi2":
-        return sentence_report(G, sentence_id, phi2(), strategy,
-                               oracle=commutator_coverage_bruteforce(G))
-    if sentence_id not in FELGNER_SENTENCES:
-        raise ValueError(f"unknown felgner sentence {sentence_id!r}")
-    return sentence_report(G, sentence_id, phi1(sentence_id.rsplit(".", 1)[1]),
-                           strategy, oracle=classify_nonabelian_simple(G))
+    return _felgner_reports(G, (sentence_id,), strategy)[0]
 
 
 def felgner_corpus_report(specs=None, strategy: str = "class") -> list[SentenceReport]:
-    """`felgner_report` for every felgner sentence across the corpus.
-    Ordered by (group, sentence id).  phi1 rows are exploratory: their
-    oracle is the classifier, and disagreement is information, not failure."""
-    rows = [felgner_report(construct_group(spec), sid, strategy)
-            for spec in (default_corpus() if specs is None else specs)
-            for sid in FELGNER_SENTENCES]
+    """Every felgner sentence across the corpus, paired as in
+    `felgner_report`, with the classifier run once per group.  Ordered by
+    (group, sentence id).  phi1 rows are exploratory: their oracle is the
+    classifier, and disagreement is information, not failure."""
+    rows = [row for spec in (default_corpus() if specs is None else specs)
+            for row in _felgner_reports(construct_group(spec),
+                                        _FELGNER_SENTENCES, strategy)]
     return sorted(rows, key=lambda r: (r.group, r.sentence))

@@ -215,6 +215,22 @@ def test_felgner_corpus_report_subset():
     assert phi2_rows["sym(3)"].agrees() is True
 
 
+def test_felgner_corpus_report_classifies_each_group_once(monkeypatch):
+    import permlab.sentences as sentences
+    from permlab.groups import GroupSpec
+    specs = [GroupSpec("sym", 3), GroupSpec("alt", 5)]
+    expected = sorted((felgner_report(G(spec), sid) for spec in specs
+                       for sid in ("felgner.phi2", "felgner.phi1.literal",
+                                   "felgner.phi1.generated")),
+                      key=lambda r: (r.group, r.sentence))
+    calls = []
+    real = sentences.is_simple_bruteforce
+    monkeypatch.setattr(sentences, "is_simple_bruteforce",
+                        lambda g: calls.append(g.name) or real(g))
+    assert felgner_corpus_report(specs) == expected
+    assert sorted(calls) == ["alt(5)", "sym(3)"]
+
+
 def test_felgner_report_pairs_each_sentence_with_its_oracle():
     g = G("alt5")
     phi2_row = felgner_report(g, "felgner.phi2", "naive")
