@@ -37,16 +37,20 @@ __all__ = [
     "ClusterScan", "cluster_scan", "pairwise_distances", "default_cluster_epsilon",
     "write_graph_file", "read_graph_file", "parse_graph_text",
     "graph_file_text", "histogram_csv",
-    "EXPANSION_CAP", "GAP_CAP", "EXHAUSTIVE_CAP", "AUTOMORPHISM_TREE_CAP",
-    "CLUSTER_THRESHOLD",
+    "EXPANSION_CAP", "DENSE_CAP", "GAP_CAP", "EXHAUSTIVE_CAP",
+    "AUTOMORPHISM_TREE_CAP", "AUTOMORPHISM_CELL_CAP", "CLUSTER_THRESHOLD",
 ]
 
 EXPANSION_CAP = 24
-GAP_CAP = 5040  # dense n×n tables: the eigensolve takes ~19 s and 0.4 GB at the cap
+DENSE_CAP = 5040  # n×n swap gains or eigensolve: ~19 s and 0.4 GB at the cap
+GAP_CAP = 40320  # Sym(8); the Lanczos basis holds _LANCZOS_STEPS × n floats, 97 MB
+_LANCZOS_STEPS = 300
 EXHAUSTIVE_CAP = 8
 # leaves of exact_automorphisms' search tree: an n-point identity graph has
 # n^n, 823,543 at n = 7 (~1 s on a 2-vCPU host) and 16.8 M at n = 8 (~21 s)
 AUTOMORPHISM_TREE_CAP = 10 ** 6
+# candidate maps × points: Sym(7)'s regular graph, 100 MB of int32 (Sym(8): 6.5 GB)
+AUTOMORPHISM_CELL_CAP = 5040 ** 2
 CLUSTER_THRESHOLD = Fraction(3, 10)
 _PAIR_BLOCK = 1 << 20  # cells per block of mismatch counts or swap gains
 _TARGET_BLOCK = 1 << 20  # targets × points per block of root targets
@@ -156,23 +160,24 @@ def component_mass_profile(g: LabeledSchreierGraph) -> list[Fraction]:
 
 # -- symmetrized multigraph quantities ----------------------------------------------
 
+def _symmetrized_rows(g: LabeledSchreierGraph) -> np.ndarray:
+    """The distinct rows of sigma_s and sigma_s^-1 images, sorted."""
+    S = g.image_array
+    return np.unique(np.concatenate([S, np.argsort(S, axis=1)]), axis=0)
+
+
 def symmetrized_generators(g: LabeledSchreierGraph) -> list[Permutation]:
     """Distinct permutations in {sigma_s} ∪ {sigma_s^-1}, sorted by images."""
-    out = {p.images: p for p in g.images}
-    for p in g.images:
-        q = p.inverse()
-        out.setdefault(q.images, q)
-    return [out[k] for k in sorted(out)]
+    return [Permutation(tuple(row)) for row in _symmetrized_rows(g).tolist()]
 
 
 def symmetrized_degree(g: LabeledSchreierGraph) -> int:
-    return len(symmetrized_generators(g))
+    return len(_symmetrized_rows(g))
 
 
 def adjacency_matrix(g: LabeledSchreierGraph) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=np.int64)
-    for p in symmetrized_generators(g):
-        a[np.arange(g.n), p.images] += 1
+    np.add.at(a, (np.arange(g.n), _symmetrized_rows(g)), 1)
     return a
 
 
@@ -201,13 +206,37 @@ def edge_expansion(g: LabeledSchreierGraph, cap: int = EXPANSION_CAP) -> Fractio
 
 def spectral_gap(g: LabeledSchreierGraph) -> float:
     """1 - lambda2/deg of the symmetrized adjacency; 0 iff disconnected
-    (up to eigensolver precision)."""
-    if g.n < 2:
+    (up to rounding).  lambda2, the top eigenvalue of x ↦ Σ_s x[sigma_s] on the
+    vectors of mean 0, comes from Lanczos with full reorthogonalization and a
+    fixed start.  It stops once the top Ritz residual |beta_k s_k| < 1e-13, or
+    on breakdown, where the tridiagonal eigenvalues are exact.  Graphs that
+    outrun _LANCZOS_STEPS (cycle:n needs ~n/2) take the dense eigensolve."""
+    n, gens = g.n, _symmetrized_rows(g)
+    if n < 2:
         raise ValueError("the spectral gap needs at least two vertices")
-    if g.n > GAP_CAP:
-        raise CapExceededError(f"the dense spectral gap is capped at n = {GAP_CAP}")
-    eigs = np.linalg.eigvalsh(adjacency_matrix(g).astype(float))
-    return 1.0 - float(eigs[-2]) / symmetrized_degree(g)
+    if n > GAP_CAP:
+        raise CapExceededError(f"the spectral gap is capped at n = {GAP_CAP}")
+    deg, basis = len(gens), np.empty((min(_LANCZOS_STEPS, n - 1), n))
+    T = np.zeros((len(basis) + 1, len(basis) + 1))
+    v = np.random.default_rng(0).standard_normal(n)
+    for k in range(len(basis)):
+        v -= v.mean()
+        basis[k] = v / np.linalg.norm(v)
+        v = basis[k][gens].sum(0)
+        for _ in range(2):  # twice is enough (Parlett); T[k, k] is alpha_k
+            v -= (c := basis[:k + 1] @ v) @ basis[:k + 1]
+            T[k, k] += c[k]
+        T[k, k + 1] = T[k + 1, k] = beta = np.linalg.norm(v)
+        # the top Ritz pair, every step at first and then ever more sparsely
+        if beta < 1e-10 * deg or k % (k // 16 + 1) == 0:
+            theta, s = np.linalg.eigh(T[:k + 1, :k + 1])
+            if beta < 1e-10 * deg or beta * abs(s[-1, -1]) < 1e-13:
+                return 1.0 - float(theta[-1]) / deg
+    del basis  # before the dense fallback's n×n copies
+    if n > DENSE_CAP:
+        raise CapExceededError(f"Lanczos ran out of {_LANCZOS_STEPS} steps and the"
+                               f" dense spectral gap is capped at n = {DENSE_CAP}")
+    return 1.0 - float(np.linalg.eigvalsh(adjacency_matrix(g).astype(float))[-2]) / deg
 
 
 # -- epsilon-automorphisms ------------------------------------------------------------
@@ -304,16 +333,17 @@ def automorphism_rows(g: LabeledSchreierGraph) -> np.ndarray:
     an automorphism picks one map per component, hitting each once.  The
     search tree has at most the product, over components, of the number of
     vertices in components of the same size; above AUTOMORPHISM_TREE_CAP it
-    is refused.
+    is refused, and so is a result above AUTOMORPHISM_CELL_CAP cells.
     """
     comps = components(g)
     comp_of = np.empty(g.n, dtype=np.intp)
     for ci, c in enumerate(comps):
         comp_of[list(c)] = ci
     sizes = Counter(len(c) for c in comps)
-    if math.prod(len(c) * sizes[len(c)] for c in comps) > AUTOMORPHISM_TREE_CAP:
-        raise CapExceededError("exact automorphism search capped at"
-                               f" {AUTOMORPHISM_TREE_CAP} candidate maps")
+    leaves = math.prod(len(c) * sizes[len(c)] for c in comps)
+    if leaves > AUTOMORPHISM_TREE_CAP or leaves * g.n > AUTOMORPHISM_CELL_CAP:
+        raise CapExceededError(f"exact automorphism search capped at {AUTOMORPHISM_TREE_CAP}"
+                               f" candidate maps and {AUTOMORPHISM_CELL_CAP} cells of them")
     S = g.image_array.astype(np.int32)
     size = np.array([len(c) for c in comps])[comp_of]
     # partial maps over the components done so far and the components they
@@ -365,8 +395,8 @@ def enumerate_eps_automorphisms(g: LabeledSchreierGraph, eps,
         return exact_automorphisms(g)
     if mode != "local-search":
         raise ValueError(f"unknown mode {mode!r}")
-    if g.n > GAP_CAP:
-        raise CapExceededError(f"local search keeps n×n swap gains; n capped at {GAP_CAP}")
+    if g.n > DENSE_CAP:
+        raise CapExceededError(f"local search keeps n×n swap gains; n capped at {DENSE_CAP}")
     found = {p.images: p for p in exact_automorphisms(g)}
     T = np.argsort(S, axis=1)
     rng = random.Random(seed)

@@ -12,6 +12,7 @@ import pytest
 from permlab.cli import main
 from permlab.groups import construct_group, default_corpus
 from permlab.perms import parse_permutation
+from permlab.schreier import GAP_CAP
 from permlab.stability import almost_hom, write_almost_hom_file
 
 
@@ -182,15 +183,32 @@ def test_negative_restarts_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("mode", ["report", "clusters"])
-def test_dense_spectral_gap_cap_exits_two(tmp_path, capsys, mode):
-    # regular:sym8 has 40,320 vertices; its dense adjacency would need ~26 GB
+@pytest.mark.parametrize("argv", [
+    ("--graph", f"cycle:{GAP_CAP + 1}", "--mode", "report"),
+    ("--graph", "regular:sym8", "--mode", "clusters"),
+    ("--graph", "regular:sym8", "--mode", "exact-autos"),
+    ("--graph", "regular:sym8", "--mode", "clusters", "--eps", "0"),
+], ids=["report", "clusters", "exact-autos", "clusters-eps-0"])
+def test_dense_spectral_gap_cap_exits_two(tmp_path, capsys, argv):
+    # report: one vertex past GAP_CAP is refused before Lanczos holds a basis;
+    # clusters: regular:sym8 (40,320 vertices) gets its gap, but the local
+    # search's n×n swap-gain table is capped at DENSE_CAP; exact-autos and
+    # eps 0: its 40,320 candidate maps × 40,320 points would be a 6.5 GB
+    # int32 result, refused before it is allocated
     t0 = time.perf_counter()
-    assert main(["schreier", "--graph", "regular:sym8", "--mode", mode,
-                 "-o", str(tmp_path / "r.json")]) == 2
+    assert main(["schreier", *argv, "-o", str(tmp_path / "r.json")]) == 2
     assert time.perf_counter() - t0 < 10
     assert "capped" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_sym8_report_gets_its_gap_from_lanczos(tmp_path):
+    t0 = time.perf_counter()
+    code, rep = run(tmp_path, "schreier", "--graph", "regular:sym8", "--mode", "report")
+    assert time.perf_counter() - t0 < 30
+    assert code == 0
+    assert rep["n"] == 40320 and rep["connected"]
+    assert 1e-9 < rep["spectral_gap"] < 1
 
 
 def test_failed_check_exits_one(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 from unittest import mock
@@ -11,10 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import permlab.schreier as schreier
+from permlab.cli import main
 from permlab.errors import CapExceededError
 from permlab.groups import construct_group, extend, right_regular_permutation
 from permlab.perms import (Permutation, hamming_distance, identity, parse_permutation,
                            random_permutation)
+from permlab.rigidity import BIREGULAR_CAP
 from permlab.schreier import (
     ClusterScan, EXHAUSTIVE_CAP, GAP_CAP, LabeledSchreierGraph, adjacency_matrix,
     build_schreier_graph, cluster_scan, component_mass_profile, components,
@@ -160,6 +163,80 @@ def test_gap_positive_iff_connected():
 def test_gap_stays_in_range():
     for g in (prism(), directed_cycle_graph(2), directed_cycle_graph(7), pair_graph()):
         assert -1e-9 <= spectral_gap(g) <= 2 + 1e-9
+
+
+def dense_gap(g):
+    """The oracle: 1 - lambda2/deg from a dense eigensolve of the adjacency."""
+    eigs = np.linalg.eigvalsh(adjacency_matrix(g).astype(float))
+    return 1.0 - eigs[-2] / symmetrized_degree(g)
+
+
+@pytest.mark.parametrize("graph", [
+    "alt5", "alt6", "alt7", "psl2(7)", "sym5", "sym6", "dihedral12", "prism",
+    "cycle:2", "cycle:3", "cycle:10", "cycle:97", "cycle:256", "cycle:500"])
+def test_lanczos_gap_matches_the_dense_eigensolve(graph):
+    if graph == "prism":
+        g = prism()
+    elif graph.startswith("cycle:"):
+        g = directed_cycle_graph(int(graph[6:]))
+    else:
+        g = regular_action_graph(construct_group(graph))
+    assert abs(spectral_gap(g) - dense_gap(g)) <= 1e-12
+
+
+def test_lanczos_gap_does_not_depend_on_the_seed(tmp_path):
+    gaps = []
+    for seed in ("1", "7"):
+        out = tmp_path / f"r{seed}.json"
+        assert main(["schreier", "--graph", "regular:psl2(7)", "--mode", "report",
+                     "--seed", seed, "-o", str(out)]) == 0
+        gaps.append(json.loads(out.read_text(encoding="utf-8"))["spectral_gap"])
+    assert gaps[0] == gaps[1]
+
+
+def test_lanczos_stops_on_breakdown(monkeypatch):
+    # on the mean-0 vectors, cycle:500 has 250 distinct eigenvalues
+    # 2cos(2πj/500), so its Krylov space is exhausted after 250 steps; the
+    # last tridiagonal eigensolve is that step's, and it is exact
+    sizes, eigh = [], np.linalg.eigh
+
+    def recording(t):
+        sizes.append(len(t))
+        return eigh(t)
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    g = directed_cycle_graph(500)
+    assert abs(spectral_gap(g) - dense_gap(g)) <= 1e-12
+    assert sizes[-1] == 250
+
+
+def test_lanczos_falls_back_to_the_dense_gap(monkeypatch):
+    g = regular_action_graph(construct_group("sym5"))
+    monkeypatch.setattr(schreier, "_LANCZOS_STEPS", 3)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as dense:
+        assert spectral_gap(g) == dense_gap(g)
+    assert dense.call_count == 2  # the fallback's and the oracle's
+    monkeypatch.setattr(schreier, "DENSE_CAP", 100)
+    with pytest.raises(CapExceededError, match="Lanczos"):
+        spectral_gap(g)
+
+
+def test_disconnected_graphs_have_no_gap(tmp_path):
+    two_cycles = Permutation(tuple(list(range(1, 50)) + [0] + list(range(51, 100)) + [50]))
+    for g in (build_schreier_graph({"a": two_cycles}),
+              build_schreier_graph({"e": identity(3000)})):
+        assert abs(spectral_gap(g)) <= 1e-9
+        path = tmp_path / "g.graph"
+        write_graph_file(g, path)
+        out = tmp_path / "r.json"
+        assert main(["schreier", "--graph", f"file:{path}", "--mode", "report",
+                     "-o", str(out)]) == 0
+        rep = json.loads(out.read_text(encoding="utf-8"))
+        assert rep["connected"] is False
+        assert rep["checks"][0] == {"check": "positive gap iff connected", "pass": True}
+
+
+def test_automorphism_cell_cap_admits_the_biregular_groups():
+    assert schreier.AUTOMORPHISM_CELL_CAP >= BIREGULAR_CAP ** 2
 
 
 def test_cheeger_consistency_small():
