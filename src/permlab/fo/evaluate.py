@@ -359,7 +359,7 @@ class _Evaluator:
                 t1, t2 = conj
                 a = eval_term(t1, self.G, env)
                 b = eval_term(t2, self.G, env)
-                return self.G.class_of(a) == self.G.class_of(b)
+                return self.G.are_conjugate(a, b)
             com = _match_commute_quant(q)
             if com is not None:
                 var, tnode, rest = com

@@ -25,7 +25,10 @@ oracle's walk).  Conjugation orbits do not walk:
 evaluator's orbit representatives, class representatives of subgroups)
 matches each generator's conjugates of all element rows to the rows
 themselves with one sort, and partitions by numpy min-label propagation
-over those index maps.
+over those index maps.  The class partition is an int32 class index per
+element; the frozensets of `conjugacy_classes` are built only on request.
+Centralizers eliminate candidates: each moved point of each generator of
+the key keeps the surviving rows that commute there.
 """
 
 from __future__ import annotations
@@ -245,8 +248,7 @@ class FiniteGroup:
         self._inverse: np.ndarray | None = None
         self._orders: list[int] = [0] * len(self)
         self._classes: tuple[frozenset, ...] | None = None
-        self._class_reps: list[int] | None = None
-        self._class_of: np.ndarray | None = None
+        self._class_index: tuple[np.ndarray, list[int]] | None = None
         # memo tables for pure queries; keyed by frozensets of element indices
         self._centralizer_memo: dict[frozenset, frozenset] = {}
         self._subgroup_memo: dict[frozenset, bool] = {}
@@ -420,55 +422,66 @@ class FiniteGroup:
         reps, _sizes, order = _size_order(self.conjugation_orbits(by))
         return reps[order].tolist()
 
-    def conjugacy_classes(self) -> tuple[frozenset, ...]:
-        """Conjugacy classes, sorted by (size, least member)."""
-        if self._classes is None:
+    def _partition(self) -> tuple[np.ndarray, list[int]]:
+        """(class index of every element, int32; least member of each class),
+        classes in (size, least member) order."""
+        if self._class_index is None:
             labels = self.conjugation_orbits(self.generators)
-            reps, sizes, order = _size_order(labels)
-            starts = np.cumsum(sizes) - sizes
-            members = np.argsort(labels, kind="stable")
-            self._classes = tuple(
-                frozenset(members[starts[k]:starts[k] + sizes[k]].tolist())
-                for k in order)
-            self._class_reps = reps[order].tolist()
+            reps, _sizes, order = _size_order(labels)
             rank = np.empty(len(order), dtype=np.int32)
             rank[order] = np.arange(len(order))
-            self._class_of = rank[np.searchsorted(reps, labels)]
+            self._class_index = (rank[np.searchsorted(reps, labels)],
+                                 reps[order].tolist())
+        return self._class_index
+
+    def conjugacy_classes(self) -> tuple[frozenset, ...]:
+        """Conjugacy classes, sorted by (size, least member); the sets are
+        built on first request, from the partition."""
+        if self._classes is None:
+            class_of = self._partition()[0]
+            members = np.argsort(class_of, kind="stable")
+            ends = np.cumsum(np.bincount(class_of))[:-1]
+            self._classes = tuple(frozenset(m.tolist())
+                                  for m in np.split(members, ends))
         return self._classes
 
     def class_representatives(self) -> list[int]:
         """Least member of each class, in (class size, member) order."""
-        self.conjugacy_classes()
-        return list(self._class_reps)
+        return list(self._partition()[1])
 
     def class_of(self, i: int) -> frozenset:
-        self.conjugacy_classes()
-        return self._classes[self._class_of[i]]
+        return self.conjugacy_classes()[self._partition()[0][i]]
+
+    def are_conjugate(self, i: int, j: int) -> bool:
+        """Whether elements i and j lie in one conjugacy class."""
+        class_of = self._partition()[0]
+        return class_of.item(i) == class_of.item(j)
 
     # -- centralizers -------------------------------------------------------
 
     def centralizer_of(self, indices: Iterable[int]) -> frozenset:
-        """Centralizer {x : xs = sx for all s in the given set} as index set."""
+        """Centralizer {x : xs = sx for all s in the given set} as index set.
+
+        Candidate elimination: per generator g of the key and point i moved
+        by g, keep the candidate rows x with x(g(i)) = g(x(i)).  Those x map
+        fix(g) onto itself, so fixed points need no test."""
         key = frozenset(indices)
         cached = self._centralizer_memo.get(key)
         if cached is not None:
             return cached
-        mask = np.ones(len(self), dtype=bool)
-        if key:
-            mat = self.matrix
-            for g in generating_subset(self, key):
-                garr = mat[g]
-                # x·g = g·x, one point i at a time: x(g(i)) = g(x(i))
-                for i, gi in enumerate(garr.tolist()):
-                    mask &= mat[:, gi] == garr[mat[:, i]]
-        if mask.all():
+        mat, cand = self.matrix, np.arange(len(self))
+        for g in generating_subset(self, key):
+            garr = mat[g]
+            for i in np.flatnonzero(garr != np.arange(self.degree)).tolist():
+                cand = cand[mat[cand, garr[i]] == garr[mat[cand, i]]]
+        if len(cand) == len(self):
             # one whole-group set serves the empty key and every central one
             result = self._centralizer_memo.get(frozenset())
             if result is None:
                 result = self._centralizer_memo[frozenset()] = \
                     frozenset(range(len(self)))
         else:
-            result = frozenset(np.flatnonzero(mask).tolist())
+            result = frozenset(cand.tolist())
         self._centralizer_memo[key] = result
         return result
 
@@ -828,12 +841,8 @@ def is_simple_bruteforce(G: FiniteGroup, cap: int = SIMPLICITY_CAP) -> bool:
         raise CapExceededError(f"simplicity check capped at {cap} elements")
     if len(G) == 1:
         return False
-    for cls in G.conjugacy_classes():
-        if cls == frozenset((G.identity_index,)):
-            continue
-        if len(generated_subgroup(G, cls)) != len(G):
-            return False
-    return True
+    return all(len(generated_subgroup(G, cls)) == len(G)
+               for cls in G.conjugacy_classes() if G.identity_index not in cls)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from permlab.fo import (And, Comm, Eq, Implies, Int, Inv, MacroCall, Mul, Not,
                         One, Or, Quant, SetCall, Var, evaluate,
                         evaluate_detailed, free_variables, parse_formula,
                         parse_term, term_text, to_text, validate_formula)
-from permlab.groups import construct_group
+from permlab.groups import FiniteGroup, construct_group
 from permlab.perms import parse_permutation
 from permlab.sentences import phi2, prime_remark_sentence
 
@@ -306,6 +306,25 @@ def test_conjugacy_pattern_matches_naive():
                "h": parse_permutation(f"{b} deg=4")}
         for strategy in ("naive", "class", "centralizer"):
             assert evaluate(f, g4, strategy, env=env) is expected
+
+
+def test_centralizer_strategy_conjugacy_pattern_builds_no_class_sets(monkeypatch):
+    g7 = construct_group("alt7")
+
+    def refuse(*_args):
+        raise AssertionError("class frozensets built")
+
+    monkeypatch.setattr(FiniteGroup, "conjugacy_classes", refuse)
+    monkeypatch.setattr(FiniteGroup, "class_of", refuse)
+    h = {"h": parse_permutation("(1 2 3) deg=7")}
+    cases = [("exists k. g*k = k*h", "(2 3 4)", True),
+             ("exists k. g*k = k*h", "(1 2)(3 4)", False),
+             ("exists k. k*g = h*k", "(5 6 7)", True)]
+    for text, g, expected in cases:
+        env = {**h, "g": parse_permutation(f"{g} deg=7")}
+        assert evaluate(parse_formula(text), g7, "centralizer", env=env) is expected
+    f = parse_formula("forall g. exists k. g*k = k*h")
+    assert evaluate(f, g7, "centralizer", env=h) is False
 
 
 # -- witnesses --------------------------------------------------------------------

@@ -191,6 +191,8 @@ def test_conjugacy_classes_match_bruteforce(spec):
     assert sum(len(c) for c in classes) == len(g)
     assert g.class_representatives() == [least for _size, least in keys]
     assert all(g.class_of(x) == c for c in classes for x in c)
+    assert all(g.are_conjugate(x, y) == (y in g.class_of(x))
+               for x in range(len(g)) for y in range(len(g)))
 
 
 def test_classes_of_a_set_not_closed_under_conjugation_raise():
@@ -309,6 +311,36 @@ def test_centralizer_matches_bruteforce_at_two_sizes():
     for grp in (g, h):
         t = idx(grp, "(1 2)(3 4)")
         assert grp.centralizer_of([t]) == brute_centralizer(grp, [t])
+
+
+@pytest.mark.parametrize("spec", ["sym5", "alt6", "psl2(7)", "dihedral(12)"])
+def test_centralizer_of_every_class_rep_matches_bruteforce(spec):
+    g = G(spec)
+    for r in g.class_representatives():
+        assert g.centralizer_of([r]) == brute_centralizer(g, [r]), (spec, r)
+
+
+def test_centralizer_of_multi_element_keys_matches_bruteforce():
+    g = G("sym5")
+    a, b = idx(g, "(1 2 3)"), idx(g, "(3 4 5)")
+    assert g.mul(a, b) != g.mul(b, a)
+    klein = generated_subgroup(g, [idx(g, "(1 2)"), idx(g, "(3 4)")])
+    # elements with fixed points, whose supports differ
+    fixers = [idx(g, "(1 2)"), idx(g, "(2 3 4)"), idx(g, "(1 5)(2 3)")]
+    for key in ([a, b], sorted(klein), fixers, [idx(g, "(1 2 3)"), idx(g, "(4 5)")]):
+        assert g.centralizer_of(key) == brute_centralizer(g, key), key
+    h = G("alt6")
+    sub = generated_subgroup(h, [idx(h, "(1 2 3)"), idx(h, "(1 2)(3 4)")])
+    assert len(sub) == 12
+    assert h.centralizer_of(sub) == brute_centralizer(h, sorted(sub))
+
+
+@pytest.mark.parametrize("spec", ["sym9", "alt9"])
+def test_centralizer_orders_are_group_order_over_class_size(spec):
+    # |C(g)| = |G| / |g^G|, with the class sizes from the conjugation kernel
+    g = G(spec)
+    for r, cls in zip(g.class_representatives(), g.conjugacy_classes()):
+        assert len(g.centralizer_of([r])) * len(cls) == len(g), r
 
 
 def test_triple_centralizer_identity():

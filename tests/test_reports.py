@@ -20,6 +20,10 @@ JOBS = {
                     "felgner.phi1.literal,felgner.phi1.generated"),
     "verify-sym7-remark": ("verify", "--groups", "sym7", "--sentences",
                            "prime_remark", "--strategy", "class"),
+    "verify-alt9-congruence": ("verify", "--groups", "alt9", "--sentences",
+                               "congruence(1,3)"),
+    "verify-sym9-remark": ("verify", "--groups", "sym9", "--sentences",
+                           "prime_remark", "--strategy", "centralizer"),
     "stability-cyclic2-scan": ("stability", "--group", "cyclic2", "--degree", "6"),
     "schreier-psl2-7-exact-autos": ("schreier", "--graph", "regular:psl2(7)",
                                     "--mode", "exact-autos"),
