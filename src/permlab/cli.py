@@ -20,10 +20,10 @@ from fractions import Fraction
 
 from . import __version__
 from .arithmetic import SelectorProblem, find_witness_prime, residue_pair
-from .errors import CapExceededError, DecompositionRequiredError, ParseError
+from .errors import CapExceededError, ParseError
 from .groups import FiniteGroup, construct_group, default_corpus, parse_group_spec
 from .perms import Permutation, parse_permutation
-from .rigidity import (GroupAction, action_centralizer,
+from .rigidity import (BRUTE_DEGREE_CAP, GroupAction, action_centralizer,
                        biregular_double_centralizer,
                        centralizer_in_sym_bruteforce, class_power_types)
 from .schreier import (EXHAUSTIVE_CAP, EXPANSION_CAP, cluster_scan,
@@ -320,7 +320,7 @@ def cmd_rigidity(args) -> tuple[dict, bool]:
                              tuple(perms))
         C = action_centralizer(action)
         checks = []
-        if top <= 8:
+        if top <= BRUTE_DEGREE_CAP:
             brute = centralizer_in_sym_bruteforce(perms)
             checks.append({"check": "matches the brute-force centralizer",
                            "pass": {C.element(i).images for i in range(len(C))}
@@ -527,8 +527,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         report, ok = DISPATCH[args.command](args)
-    except (ValueError, KeyError, OSError, ParseError, CapExceededError,
-            DecompositionRequiredError) as exc:
+    except (ValueError, KeyError, OSError, ParseError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report["tool"] = f"permlab {__version__}"

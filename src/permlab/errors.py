@@ -2,17 +2,12 @@
 
 Everything that is a plain precondition violation raises ValueError at the
 call site; the classes here exist so callers can tell resource exhaustion
-and structural obstructions apart from bad input.
+apart from bad input.
 """
 
 
 class CapExceededError(RuntimeError):
     """A configured size / budget cap was exceeded (enumeration, scan, search)."""
-
-
-class DecompositionRequiredError(RuntimeError):
-    """An intransitive action has isomorphic components; the caller must
-    decompose and handle the component symmetry itself."""
 
 
 class ParseError(ValueError):

@@ -15,20 +15,20 @@ caches only memoize pure queries), so sharing them between callers is safe.
 
 Every closure of generators goes through one breadth-first routine over
 element rows, `_closure` (constructor groups, image groups, subgroups,
-generating subsets).  Components of point maps come from :func:`orbits`.
+generating subsets); the scalar :func:`orbit` stays as the tests' reference.
 Values pushed along generator edges go through one batched kernel,
 :func:`spread`: Cayley-table rows, homomorphisms from blocks of generator
 images, automorphisms and isomorphisms from blocks of root targets (the
 scalar :func:`extend` is their reference and the :func:`are_isomorphic`
-oracle's walk).  Conjugation orbits do not walk:
-:meth:`FiniteGroup.conjugation_orbits` (conjugacy classes, the FO
-evaluator's orbit representatives, class representatives of subgroups)
-matches each generator's conjugates of all element rows to the rows
-themselves with one sort, and partitions by numpy min-label propagation
-over those index maps.  The class partition is an int32 class index per
-element; the frozensets of `conjugacy_classes` are built only on request.
-Centralizers eliminate candidates: each moved point of each generator of
-the key keeps the surviving rows that commute there.
+oracle's walk).  Orbits do not walk: `_min_labels` partitions by numpy
+min-label propagation over index maps, the labels of a Schreier graph
+(`schreier.components`) or, in :meth:`FiniteGroup.conjugation_orbits`
+(conjugacy classes, the FO evaluator's orbit representatives, class
+representatives of subgroups), each generator's conjugates of all element
+rows matched to the rows themselves with one sort.  The class partition is
+an int32 class index per element; the frozensets of `conjugacy_classes` are
+built only on request.  Centralizers eliminate candidates: each moved point
+of each generator of the key keeps the surviving rows that commute there.
 """
 
 from __future__ import annotations
@@ -113,20 +113,6 @@ def orbit(seed, gens, cap: int | None = None) -> list | None:
                 seen.add(y)
                 out.append(y)
     return out
-
-
-def orbits(n: int, gens) -> Iterator[list[int]]:
-    """The orbits of `gens` on 0..n-1, by increasing least member.
-
-    Each orbit starts at its least member and follows in `orbit` order.
-    """
-    covered = bytearray(n)
-    for start in range(n):
-        if not covered[start]:
-            orb = orbit(start, gens)
-            for x in orb:
-                covered[x] = 1
-            yield orb
 
 
 def extend(mapping: list, root, target, src_gens, dst_gens) -> list | None:

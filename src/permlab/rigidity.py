@@ -6,30 +6,32 @@ the inversion flip x -> x^-1.  The flip conjugates each left translation to
 the matching right translation, and the centralizer of the left-regular copy
 inside the full symmetric group on G is exactly the right-regular copy, so
 double centralizing recovers the left copy (Dixon and Mortimer,
-*Permutation Groups*, ch. 4).  Centralizers of transitive actions are
-computed by base-point propagation: a commuting permutation is determined by
-the image of one point, pushed along generator edges for every candidate
-image at once, and goes as int32 rows straight into a FiniteGroup.  The
-biregular check compares row sets: the left copy is the Cayley table, the
-right copy its transpose, the flip the inverse array.  Permutations are
-built only by the public functions that return them.
+*Permutation Groups*, ch. 4).  The centralizer of any action, transitive
+or not, is the label-respecting automorphism group of its Schreier graph
+(`schreier.automorphism_rows`): on each orbit a commuting permutation is
+determined by the image of one point, pushed along generator edges for
+every candidate image at once, and the int32 rows go straight into a
+FiniteGroup.  Both stages of a double centralizer take this one path; the
+brute-force scan of Sym(n) is its oracle at small degrees.  The biregular
+check compares row sets: the left copy is the Cayley table, the right copy
+its transpose, the flip the inverse array.  Permutations are built only by
+the public functions that return them.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, DecompositionRequiredError
-from .groups import (ELEMENT_CAP, FiniteGroup, left_regular_permutation,
+from .errors import CapExceededError
+from .groups import (FiniteGroup, left_regular_permutation,
                      right_regular_permutation, set_product)
-from .perms import CycleType, Permutation, hamming_distance, identity
+from .perms import CycleType, Permutation, identity
 from .schreier import (LabeledSchreierGraph, automorphism_rows, components,
-                       connected_label_isomorphic, induced_component_graph)
+                       pairwise_distances)
 
 __all__ = [
     "GroupAction", "action_from_group",
@@ -102,17 +104,21 @@ def biregular_action(G: FiniteGroup, cap: int = CLASS_POWER_GROUP_CAP) -> GroupA
 
 # -- centralizers of actions ---------------------------------------------------------
 
-def centralizer_transitive_action(action: GroupAction,
-                                  name: str | None = None) -> FiniteGroup:
-    """Centralizer in Sym(n) of a transitive action, by base-point propagation.
-
-    The commuting permutations are exactly the label-respecting automorphisms
-    of the action's Schreier graph.
-    """
-    if not action.is_transitive():
-        raise ValueError("the action is intransitive; decompose it first")
+def action_centralizer(action: GroupAction) -> FiniteGroup:
+    """Centralizer in Sym(n) of an action, transitive or not: the permutations
+    commuting with every generator are exactly the label-respecting
+    automorphisms of the action's Schreier graph, maps between isomorphic
+    orbits included.  Elements come in lexicographic image order."""
     return FiniteGroup(automorphism_rows(action),
-                       name=name or f"C({action.name or 'action'})")
+                       name=f"C({action.name or 'action'})")
+
+
+def centralizer_transitive_action(action: GroupAction) -> FiniteGroup:
+    """:func:`action_centralizer` of a transitive action; ValueError on an
+    intransitive one."""
+    if len(components(action)) != 1:
+        raise ValueError("the action is intransitive; use action_centralizer")
+    return action_centralizer(action)
 
 
 def centralizer_in_sym_bruteforce(perms: Sequence[Permutation],
@@ -132,39 +138,6 @@ def centralizer_in_sym_bruteforce(perms: Sequence[Permutation],
     return out
 
 
-def action_centralizer(action: GroupAction) -> FiniteGroup:
-    """Centralizer of a possibly intransitive action.
-
-    Every commuting permutation maps orbits to label-isomorphic orbits, so
-    when the orbits are pairwise non-isomorphic the centralizer is the direct
-    product of the per-orbit centralizers.  Isomorphic orbit pairs would add
-    swapping symmetries; that case raises DecompositionRequiredError so the
-    caller decomposes the action instead of receiving a wrong product.
-    """
-    comps = components(action)
-    if len(comps) == 1:
-        return centralizer_transitive_action(action)
-    induced = [induced_component_graph(action, c) for c in comps]
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            if len(comps[i]) == len(comps[j]) and \
-                    connected_label_isomorphic(induced[i], induced[j]):
-                raise DecompositionRequiredError(
-                    f"orbits {sorted(comps[i])} and {sorted(comps[j])} are "
-                    "label-isomorphic; the centralizer is not a plain product")
-    # each orbit's centralizer on its own points; the product in
-    # itertools.product order, the first orbit varying slowest
-    per_comp = [np.array(sorted(c))[automorphism_rows(sub)]
-                for c, sub in zip(comps, induced)]
-    if math.prod(map(len, per_comp)) > ELEMENT_CAP:
-        raise CapExceededError("centralizer product exceeds the element cap")
-    elements = np.arange(action.n, dtype=np.int32)[None]
-    for comp, rows in zip(comps, per_comp):
-        elements = np.repeat(elements, len(rows), 0)
-        elements[:, sorted(comp)] = np.tile(rows, (len(elements) // len(rows), 1))
-    return FiniteGroup(elements, name=f"C({action.name or 'action'})")
-
-
 # -- double centralizers ---------------------------------------------------------------
 
 def _perm_action(perms: Sequence[Permutation]) -> GroupAction:
@@ -172,23 +145,12 @@ def _perm_action(perms: Sequence[Permutation]) -> GroupAction:
                        tuple(perms))
 
 
-def _centralizer_of_perms(perms: list[Permutation],
-                          brute_cap: int) -> FiniteGroup:
-    action = _perm_action(perms)
-    if action.is_transitive():
-        return centralizer_transitive_action(action)
-    return FiniteGroup([p.images for p in
-                        centralizer_in_sym_bruteforce(perms, cap=brute_cap)],
-                       name="C(perms)")
-
-
-def _double_centralizer(gens: list[Permutation],
-                        brute_cap: int) -> tuple[FiniteGroup, FiniteGroup]:
+def _double_centralizer(gens: list[Permutation]) -> tuple[FiniteGroup, FiniteGroup]:
     """C = C(gens) and C(C) in Sym(n).  The second stage centralizes a
     generating subset of C, which has the same centralizer as all of C."""
-    C = _centralizer_of_perms(gens, brute_cap)
+    C = action_centralizer(_perm_action(gens))
     C_gens = C.generator_permutations() or [C.element(C.identity_index)]
-    return C, _centralizer_of_perms(C_gens, brute_cap)
+    return C, action_centralizer(_perm_action(C_gens))
 
 
 @dataclass(frozen=True)
@@ -199,19 +161,15 @@ class DoubleCentralizerReport:
     closes: bool
 
 
-def double_centralizer_check(perms: Iterable[Permutation],
-                             brute_cap: int = BRUTE_DEGREE_CAP) -> DoubleCentralizerReport:
+def double_centralizer_check(perms: Iterable[Permutation]) -> DoubleCentralizerReport:
     """Close the input under composition, centralize twice in Sym(n), and
-    report whether the double centralizer equals the generated subgroup.
-
-    Transitive stages use base-point propagation; intransitive stages fall
-    back to the brute-force scan (degree capped)."""
+    report whether the double centralizer equals the generated subgroup."""
     gens = list(perms)
     if not gens:
         raise ValueError("at least one permutation is required")
     subgroup = sorted(_perm_action(gens).image_group().elements(),
                       key=lambda p: p.images)
-    C, CC = _double_centralizer(gens, brute_cap)
+    C, CC = _double_centralizer(gens)
     double = tuple(CC.elements())
     return DoubleCentralizerReport(
         subgroup=tuple(subgroup),
@@ -249,7 +207,7 @@ def biregular_double_centralizer(G: FiniteGroup) -> BiregularReport:
     right = left.T  # row i: x -> x*i
     t, e = G.inverse_array(), G.identity_index  # the flip x -> x^-1
     gens = [Permutation(tuple(left[g].tolist())) for g in G.generators or [e]]
-    C, CC = _double_centralizer(gens, BRUTE_DEGREE_CAP)
+    C, CC = _double_centralizer(gens)
     return BiregularReport(
         group=G.name,
         centralizer_is_right_copy=_is_copy(C.matrix, right, e),
@@ -271,8 +229,7 @@ def one_discrete_check(perms: Sequence[Permutation]) -> bool:
     """Whether all pairwise normalized Hamming distances equal one, i.e. the
     set is as spread out as permutations can be.  Vacuous below two entries."""
     perms = list(perms)
-    return all(hamming_distance(p, q) == 1
-               for i, p in enumerate(perms) for q in perms[i + 1:])
+    return len(perms) < 2 or all(d == 1 for d, _ in pairwise_distances(perms)[0])
 
 
 def class_power_types(G: FiniteGroup, g, k: int,

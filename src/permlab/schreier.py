@@ -21,8 +21,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CapExceededError
-from .groups import (ELEMENT_CAP, FiniteGroup, _generated_group, _void_rows,
-                     left_regular_permutation, orbits, spread)
+from .groups import (ELEMENT_CAP, FiniteGroup, _generated_group, _min_labels,
+                     _void_rows, left_regular_permutation, spread)
 from .perms import Permutation, identity, parse_permutation
 
 __all__ = [
@@ -46,8 +46,11 @@ DENSE_CAP = 5040  # n×n swap gains or eigensolve: ~19 s and 0.4 GB at the cap
 GAP_CAP = 40320  # Sym(8); the Lanczos basis holds _LANCZOS_STEPS × n floats, 97 MB
 _LANCZOS_STEPS = 300
 EXHAUSTIVE_CAP = 8
-# leaves of exact_automorphisms' search tree: an n-point identity graph has
-# n^n, 823,543 at n = 7 (~1 s on a 2-vCPU host) and 16.8 M at n = 8 (~21 s)
+# bound on the leaves of automorphism_rows' search tree: an n-point identity
+# graph has n^n, 823,543 at n = 7 and 16.8 M at n = 8.  The search itself is
+# fast there (0.003 s and, caps lifted, 0.017 s on a 2-vCPU Xeon); the cap
+# guards the consumers quadratic in the automorphism count, the exact-autos
+# pairwise distances and the cluster scans (Sym(8) has 40,320² pairs)
 AUTOMORPHISM_TREE_CAP = 10 ** 6
 # candidate maps × points: Sym(7)'s regular graph, 100 MB of int32 (Sym(8): 6.5 GB)
 AUTOMORPHISM_CELL_CAP = 5040 ** 2
@@ -102,8 +105,8 @@ class LabeledSchreierGraph:
         return np.array([p.images for p in self.images], dtype=np.intp)
 
     def point_maps(self) -> list:
-        """One vertex map i ↦ sigma_s(i) per label, for `orbits` (components)
-        and the scalar `extend`; batched walks use `image_array`."""
+        """One vertex map i ↦ sigma_s(i) per label, for the scalar `extend`;
+        batched walks use `image_array`."""
         return [p.images.__getitem__ for p in self.images]
 
     def is_transitive(self) -> bool:
@@ -148,10 +151,16 @@ def directed_cycle_graph(n: int, label: str = "s1") -> LabeledSchreierGraph:
 # -- components ------------------------------------------------------------------
 
 def components(g: LabeledSchreierGraph) -> list[frozenset[int]]:
-    """Weakly connected components, largest first (ties by least vertex)."""
-    out = [frozenset(c) for c in orbits(g.n, g.point_maps())]
-    out.sort(key=lambda c: (-len(c), min(c)))
-    return out
+    """Weakly connected components, largest first (ties by least vertex):
+    the orbits of the labels, by min-label propagation over their rows and
+    the inverse rows."""
+    S = g.image_array
+    labels = _min_labels([*S, *np.argsort(S, axis=1)], g.n)
+    order = np.argsort(labels, kind="stable")
+    least, starts, sizes = np.unique(labels[order], return_index=True,
+                                     return_counts=True)
+    parts = np.split(order, starts[1:])
+    return [frozenset(parts[k].tolist()) for k in np.lexsort((least, -sizes))]
 
 
 def component_mass_profile(g: LabeledSchreierGraph) -> list[Fraction]:

@@ -322,6 +322,15 @@ def test_action_centralizer_subcommand(tmp_path):
     assert all(c["pass"] for c in rep["checks"])
 
 
+def test_action_centralizer_subcommand_on_isomorphic_orbits(tmp_path):
+    # two label-isomorphic orbits: the swaps between them are in the centralizer
+    code, rep = run(tmp_path, "rigidity", "--check", "action-centralizer",
+                    "--perms", "(1 2)(3 4)")
+    assert code == 0
+    assert rep["centralizer_order"] == 8
+    assert rep["checks"] and all(c["pass"] for c in rep["checks"])
+
+
 def test_class_powers_subcommand(tmp_path):
     code, rep = run(tmp_path, "rigidity", "--group", "sym4",
                     "--check", "class-powers", "--element", "(1 2)", "--k", "2")

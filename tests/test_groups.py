@@ -33,7 +33,6 @@ from permlab.groups import (
     iterated_product_stabilization,
     left_regular_permutation,
     orbit,
-    orbits,
     parse_group_spec,
     right_regular_permutation,
     set_product,
@@ -42,6 +41,7 @@ from permlab.groups import (
     subgroup_search_iso_alt,
 )
 from permlab.perms import Permutation, parse_permutation
+from permlab.schreier import LabeledSchreierGraph, components
 
 
 def G(spec):
@@ -619,9 +619,23 @@ def test_orbit_matches_fixpoint_of_repeated_application(case):
     assert orbit(seed, maps, cap=len(got)) == got
     if len(got) > 1:
         assert orbit(seed, maps, cap=len(got) - 1) is None
-    parts = list(orbits(n, maps))
-    assert sorted(x for part in parts for x in part) == list(range(n))
-    assert all(set(part) == _fixpoint_orbit(part[0], perms) for part in parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_orbit_cases)
+def test_schreier_components_match_orbit_partition(case):
+    # the min-label kernel against `orbit` walked from each least point
+    perms, _seed, n = case
+    perms = perms or [tuple(range(n))]
+    g = LabeledSchreierGraph(tuple(f"s{k}" for k in range(len(perms))),
+                             tuple(Permutation(p) for p in perms))
+    maps = [p.__getitem__ for p in perms]
+    parts, covered = [], set()
+    for x in range(n):
+        if x not in covered:
+            parts.append(frozenset(orbit(x, maps)))
+            covered |= parts[-1]
+    assert components(g) == sorted(parts, key=lambda c: (-len(c), min(c)))
 
 
 _spread_cases = st.integers(1, 8).flatmap(lambda n: st.tuples(

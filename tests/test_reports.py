@@ -25,6 +25,8 @@ JOBS = {
     "verify-sym9-remark": ("verify", "--groups", "sym9", "--sentences",
                            "prime_remark", "--strategy", "centralizer"),
     "stability-cyclic2-scan": ("stability", "--group", "cyclic2", "--degree", "6"),
+    "schreier-alt7-report": ("schreier", "--graph", "regular:alt7",
+                             "--mode", "report"),
     "schreier-psl2-7-exact-autos": ("schreier", "--graph", "regular:psl2(7)",
                                     "--mode", "exact-autos"),
     "rigidity-psl2-7-biregular": ("rigidity", "--group", "psl2(7)",

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from permlab.errors import CapExceededError, DecompositionRequiredError
+from permlab.errors import CapExceededError
 from permlab.groups import FiniteGroup, construct_group, extend, generating_subset
 from permlab.perms import Permutation, identity, parse_permutation
 from permlab.rigidity import (
-    BIREGULAR_CAP, BiregularReport, GroupAction, _is_copy, action_centralizer,
-    action_from_group, biregular_action, biregular_double_centralizer,
-    centralizer_in_sym_bruteforce, centralizer_transitive_action,
+    BIREGULAR_CAP, BRUTE_DEGREE_CAP, BiregularReport, GroupAction, _is_copy,
+    action_centralizer, action_from_group, biregular_action,
+    biregular_double_centralizer, centralizer_in_sym_bruteforce, centralizer_transitive_action,
     class_power_types, double_centralizer_check, flip_permutation,
     is_regular_via_centralizer, left_copy_permutations, one_discrete_check,
     right_copy_permutations)
@@ -116,10 +116,64 @@ def test_action_centralizer_on_mixed_orbits():
     assert {C.element(i).images for i in range(len(C))} == {p.images for p in brute}
 
 
-def test_action_centralizer_requires_decomposition_on_isomorphic_orbits():
+def test_action_centralizer_on_isomorphic_orbits():
+    # the swaps between the two orbits commute too: order 8, not 2 × 2
     act = GroupAction(("a",), (parse_permutation("(1 2)(3 4)"),))
-    with pytest.raises(DecompositionRequiredError):
-        action_centralizer(act)
+    C = action_centralizer(act)
+    assert len(C) == 8
+    brute = centralizer_in_sym_bruteforce(list(act.images))
+    assert {C.element(i).images for i in range(len(C))} == {p.images for p in brute}
+
+
+# isomorphic orbits, fixed points, two generators, mixed orbit sizes
+_INTRANSITIVE = ["(1 2)(3 4)", "(1 2)(3 4)(5 6)", "(1 2 3)(4 5 6)(7 8)",
+                 "(1 2)|4", "(1 2 3)|6", "(1 2)(3 4);(5 6)",
+                 "(1 2 3 4)(5 6 7 8);(1 5)(2 6)(3 7)(4 8)",
+                 "(1 2)(3 4 5)", "(1 2)(3 4)(5 6 7)", "(1 2 3);(4 5)(6 7)"]
+
+
+def _perms(spec: str) -> list[Permutation]:
+    """Semicolon-separated cycles, '|n' padding the degree to n."""
+    cycles, _, degree = spec.partition("|")
+    parsed = [parse_permutation(c) for c in cycles.split(";")]
+    top = max([p.degree for p in parsed] + [int(degree or 0)])
+    return [parse_permutation(p.to_cycle_string(), degree=top) for p in parsed]
+
+
+def _image_set(perms) -> set:
+    return {p.images for p in perms}
+
+
+@pytest.mark.parametrize("spec", _INTRANSITIVE)
+def test_action_centralizer_matches_bruteforce(spec):
+    perms = _perms(spec)
+    C = action_centralizer(GroupAction(tuple(f"p{k}" for k in range(len(perms))),
+                                       tuple(perms)))
+    rows = [C.element(i).images for i in range(len(C))]
+    assert rows == sorted(rows)  # lexicographic image order
+    assert set(rows) == _image_set(centralizer_in_sym_bruteforce(perms))
+
+
+@pytest.mark.parametrize("spec", _INTRANSITIVE)
+def test_double_centralizer_matches_bruteforce(spec):
+    perms = _perms(spec)
+    r = double_centralizer_check(perms)
+    C = centralizer_in_sym_bruteforce(perms)
+    assert _image_set(r.centralizer) == _image_set(C)
+    assert _image_set(r.double) == _image_set(centralizer_in_sym_bruteforce(C))
+
+
+def test_double_centralizer_past_the_brute_force_degree():
+    # orbits of sizes 2, 3 and 4: the centralizer is C2 × C3 × C4 on them, its
+    # own centralizer, twice the order of the cyclic group the input generates
+    g = parse_permutation("(1 2)(3 4 5)(6 7 8 9)")
+    r = double_centralizer_check([g])
+    assert g.degree == 9 > BRUTE_DEGREE_CAP
+    assert len(r.subgroup) == 12
+    assert len(r.centralizer) == 24
+    assert all(c * g == g * c for c in r.centralizer)
+    assert _image_set(r.double) == _image_set(r.centralizer)
+    assert not r.closes
 
 
 def test_action_centralizer_transitive_case_delegates():
