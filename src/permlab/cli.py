@@ -242,8 +242,7 @@ def cmd_schreier(args) -> tuple[dict, bool]:
                   "connected": connected, "checks": checks}
         return report, all(c["pass"] for c in checks)
     if args.mode == "clusters":
-        eps = default_cluster_epsilon(graph) if args.eps == "auto" \
-            else Fraction(args.eps)
+        eps = default_cluster_epsilon(graph) if args.eps == "auto" else args.eps
         search = args.search
         if search == "auto":
             search = "backtracking" if eps == 0 else (
@@ -352,16 +351,15 @@ def cmd_rigidity(args) -> tuple[dict, bool]:
 # -- stability ------------------------------------------------------------------------
 
 def cmd_stability(args) -> tuple[dict, bool]:
-    window = Fraction(args.window)
     if args.map:
         s = read_almost_hom_file(args.map)
-        near = nearest_hom(s, window=window)  # caps refused before the |G|^2 defect
+        near = nearest_hom(s, window=args.window)  # caps refused before the |G|^2 defect
         rep = uniform_defect_report(s)
         checks = [{"check": f"distance within {STABILITY_BOUND} * defect",
                    "pass": near.within_bound}]
         report = {
             "command": "stability",
-            "config": {"map": args.map, "window": _num(window)},
+            "config": {"map": args.map, "window": _num(args.window)},
             "defect": _num(rep.defect), "argmax": list(rep.argmax),
             "injectivity": _num(rep.injectivity),
             "nearest": {"degree": near.degree, "distance": _num(near.distance),
@@ -372,13 +370,13 @@ def cmd_stability(args) -> tuple[dict, bool]:
         }
         return report, all(c["pass"] for c in checks)
     G = construct_group(parse_group_spec(args.group))
-    scan = identity_preserving_scan(G, args.degree, window=window)
+    scan = identity_preserving_scan(G, args.degree, window=args.window)
     checks = [{"check": f"all distances within {STABILITY_BOUND} * defect",
                "pass": scan.all_within_bound}]
     report = {
         "command": "stability",
         "config": {"group": args.group, "degree": args.degree,
-                   "window": _num(window)},
+                   "window": _num(args.window)},
         "rows": len(scan.rows),
         "max_ratio": _num(scan.max_ratio) if scan.max_ratio is not None else None,
         "bound": STABILITY_BOUND,
@@ -409,6 +407,15 @@ def _nonnegative_int(text: str) -> int:
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return int(text)
+
+
+def _nonnegative_fraction(text: str) -> Fraction:
+    try:
+        if (value := Fraction(text)) >= 0:
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"must be a fraction >= 0, got {text}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,6 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="report",
                    choices=["exact-autos", "report", "clusters"])
     p.add_argument("--eps", default="auto",
+                   type=lambda t: t if t == "auto" else _nonnegative_fraction(t),
                    help="defect budget as a fraction, or 'auto'")
     p.add_argument("--search", default="auto",
                    choices=["auto", "exhaustive", "backtracking", "local-search"])
@@ -467,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="almost-homomorphism scans and files")
     p.add_argument("--group", default="cyclic2")
     p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--window", default="0", help="padding window fraction")
+    p.add_argument("--window", type=_nonnegative_fraction, default="0",
+                   help="padding window fraction")
     p.add_argument("--map", default="",
                    help="almost-homomorphism file to analyze")
     common(p)

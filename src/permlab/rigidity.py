@@ -130,12 +130,11 @@ def centralizer_in_sym_bruteforce(perms: Sequence[Permutation],
     n = perms[0].degree
     if n > cap:
         raise CapExceededError(f"brute-force centralizer capped at degree {cap}")
-    out = []
-    for images in itertools.permutations(range(n)):
-        if all(tuple(p.images[images[i]] for i in range(n)) ==
-               tuple(images[p.images[i]] for i in range(n)) for p in perms):
-            out.append(Permutation(images))
-    return out
+    rows = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                       dtype=np.int8).reshape(-1, n)
+    for a in (np.array(p.images, dtype=np.int8) for p in perms):
+        rows = rows[(a[rows] == rows[:, a]).all(1)]
+    return [Permutation(tuple(row)) for row in rows.tolist()]
 
 
 # -- double centralizers ---------------------------------------------------------------

@@ -384,8 +384,8 @@ def enumerate_eps_automorphisms(g: LabeledSchreierGraph, eps,
 
     exhaustive    complete scan of Sym(n); n <= EXHAUSTIVE_CAP.
     backtracking  exact automorphisms only; complete precisely when eps = 0.
-    local-search  exact automorphisms plus hill-climbing descents from
-                  seeded random starts; a sample, not an enumeration.
+    local-search  exact automorphisms plus hill-climbing descents from seeded
+                  random starts, none when eps·|E| < 1; a sample, not an enumeration.
     """
     eps = Fraction(eps)
     S, edges = g.image_array, g.edge_count
@@ -406,7 +406,9 @@ def enumerate_eps_automorphisms(g: LabeledSchreierGraph, eps,
         raise ValueError(f"unknown mode {mode!r}")
     if g.n > DENSE_CAP:
         raise CapExceededError(f"local search keeps n×n swap gains; n capped at {DENSE_CAP}")
-    found = {p.images: p for p in exact_automorphisms(g)}
+    found = {p.images: p for p in exact_automorphisms(g)} if need <= edges else {}
+    if need >= edges:  # only exact automorphisms qualify: a descent adds none
+        return list(found.values())
     T = np.argsort(S, axis=1)
     rng = random.Random(seed)
     for _ in range(restarts):

@@ -4,6 +4,7 @@ Everything runs in-process through main(argv); reports land in tmp_path
 via -o so the JSON can be loaded back and inspected.
 """
 
+import hashlib
 import json
 import time
 
@@ -184,6 +185,21 @@ def test_negative_restarts_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("schreier", "--graph", "cycle:4", "--mode", "clusters", "--eps"),
+    ("stability", "--window"),
+], ids=["eps", "window"])
+@pytest.mark.parametrize("value", ["1/0", "-1/2", "half"])
+def test_bad_fraction_is_usage_error(tmp_path, capsys, argv, value):
+    out = str(tmp_path / "r.json")
+    assert main([*argv, value, "-o", out]) == 2
+    assert argv[-1] in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({argv[-1][2:]: value}), encoding="utf-8")
+    assert main([*argv[:-1], "--config", str(cfg), "-o", out]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
     ("--graph", f"cycle:{GAP_CAP + 1}", "--mode", "report"),
     ("--graph", "regular:sym8", "--mode", "clusters"),
     ("--graph", "regular:sym8", "--mode", "exact-autos"),
@@ -256,6 +272,25 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
                      "-o", str(out)]) == 0
         texts.append(out.read_bytes())
     assert texts[0] == texts[1]
+
+
+# sha256 of the clusters report: byte drift in the maps, clusters, histogram
+# or probes shows here, which the bench's ">= 60 automorphisms" check misses
+CLUSTERS_REPORT_SHA256 = {
+    ("alt5", 0): "66017db03195f90825e48fc101d8531ff8b8e5e20271799f805b51790c5afc38",
+    ("alt5", 3): "e913bb3bf2c90e9a646110c6985912db99c73b05929a16788c002bffb9e7b331",
+    ("alt5", 11): "80160fcf69f432ab3a7097321d2e8aa79ee445cff553f0754dd4b86375f7c58c",
+    ("alt6", 0): "411e64d3ab083f376eb7bbfc7e8f0833817326d21b4aa58f760a0510fb24ac17",
+}
+
+
+@pytest.mark.parametrize("group,seed", sorted(CLUSTERS_REPORT_SHA256))
+def test_clusters_report_matches_recorded_digest(tmp_path, group, seed):
+    out = tmp_path / "r.json"
+    assert main(["schreier", "--graph", f"regular:{group}", "--mode", "clusters",
+                 "--seed", str(seed), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        CLUSTERS_REPORT_SHA256[group, seed]
 
 
 def test_timings_flag_adds_wall_time(tmp_path):

@@ -1,5 +1,6 @@
 """Two-sided actions, centralizer computations, double-centralizer closure."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,17 @@ def _perms(spec: str) -> list[Permutation]:
 
 def _image_set(perms) -> set:
     return {p.images for p in perms}
+
+
+@pytest.mark.parametrize("spec", ["(1 2 3 4 5 6)", "(1 2);(2 3)|5", "(1 2)(3 4 5);(1 2)",
+                                  *_INTRANSITIVE[:6]])
+def test_bruteforce_centralizer_matches_the_definition(spec):
+    # the array scan against the per-permutation commutation test, in order
+    perms = _perms(spec)
+    n = perms[0].degree
+    expected = [q.images for q in map(Permutation, itertools.permutations(range(n)))
+                if all(p * q == q * p for p in perms)]
+    assert [q.images for q in centralizer_in_sym_bruteforce(perms)] == expected
 
 
 @pytest.mark.parametrize("spec", _INTRANSITIVE)

@@ -451,6 +451,39 @@ def test_local_search_recovers_exact_automorphisms():
     assert [p.images for p in found] == [p.images for p in again]
 
 
+def test_local_search_below_one_edge_runs_no_descent(monkeypatch):
+    # eps * |E| < 1: only maps preserving every edge qualify, and those are
+    # exactly the automorphisms already listed, so no start is descended
+    g = regular_action_graph(construct_group("alt4"))
+    E = g.edge_count
+    calls = []
+    real = schreier._descend
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(schreier, "_descend", counting)
+    found = enumerate_eps_automorphisms(g, Fraction(1, E) - Fraction(1, 10 * E),
+                                        mode="local-search", restarts=5, seed=0)
+    assert not calls
+    assert [p.images for p in found] == [p.images for p in exact_automorphisms(g)]
+    enumerate_eps_automorphisms(g, Fraction(1, E), mode="local-search",
+                                restarts=5, seed=0)
+    assert len(calls) == 5
+
+
+def test_local_search_matches_exhaustive_below_one_edge():
+    for g in (prism(), pair_graph(), directed_cycle_graph(5)):
+        E = g.edge_count
+        for eps in (Fraction(-1), Fraction(-1, E), Fraction(-1, 10 * E), 0,
+                    Fraction(1, 2 * E), Fraction(1, E) - Fraction(1, 10 * E)):
+            local = enumerate_eps_automorphisms(g, eps, mode="local-search",
+                                                restarts=5, seed=1)
+            full = enumerate_eps_automorphisms(g, eps, mode="exhaustive")
+            assert [p.images for p in local] == [p.images for p in full]
+
+
 # -- cluster scans ---------------------------------------------------------------------------
 
 def test_regular_alt4_cluster_scan_is_one_discrete():
