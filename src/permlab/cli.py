@@ -26,10 +26,10 @@ from .perms import Permutation, parse_permutation
 from .rigidity import (BRUTE_DEGREE_CAP, GroupAction, action_centralizer,
                        biregular_double_centralizer,
                        centralizer_in_sym_bruteforce, class_power_types)
-from .schreier import (EXHAUSTIVE_CAP, EXPANSION_CAP, cluster_scan,
-                       component_mass_profile, components, default_cluster_epsilon,
-                       directed_cycle_graph, edge_expansion,
-                       enumerate_eps_automorphisms, exact_automorphisms,
+from .schreier import (EXHAUSTIVE_CAP, EXPANSION_CAP, automorphism_rows,
+                       cluster_scan, component_mass_profile, components,
+                       default_cluster_epsilon, directed_cycle_graph,
+                       edge_expansion, enumerate_eps_automorphisms,
                        histogram_csv, pairwise_distances, read_graph_file,
                        regular_action_graph, spectral_gap, symmetrized_degree)
 from .sentences import (classify_nonabelian_simple, congruence_oracle_alt,
@@ -112,7 +112,7 @@ def _report_row(r, oracle_backed: bool) -> dict:
     return row
 
 
-def cmd_verify(args) -> tuple[dict, bool]:
+def cmd_verify(args) -> dict:
     groups = _resolve_groups(args.groups)
     ids = _split_outside_parens(args.sentences)
     strategy = args.strategy
@@ -150,20 +150,18 @@ def cmd_verify(args) -> tuple[dict, bool]:
             else:
                 raise ValueError(f"unknown sentence id {sid!r}")
     asserted = [r for r in rows if r["pass"] is not None]
-    failed = [r for r in asserted if not r["pass"]]
-    report = {
+    return {
         "command": "verify",
         "config": {"groups": args.groups, "sentences": ids, "strategy": strategy},
         "checks": rows,
         "summary": {"rows": len(rows), "asserted": len(asserted),
-                    "failed": len(failed)},
+                    "failed": sum(not r["pass"] for r in asserted)},
     }
-    return report, not failed
 
 
 # -- primes ---------------------------------------------------------------------------
 
-def cmd_primes(args) -> tuple[dict, bool]:
+def cmd_primes(args) -> dict:
     qs = [int(x) for x in args.q.split(",") if x.strip()]
     gammas = [int(x) for x in args.gamma.split(",") if x.strip()]
     if len(qs) != len(gammas):
@@ -177,7 +175,7 @@ def cmd_primes(args) -> tuple[dict, bool]:
         got = (pow(p, 4, q) - 1) % q
         checks.append({"check": f"p**4 - 1 = {want} mod {q}",
                        "pass": got == want})
-    report = {
+    return {
         "command": "primes",
         "config": {"q": qs, "gamma": gammas, "floor": args.floor},
         "p": p,
@@ -186,7 +184,6 @@ def cmd_primes(args) -> tuple[dict, bool]:
                   for rp in (pairs[q] for q in problem.qs)],
         "checks": checks,
     }
-    return report, all(c["pass"] for c in checks)
 
 
 # -- schreier -------------------------------------------------------------------------
@@ -205,24 +202,24 @@ def _resolve_graph(text: str):
                      f" got {text!r}")
 
 
-def cmd_schreier(args) -> tuple[dict, bool]:
+def cmd_schreier(args) -> dict:
     graph, G = _resolve_graph(args.graph)
     config = {"graph": args.graph, "mode": args.mode}
     if args.mode == "exact-autos":
-        autos = exact_automorphisms(graph)
-        dists = [d for d, _ in pairwise_distances(autos)[0]]
+        rows = automorphism_rows(graph)  # distances refuse a large list first
+        dists = [d for d, _ in pairwise_distances(rows)[0]]
         pairwise = None if not dists else _num(dists[0]) if len(dists) == 1 \
             else [_num(d) for d in dists]
         checks = [{"check": "pairwise distances all equal 1",
                    "pass": not dists or dists == [Fraction(1)]}]
         if G is not None:
             checks.append({"check": "count equals group order",
-                           "pass": len(autos) == len(G)})
-        report = {"command": "schreier", "config": config,
-                  "count": len(autos), "pairwise_distance": pairwise,
-                  "automorphisms": [p.to_cycle_string() for p in autos],
-                  "checks": checks}
-        return report, all(c["pass"] for c in checks)
+                           "pass": len(rows) == len(G)})
+        return {"command": "schreier", "config": config,
+                "count": len(rows), "pairwise_distance": pairwise,
+                "automorphisms": [Permutation(tuple(r)).to_cycle_string()
+                                  for r in rows.tolist()],
+                "checks": checks}
     if args.mode == "report":
         gap = spectral_gap(graph)
         connected = len(components(graph)) == 1
@@ -232,15 +229,14 @@ def cmd_schreier(args) -> tuple[dict, bool]:
         if expansion is not None:
             checks.append({"check": "positive expansion iff positive gap",
                            "pass": (expansion > 0) == (gap > 1e-9)})
-        report = {"command": "schreier", "config": config,
-                  "n": graph.n, "labels": list(graph.labels),
-                  "symmetrized_degree": symmetrized_degree(graph),
-                  "mass_profile": [_num(f) for f in component_mass_profile(graph)],
-                  "spectral_gap": gap,
-                  "edge_expansion":
-                      _num(expansion) if expansion is not None else None,
-                  "connected": connected, "checks": checks}
-        return report, all(c["pass"] for c in checks)
+        return {"command": "schreier", "config": config,
+                "n": graph.n, "labels": list(graph.labels),
+                "symmetrized_degree": symmetrized_degree(graph),
+                "mass_profile": [_num(f) for f in component_mass_profile(graph)],
+                "spectral_gap": gap,
+                "edge_expansion":
+                    _num(expansion) if expansion is not None else None,
+                "connected": connected, "checks": checks}
     if args.mode == "clusters":
         eps = default_cluster_epsilon(graph) if args.eps == "auto" else args.eps
         search = args.search
@@ -252,10 +248,8 @@ def cmd_schreier(args) -> tuple[dict, bool]:
                                             seed=args.seed)
         config.update({"eps": _num(eps), "search": search})
         if len(autos) < 2:
-            report = {"command": "schreier", "config": config,
-                      "automorphisms": len(autos), "clusters": None,
-                      "checks": []}
-            return report, True
+            return {"command": "schreier", "config": config,
+                    "automorphisms": len(autos), "clusters": None, "checks": []}
         scan = cluster_scan(autos, graph, epsilon=eps)
         pair_total = len(autos) * (len(autos) - 1) // 2
         checks = [
@@ -278,13 +272,13 @@ def cmd_schreier(args) -> tuple[dict, bool]:
             "checks": checks,
         }
         _write_plot_data(args, histogram_csv(scan).splitlines())
-        return report, all(c["pass"] for c in checks)
+        return report
     raise ValueError(f"unknown schreier mode {args.mode!r}")
 
 
 # -- rigidity -------------------------------------------------------------------------
 
-def cmd_rigidity(args) -> tuple[dict, bool]:
+def cmd_rigidity(args) -> dict:
     if args.check == "biregular":
         G = construct_group(parse_group_spec(args.group))
         rep = biregular_double_centralizer(G)
@@ -298,7 +292,7 @@ def cmd_rigidity(args) -> tuple[dict, bool]:
             {"check": "flip swaps left and right generators",
              "pass": rep.generator_identities},
         ]
-        report = {
+        return {
             "command": "rigidity",
             "config": {"group": args.group, "check": "biregular"},
             "centralizer_order": rep.centralizer_order,
@@ -307,7 +301,6 @@ def cmd_rigidity(args) -> tuple[dict, bool]:
             and rep.generator_identities,
             "checks": checks,
         }
-        return report, all(c["pass"] for c in checks)
     if args.check == "action-centralizer":
         if not args.perms:
             raise ValueError("action-centralizer needs --perms")
@@ -324,40 +317,38 @@ def cmd_rigidity(args) -> tuple[dict, bool]:
             checks.append({"check": "matches the brute-force centralizer",
                            "pass": {C.element(i).images for i in range(len(C))}
                            == {p.images for p in brute}})
-        report = {
+        return {
             "command": "rigidity",
             "config": {"perms": args.perms, "check": "action-centralizer"},
             "degree": top, "centralizer_order": len(C),
             "elements": [C.element(i).to_cycle_string() for i in range(len(C))],
             "checks": checks,
         }
-        return report, all(c["pass"] for c in checks)
     if args.check == "class-powers":
         if not args.element:
             raise ValueError("class-powers needs --element")
         G = construct_group(parse_group_spec(args.group))
         g = parse_permutation(args.element, degree=G.degree)
         types = class_power_types(G, g, args.k)
-        report = {
+        return {
             "command": "rigidity",
             "config": {"group": args.group, "element": args.element, "k": args.k},
             "types": sorted(str(t) for t in types),
             "checks": [],
         }
-        return report, True
     raise ValueError(f"unknown rigidity check {args.check!r}")
 
 
 # -- stability ------------------------------------------------------------------------
 
-def cmd_stability(args) -> tuple[dict, bool]:
+def cmd_stability(args) -> dict:
     if args.map:
         s = read_almost_hom_file(args.map)
         near = nearest_hom(s, window=args.window)  # caps refused before the |G|^2 defect
         rep = uniform_defect_report(s)
         checks = [{"check": f"distance within {STABILITY_BOUND} * defect",
                    "pass": near.within_bound}]
-        report = {
+        return {
             "command": "stability",
             "config": {"map": args.map, "window": _num(args.window)},
             "defect": _num(rep.defect), "argmax": list(rep.argmax),
@@ -368,7 +359,6 @@ def cmd_stability(args) -> tuple[dict, bool]:
                         "hom": [p.to_cycle_string() for p in near.hom.images]},
             "checks": checks,
         }
-        return report, all(c["pass"] for c in checks)
     G = construct_group(parse_group_spec(args.group))
     scan = identity_preserving_scan(G, args.degree, window=args.window)
     checks = [{"check": f"all distances within {STABILITY_BOUND} * defect",
@@ -385,12 +375,12 @@ def cmd_stability(args) -> tuple[dict, bool]:
     _write_plot_data(args, ["images,defect_num,defect_den,dist_num,dist_den"] + [
         f"\"{'|'.join(r.images)}\",{r.defect.numerator},{r.defect.denominator},"
         f"{r.distance.numerator},{r.distance.denominator}" for r in scan.rows])
-    return report, all(c["pass"] for c in checks)
+    return report
 
 
 # -- corpus ---------------------------------------------------------------------------
 
-def cmd_corpus(args) -> tuple[dict, bool]:
+def cmd_corpus(args) -> dict:
     if args.action != "list":
         raise ValueError(f"unknown corpus action {args.action!r}")
     rows = []
@@ -398,7 +388,7 @@ def cmd_corpus(args) -> tuple[dict, bool]:
         G = construct_group(spec)
         rows.append({"name": G.name, "order": len(G), "degree": G.degree})
     return {"command": "corpus", "config": {"action": "list"},
-            "groups": rows, "checks": []}, True
+            "groups": rows, "checks": []}
 
 
 # -- plumbing -------------------------------------------------------------------------
@@ -535,7 +525,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     t0 = time.perf_counter()
     try:
-        report, ok = DISPATCH[args.command](args)
+        report = DISPATCH[args.command](args)
     except (ValueError, KeyError, OSError, ParseError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -544,7 +534,7 @@ def main(argv=None) -> int:
     if args.timings:
         report["wall_time_s"] = round(time.perf_counter() - t0, 3)
     _write_output(args, report)
-    return 0 if ok else 1
+    return 1 if any(c["pass"] is False for c in report["checks"]) else 0
 
 
 if __name__ == "__main__":

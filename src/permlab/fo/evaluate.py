@@ -56,14 +56,6 @@ NAIVE_CAP = 2000
 
 STRATEGIES = ("naive", "class", "centralizer")
 
-_ALIASES = {
-    "naive": "naive",
-    "class": "class",
-    "class-reduced": "class",
-    "centralizer": "centralizer",
-    "centralizer-aware": "centralizer",
-}
-
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -464,17 +456,16 @@ def evaluate_detailed(formula, G: FiniteGroup, strategy: str = "class",
     for a leading forall-run on a false formula.  Under the reducing
     strategies the reported elements are orbit representatives.
     """
-    mode = _ALIASES.get(strategy)
-    if mode is None:
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
     validate_formula(formula)
-    if mode == "naive" and len(G) > NAIVE_CAP:
+    if strategy == "naive" and len(G) > NAIVE_CAP:
         raise CapExceededError(
             f"naive evaluation refuses groups larger than {NAIVE_CAP}"
             f" ({G.name} has {len(G)} elements)")
     env0 = _coerce_env(G, env)
-    ev = _Evaluator(G, mode)
-    prefix, body = _split_prefix(formula, mode)
+    ev = _Evaluator(G, strategy)
+    prefix, body = _split_prefix(formula, strategy)
     run_kind = prefix[0][0] if prefix else None
     run_len = 0
     for kind, _var in prefix:
@@ -483,7 +474,7 @@ def evaluate_detailed(formula, G: FiniteGroup, strategy: str = "class",
         run_len += 1
 
     def domain_for(env_now: dict):
-        if mode == "naive":
+        if strategy == "naive":
             return range(len(G))
         return _orbit_reps(G, frozenset(env_now.values()))
 
@@ -512,4 +503,4 @@ def evaluate_detailed(formula, G: FiniteGroup, strategy: str = "class",
     if informative and assign:
         witness = {var: G.element(x).to_cycle_string()
                    for var, x in assign.items()}
-    return EvalResult(value=value, strategy=mode, group=G.name, witness=witness)
+    return EvalResult(value=value, strategy=strategy, group=G.name, witness=witness)

@@ -30,8 +30,8 @@ from .errors import CapExceededError
 from .groups import (FiniteGroup, left_regular_permutation,
                      right_regular_permutation, set_product)
 from .perms import CycleType, Permutation, identity
-from .schreier import (LabeledSchreierGraph, automorphism_rows, components,
-                       pairwise_distances)
+from .schreier import (LabeledSchreierGraph, _check_cells, automorphism_rows,
+                       components, pairwise_distances)
 
 __all__ = [
     "GroupAction", "action_from_group",
@@ -43,13 +43,11 @@ __all__ = [
     "BiregularReport", "biregular_double_centralizer",
     "is_regular_via_centralizer", "one_discrete_check", "class_power_types",
     "BRUTE_DEGREE_CAP", "CLASS_POWER_GROUP_CAP", "CLASS_POWER_EXPONENT_CAP",
-    "BIREGULAR_CAP",
 ]
 
 BRUTE_DEGREE_CAP = 8
 CLASS_POWER_GROUP_CAP = 10 ** 4
 CLASS_POWER_EXPONENT_CAP = 6
-BIREGULAR_CAP = 5040  # the check holds |G|×|G| int32 copies, ~100 MB each here
 
 
 GroupAction = LabeledSchreierGraph
@@ -198,10 +196,9 @@ def biregular_double_centralizer(G: FiniteGroup) -> BiregularReport:
     right-regular copy, that double centralizing returns the left copy, and
     that the flip conjugates the centralizer onto the left copy.
 
-    Groups above BIREGULAR_CAP are refused before any |G|×|G| copy exists."""
-    if len(G) > BIREGULAR_CAP:
-        raise CapExceededError(
-            f"the biregular check is capped at groups of size {BIREGULAR_CAP}")
+    Groups with more than CELL_CAP cells in a |G|×|G| table are refused
+    before any such copy exists."""
+    _check_cells(len(G) ** 2, "the biregular check's |G|×|G| table")
     left = G.left_table()  # row i: x -> i*x
     right = left.T  # row i: x -> x*i
     t, e = G.inverse_array(), G.identity_index  # the flip x -> x^-1
@@ -227,8 +224,8 @@ def is_regular_via_centralizer(action: GroupAction) -> bool:
 def one_discrete_check(perms: Sequence[Permutation]) -> bool:
     """Whether all pairwise normalized Hamming distances equal one, i.e. the
     set is as spread out as permutations can be.  Vacuous below two entries."""
-    perms = list(perms)
-    return len(perms) < 2 or all(d == 1 for d, _ in pairwise_distances(perms)[0])
+    rows = np.array([p.images for p in perms], dtype=np.intp)
+    return len(rows) < 2 or all(d == 1 for d, _ in pairwise_distances(rows)[0])
 
 
 def class_power_types(G: FiniteGroup, g, k: int,

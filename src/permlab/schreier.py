@@ -11,9 +11,7 @@ surfaces of this package.
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -37,26 +35,32 @@ __all__ = [
     "ClusterScan", "cluster_scan", "pairwise_distances", "default_cluster_epsilon",
     "write_graph_file", "read_graph_file", "parse_graph_text",
     "graph_file_text", "histogram_csv",
-    "EXPANSION_CAP", "DENSE_CAP", "GAP_CAP", "EXHAUSTIVE_CAP",
-    "AUTOMORPHISM_TREE_CAP", "AUTOMORPHISM_CELL_CAP", "CLUSTER_THRESHOLD",
+    "EXPANSION_CAP", "CELL_CAP", "PAIR_CAP", "GAP_CAP", "EXHAUSTIVE_CAP",
+    "CLUSTER_THRESHOLD",
 ]
 
 EXPANSION_CAP = 24
-DENSE_CAP = 5040  # n×n swap gains or eigensolve: ~19 s and 0.4 GB at the cap
+# cells of any one dense table: an n×n eigensolve or swap-gain table (~19 s
+# and 0.4 GB at the cap), a |G|×|G| biregular copy, the automorphism rows and
+# their partial maps (Sym(7)'s regular graph: 100 MB of int32)
+CELL_CAP = 5040 ** 2
+# cells compared by pairwise_distances, k(k-1)/2 pairs × n points, at
+# 1.2-1.8 ns per cell on a 2-vCPU Xeon: the automorphisms of regular:alt7
+# (8.0e9 cells, 9.3 s) and of the 8-point identity graph (6.5e9, 11.4 s) pass,
+# those of regular:sym7 (6.4e10) are refused
+PAIR_CAP = 10 ** 10
 GAP_CAP = 40320  # Sym(8); the Lanczos basis holds _LANCZOS_STEPS × n floats, 97 MB
 _LANCZOS_STEPS = 300
 EXHAUSTIVE_CAP = 8
-# bound on the leaves of automorphism_rows' search tree: an n-point identity
-# graph has n^n, 823,543 at n = 7 and 16.8 M at n = 8.  The search itself is
-# fast there (0.003 s and, caps lifted, 0.017 s on a 2-vCPU Xeon); the cap
-# guards the consumers quadratic in the automorphism count, the exact-autos
-# pairwise distances and the cluster scans (Sym(8) has 40,320² pairs)
-AUTOMORPHISM_TREE_CAP = 10 ** 6
-# candidate maps × points: Sym(7)'s regular graph, 100 MB of int32 (Sym(8): 6.5 GB)
-AUTOMORPHISM_CELL_CAP = 5040 ** 2
 CLUSTER_THRESHOLD = Fraction(3, 10)
 _PAIR_BLOCK = 1 << 20  # cells per block of mismatch counts or swap gains
 _TARGET_BLOCK = 1 << 20  # targets × points per block of root targets
+
+
+def _check_cells(cells: int, table: str) -> None:
+    """Refuse a dense table of more than CELL_CAP cells before it is built."""
+    if cells > CELL_CAP:
+        raise CapExceededError(f"{table} is capped at {CELL_CAP} cells")
 
 
 @dataclass(frozen=True)
@@ -242,9 +246,8 @@ def spectral_gap(g: LabeledSchreierGraph) -> float:
             if beta < 1e-10 * deg or beta * abs(s[-1, -1]) < 1e-13:
                 return 1.0 - float(theta[-1]) / deg
     del basis  # before the dense fallback's n×n copies
-    if n > DENSE_CAP:
-        raise CapExceededError(f"Lanczos ran out of {_LANCZOS_STEPS} steps and the"
-                               f" dense spectral gap is capped at n = {DENSE_CAP}")
+    _check_cells(n * n, f"Lanczos ran out of {_LANCZOS_STEPS} steps and the"
+                        " dense spectral gap")
     return 1.0 - float(np.linalg.eigvalsh(adjacency_matrix(g).astype(float))[-2]) / deg
 
 
@@ -339,20 +342,15 @@ def automorphism_rows(g: LabeledSchreierGraph) -> np.ndarray:
     Per component, the image of one root vertex determines the rest, and it
     is the whole component of that image.  So each root is tried against
     every vertex of the components of its size at once (`_label_maps`), and
-    an automorphism picks one map per component, hitting each once.  The
-    search tree has at most the product, over components, of the number of
-    vertices in components of the same size; above AUTOMORPHISM_TREE_CAP it
-    is refused, and so is a result above AUTOMORPHISM_CELL_CAP cells.
+    an automorphism picks one map per component, hitting each once.  Each
+    step is refused before it allocates more than CELL_CAP cells: targets ×
+    component points before `_label_maps`, partial maps × their new width
+    before the concatenation.
     """
     comps = components(g)
     comp_of = np.empty(g.n, dtype=np.intp)
     for ci, c in enumerate(comps):
         comp_of[list(c)] = ci
-    sizes = Counter(len(c) for c in comps)
-    leaves = math.prod(len(c) * sizes[len(c)] for c in comps)
-    if leaves > AUTOMORPHISM_TREE_CAP or leaves * g.n > AUTOMORPHISM_CELL_CAP:
-        raise CapExceededError(f"exact automorphism search capped at {AUTOMORPHISM_TREE_CAP}"
-                               f" candidate maps and {AUTOMORPHISM_CELL_CAP} cells of them")
     S = g.image_array.astype(np.int32)
     size = np.array([len(c) for c in comps])[comp_of]
     # partial maps over the components done so far and the components they
@@ -361,8 +359,11 @@ def automorphism_rows(g: LabeledSchreierGraph) -> np.ndarray:
     hit = np.zeros((1, len(comps)), dtype=bool)
     for c in comps:
         targets = np.flatnonzero(size == len(c)).astype(np.int32)
+        _check_cells(len(targets) * len(c), "the exact automorphism search")
         comp, targets, images = _label_maps(S, S, min(c), targets)
         at, pick = np.nonzero(~hit[:, comp_of[targets]])
+        _check_cells(len(at) * (maps.shape[1] + len(c)),
+                     "the exact automorphism search")
         maps, hit = np.concatenate([maps[at], images[pick]], 1), hit[at]
         hit[np.arange(len(hit)), comp_of[targets[pick]]] = True
         points.append(comp)
@@ -404,8 +405,7 @@ def enumerate_eps_automorphisms(g: LabeledSchreierGraph, eps,
         return exact_automorphisms(g)
     if mode != "local-search":
         raise ValueError(f"unknown mode {mode!r}")
-    if g.n > DENSE_CAP:
-        raise CapExceededError(f"local search keeps n×n swap gains; n capped at {DENSE_CAP}")
+    _check_cells(g.n * g.n, "the local search's n×n swap-gain table")
     found = {p.images: p for p in exact_automorphisms(g)} if need <= edges else {}
     if need >= edges:  # only exact automorphisms qualify: a descent adds none
         return list(found.values())
@@ -468,15 +468,21 @@ class ClusterScan:
     product_defects: tuple[tuple[tuple[int, int], Fraction], ...]
 
 
-def pairwise_distances(autos: Sequence[Permutation], threshold=0):
-    """Normalized Hamming distances over the pairs i < j of `autos`: their
-    sorted (distance, pair count) histogram and the index arrays of the pairs
-    at distance <= threshold, from mismatch counts in bounded row blocks."""
-    rows = np.array([p.images for p in autos], dtype=np.intp)
+def pairwise_distances(rows: np.ndarray, threshold=0):
+    """Normalized Hamming distances over the pairs i < j of the k×n index
+    rows: their sorted (distance, pair count) histogram and the index arrays
+    of the pairs at distance <= threshold, from mismatch counts in bounded
+    row blocks.  Above PAIR_CAP compared cells it is refused before any
+    block runs."""
     k, n = rows.shape
-    limit, hist, close = Fraction(threshold) * n // 1, 0, []
-    for i0 in range(0, k, step := max(1, _PAIR_BLOCK // (k * n))):
-        counts = (rows[i0:i0 + step, None] != rows[None, i0:]).sum(2)
+    if k * (k - 1) // 2 * n > PAIR_CAP:
+        raise CapExceededError(f"pairwise distances are capped at {PAIR_CAP}"
+                               f" compared cells; {k} rows of {n} points need more")
+    limit, hist = Fraction(threshold) * n // 1, np.zeros(n + 1, dtype=np.intp)
+    close, cols = [np.zeros((2, 0), dtype=np.intp)], np.ascontiguousarray(rows.T)
+    for i0 in range(0, k, step := max(1, _PAIR_BLOCK // max(1, k * n))):
+        # summed over the middle axis: whole contiguous rows of flags at a time
+        counts = (rows[i0:i0 + step, :, None] != cols[None, :, i0:]).sum(1, dtype=np.int32)
         upper = np.arange(len(counts))[:, None] < np.arange(k - i0)
         hist = hist + np.bincount(counts[upper], minlength=n + 1)
         close.append(np.array(np.nonzero(upper & (counts <= limit))) + i0)
@@ -491,7 +497,8 @@ def cluster_scan(autos: Sequence[Permutation], g: LabeledSchreierGraph,
     autos = list(autos)
     if len(autos) < 2:
         raise ValueError("cluster scans need at least two automorphisms")
-    histogram, (a, b) = pairwise_distances(autos, threshold)
+    rows = np.array([p.images for p in autos], dtype=np.intp)
+    histogram, (a, b) = pairwise_distances(rows, threshold)
     # clusters: components of the close pairs by min-label propagation, where
     # labels never rise and stay in their component, so each ends at its least
     labels, before = np.arange(len(autos)), None
@@ -508,7 +515,7 @@ def cluster_scan(autos: Sequence[Permutation], g: LabeledSchreierGraph,
     gap = max(zip(points, points[1:]), key=lambda pair: pair[1] - pair[0])
     # representative-product probes, pairs of clusters in order, counted on
     # the composed index rows rep_c(rep_d(x))
-    S, reps = g.image_array, np.array([autos[c[0]].images for c in clusters])
+    S, reps = g.image_array, rows[[c[0] for c in clusters]]
     probes = [((c, c + d), 1 - Fraction(int(count), g.edge_count))
               for c in range(len(clusters))
               for d, count in enumerate(_preserved(S, reps[c][reps[c:]]))]

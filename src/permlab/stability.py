@@ -30,6 +30,7 @@ from .errors import CapExceededError
 from .groups import (FiniteGroup, GroupSpec, construct_group, parse_group_spec,
                      spread)
 from .perms import Permutation, evaluate_word, identity, parse_permutation
+from .schreier import pairwise_distances
 
 __all__ = [
     "AlmostHom", "almost_hom", "is_homomorphism",
@@ -142,14 +143,8 @@ def local_defect(s: AlmostHom, F: Iterable[int]) -> Fraction:
 def local_injectivity(s: AlmostHom, F: Iterable[int]) -> Fraction:
     """min over distinct g, h in F of d(sigma(g), sigma(h)); 1 when fewer
     than two elements are given (vacuously as separated as possible)."""
-    rows = s.array[sorted(set(F))]
-    f, n = rows.shape
-    step, best = max(1, _BLOCK // max(1, f * n)), n
-    for r0 in range(0, f, step):
-        counts = (rows[r0:r0 + step, None] != rows).sum(2)
-        later = np.arange(f) > np.arange(r0, r0 + len(counts))[:, None]
-        best = min(best, int(counts.min(initial=n, where=later)))
-    return Fraction(best, n)
+    histogram, _ = pairwise_distances(s.array[sorted(set(F))])
+    return histogram[0][0] if histogram else Fraction(1)
 
 
 def uniform_defect(s: AlmostHom) -> Fraction:
@@ -245,27 +240,25 @@ def builtin_presentation(spec: GroupSpec | None) -> Presentation | None:
     return None
 
 
-def enumerate_homs(G: FiniteGroup, m: int,
-                   group_cap: int = HOM_GROUP_CAP,
-                   degree_cap: int = HOM_DEGREE_CAP) -> list[AlmostHom]:
+def enumerate_homs(G: FiniteGroup, m: int) -> list[AlmostHom]:
     """All homomorphisms G -> Sym(m), each returned as a defect-zero AlmostHom.
 
     Each generator's image ranges over the elements of Sym(m) whose order
     divides the generator's order; a stored presentation prunes those
     assignments through relator checks.  The output is sorted by image
     tuples, so enumeration order is deterministic.  Results are memoized
-    per (G, m, caps); every call returns a fresh list.
+    per (G, m); every call returns a fresh list.
     """
-    return [AlmostHom._of_array(G, h) for h in _homs(G, m, group_cap, degree_cap)]
+    return [AlmostHom._of_array(G, h) for h in _homs(G, m)]
 
 
 @lru_cache(maxsize=64)
-def _homs(G: FiniteGroup, m: int, group_cap: int, degree_cap: int) -> np.ndarray:
+def _homs(G: FiniteGroup, m: int) -> np.ndarray:
     """enumerate_homs as one read-only (homs × |G| × m) image array."""
-    if len(G) > group_cap:
-        raise CapExceededError(f"homomorphism search capped at |G| <= {group_cap}")
-    if m > degree_cap:
-        raise CapExceededError(f"homomorphism search capped at degree <= {degree_cap}")
+    if len(G) > HOM_GROUP_CAP:
+        raise CapExceededError(f"homomorphism search capped at |G| <= {HOM_GROUP_CAP}")
+    if m > HOM_DEGREE_CAP:
+        raise CapExceededError(f"homomorphism search capped at degree <= {HOM_DEGREE_CAP}")
     sym_m = construct_group(f"sym{m}")
     pres = builtin_presentation(getattr(G, "spec", None))
     gens = list(G.generators) if pres is None else \
@@ -320,8 +313,8 @@ class NearestHomReport:
     within_bound: bool  # distance <= STABILITY_BOUND * defect
 
 
-def _nearest(maps: np.ndarray, G: FiniteGroup, window,
-             degree_cap: int) -> list[tuple[Fraction, int, AlmostHom]]:
+def _nearest(maps: np.ndarray, G: FiniteGroup,
+             window) -> list[tuple[Fraction, int, AlmostHom]]:
     """(distance, degree, hom) of the closest exact homomorphism to each map
     of the batch (B×|G|×n) over padded degrees m in [n, ceil((1+w)n)]: least
     distance, then least degree, then first in (sorted) enumeration order."""
@@ -329,7 +322,7 @@ def _nearest(maps: np.ndarray, G: FiniteGroup, window,
     best: list = [None] * len(maps)
     # top degree first, so an over-cap window is refused before any search
     for m in range(math.ceil((1 + Fraction(window)) * n), n - 1, -1):
-        homs = enumerate_homs(G, m, degree_cap=degree_cap)
+        homs = enumerate_homs(G, m)
         H, padded = np.stack([h.array for h in homs]), _pad(maps, m)
         step = max(1, _BLOCK // H.size)
         for b0 in range(0, len(maps), step):
@@ -350,13 +343,12 @@ def _report(hom: AlmostHom, m: int, d: Fraction, defect: Fraction) -> NearestHom
         within_bound=d <= STABILITY_BOUND * defect if defect > 0 else d == 0)
 
 
-def nearest_hom(s: AlmostHom, window=Fraction(0),
-                degree_cap: int = HOM_DEGREE_CAP) -> NearestHomReport:
+def nearest_hom(s: AlmostHom, window=Fraction(0)) -> NearestHomReport:
     """Closest exact homomorphism over padded degrees m in [n, ceil((1+w)n)].
 
     Ties break toward smaller distance, then smaller degree, then
     lexicographically smaller image tuples."""
-    [(d, m, hom)] = _nearest(s.array[None], s.domain, window, degree_cap)
+    [(d, m, hom)] = _nearest(s.array[None], s.domain, window)
     return _report(hom, m, d, uniform_defect(s))
 
 
@@ -393,7 +385,7 @@ def identity_preserving_scan(G: FiniteGroup, m: int, window=Fraction(0),
     choice[:, others] = np.array(list(itertools.product(
         range(len(sym_m)), repeat=len(others))), dtype=np.intp).reshape(total, -1)
     maps = sym_m.matrix[choice]
-    nearest = _nearest(maps, G, window, HOM_DEGREE_CAP)
+    nearest = _nearest(maps, G, window)
     worst, _ = _worst_pairs(maps, G, list(range(len(G))))
     names = [sym_m.element(i).to_cycle_string() for i in range(len(sym_m))]
     reps = [_report(hom, k, d, Fraction(count, m))

@@ -13,7 +13,7 @@ import pytest
 from permlab.cli import main
 from permlab.groups import construct_group, default_corpus
 from permlab.perms import parse_permutation
-from permlab.schreier import GAP_CAP
+from permlab.schreier import CELL_CAP, GAP_CAP
 from permlab.stability import almost_hom, write_almost_hom_file
 
 
@@ -67,7 +67,7 @@ def test_rigidity_biregular_sym8_refused_at_once(tmp_path, capsys):
     t0 = time.perf_counter()
     assert main(["rigidity", "--group", "sym8", "--check", "biregular"]) == 2
     assert time.perf_counter() - t0 < 2
-    assert "capped at groups of size 5040" in capsys.readouterr().err
+    assert f"capped at {CELL_CAP} cells" in capsys.readouterr().err
 
 
 def test_schreier_exact_autos_example(tmp_path):
@@ -208,9 +208,9 @@ def test_bad_fraction_is_usage_error(tmp_path, capsys, argv, value):
 def test_dense_spectral_gap_cap_exits_two(tmp_path, capsys, argv):
     # report: one vertex past GAP_CAP is refused before Lanczos holds a basis;
     # clusters: regular:sym8 (40,320 vertices) gets its gap, but the local
-    # search's n×n swap-gain table is capped at DENSE_CAP; exact-autos and
-    # eps 0: its 40,320 candidate maps × 40,320 points would be a 6.5 GB
-    # int32 result, refused before it is allocated
+    # search's n×n swap-gain table is past CELL_CAP; exact-autos and eps 0:
+    # its 40,320 root targets × 40,320 points would be a 6.5 GB int32 table,
+    # refused before it is allocated
     t0 = time.perf_counter()
     assert main(["schreier", *argv, "-o", str(tmp_path / "r.json")]) == 2
     assert time.perf_counter() - t0 < 10
@@ -240,15 +240,27 @@ def test_failed_check_exits_one(tmp_path):
 
 
 def test_exact_autos_of_a_large_identity_graph_exits_two(tmp_path, capsys):
-    # eight fixed points: the backtracking would try 8^8 root placements
-    graph = tmp_path / "identity8.graph"
-    graph.write_text("n=8 labels=s\n" + "".join(f"{i} s {i}\n" for i in range(1, 9)),
+    # nine fixed points: the 9! automorphism rows are only 3.3 M cells, but
+    # their pairwise distances compare 5.9e11 cells, past PAIR_CAP
+    graph = tmp_path / "identity9.graph"
+    graph.write_text("n=9 labels=s\n" + "".join(f"{i} s {i}\n" for i in range(1, 10)),
                      encoding="utf-8")
     t0 = time.perf_counter()
     assert main(["schreier", "--graph", f"file:{graph}", "--mode", "exact-autos",
                  "-o", str(tmp_path / "r.json")]) == 2
     assert time.perf_counter() - t0 < 5
     assert "capped" in capsys.readouterr().err
+
+
+def test_exact_autos_of_regular_sym7_exits_two_before_its_distances(tmp_path, capsys):
+    # the 5,040 automorphism rows fit CELL_CAP exactly; their 6.4e10
+    # compared cells do not fit PAIR_CAP, refused before any Permutation
+    t0 = time.perf_counter()
+    assert main(["schreier", "--graph", "regular:sym7", "--mode", "exact-autos",
+                 "-o", str(tmp_path / "r.json")]) == 2
+    assert time.perf_counter() - t0 < 10
+    assert "capped" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_stability_map_over_the_group_cap_exits_two_at_once(tmp_path, capsys):

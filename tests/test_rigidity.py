@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import permlab.schreier as schreier
 from permlab.errors import CapExceededError
 from permlab.groups import FiniteGroup, construct_group, extend, generating_subset
 from permlab.perms import Permutation, identity, parse_permutation
 from permlab.rigidity import (
-    BIREGULAR_CAP, BRUTE_DEGREE_CAP, BiregularReport, GroupAction, _is_copy,
+    BRUTE_DEGREE_CAP, BiregularReport, GroupAction, _is_copy,
     action_centralizer, action_from_group, biregular_action,
     biregular_double_centralizer, centralizer_in_sym_bruteforce, centralizer_transitive_action,
     class_power_types, double_centralizer_check, flip_permutation,
@@ -188,6 +189,17 @@ def test_double_centralizer_past_the_brute_force_degree():
     assert not r.closes
 
 
+def test_natural_sym8_double_centralizer_closes():
+    # the centralizer is trivial, so the second stage centralizes the
+    # identity on eight fixed points: all 40,320 maps, none refused
+    r = double_centralizer_check([parse_permutation("(1 2)", degree=8),
+                                  parse_permutation("(1 2 3 4 5 6 7 8)")])
+    assert [p.images for p in r.centralizer] == [tuple(range(8))]
+    assert len(r.double) == 40320 and r.closes
+    assert [p.images for p in r.double] == \
+        [p.images for p in centralizer_in_sym_bruteforce(r.centralizer)]
+
+
 def test_action_centralizer_transitive_case_delegates():
     act = natural_sym3()
     assert len(action_centralizer(act)) == 1
@@ -281,10 +293,22 @@ def test_copy_comparison_detects_other_row_sets():
                     construct_group("cyclic4").left_table(), 0)
 
 
+def test_biregular_cell_budget_admits_a_table_exactly_at_the_cap(monkeypatch):
+    # sym3: 6 × 6 cells in each |G|×|G| table and in each automorphism search
+    monkeypatch.setattr(schreier, "CELL_CAP", 36)
+    assert biregular_double_centralizer(construct_group("sym3")).double_is_left_copy
+    calls = []
+    monkeypatch.setattr(FiniteGroup, "left_table", lambda self: calls.append(self))
+    monkeypatch.setattr(schreier, "CELL_CAP", 35)
+    with pytest.raises(CapExceededError, match="capped at 35 cells"):
+        biregular_double_centralizer(construct_group("sym3"))
+    assert calls == []
+
+
 def test_biregular_cap_refuses_before_building_copies(monkeypatch):
     calls = []
     monkeypatch.setattr(FiniteGroup, "left_table", lambda self: calls.append(self))
-    with pytest.raises(CapExceededError, match=f"size {BIREGULAR_CAP}"):
+    with pytest.raises(CapExceededError, match=f"capped at {schreier.CELL_CAP} cells"):
         biregular_double_centralizer(construct_group("sym8"))
     assert calls == []
 

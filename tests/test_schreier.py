@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -17,7 +18,6 @@ from permlab.errors import CapExceededError
 from permlab.groups import construct_group, extend, right_regular_permutation
 from permlab.perms import (Permutation, hamming_distance, identity, parse_permutation,
                            random_permutation)
-from permlab.rigidity import BIREGULAR_CAP
 from permlab.schreier import (
     ClusterScan, EXHAUSTIVE_CAP, GAP_CAP, LabeledSchreierGraph, adjacency_matrix,
     build_schreier_graph, cluster_scan, component_mass_profile, components,
@@ -215,7 +215,7 @@ def test_lanczos_falls_back_to_the_dense_gap(monkeypatch):
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as dense:
         assert spectral_gap(g) == dense_gap(g)
     assert dense.call_count == 2  # the fallback's and the oracle's
-    monkeypatch.setattr(schreier, "DENSE_CAP", 100)
+    monkeypatch.setattr(schreier, "CELL_CAP", 100 ** 2)
     with pytest.raises(CapExceededError, match="Lanczos"):
         spectral_gap(g)
 
@@ -233,10 +233,6 @@ def test_disconnected_graphs_have_no_gap(tmp_path):
         rep = json.loads(out.read_text(encoding="utf-8"))
         assert rep["connected"] is False
         assert rep["checks"][0] == {"check": "positive gap iff connected", "pass": True}
-
-
-def test_automorphism_cell_cap_admits_the_biregular_groups():
-    assert schreier.AUTOMORPHISM_CELL_CAP >= BIREGULAR_CAP ** 2
 
 
 def test_cheeger_consistency_small():
@@ -673,7 +669,8 @@ def test_exhaustive_batch_matches_definition_at_every_boundary():
 def test_pairwise_distances_match_hamming():
     g = directed_cycle_graph(5)
     autos = enumerate_eps_automorphisms(g, Fraction(3, 5), mode="exhaustive")
-    hist, (a, b) = pairwise_distances(autos, Fraction(2, 5))
+    hist, (a, b) = pairwise_distances(np.array([p.images for p in autos]),
+                                      Fraction(2, 5))
     dists = {(i, j): hamming_distance(p, q) for i, p in enumerate(autos)
              for j, q in enumerate(autos) if i < j}
     counts = {}
@@ -775,3 +772,76 @@ def test_dense_tables_are_capped():
         spectral_gap(big)
     with pytest.raises(CapExceededError):
         enumerate_eps_automorphisms(big, Fraction(1, 2), mode="local-search")
+
+
+def two_cycles(m):
+    # two directed m-cycles: C_m wr C_2, 2m² automorphisms of 2m points
+    return build_schreier_graph(
+        {"a": Permutation(tuple([*range(1, m), 0, *range(m + 1, 2 * m), m]))})
+
+
+def test_identity_graph_on_eight_points_has_all_of_sym8():
+    rows = schreier.automorphism_rows(build_schreier_graph({"e": identity(8)}))
+    assert np.array_equal(rows, np.array(list(itertools.permutations(range(8)))))
+
+
+def test_automorphism_search_refuses_targets_before_the_kernel(monkeypatch):
+    # prism: one 6-point component, its root tried against 6 targets
+    calls, label_maps = [], schreier._label_maps
+    monkeypatch.setattr(schreier, "_label_maps",
+                        lambda *a: calls.append(a) or label_maps(*a))
+    monkeypatch.setattr(schreier, "CELL_CAP", 6 * 6)
+    assert len(schreier.automorphism_rows(prism())) == 6 and len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(schreier, "CELL_CAP", 6 * 6 - 1)
+    with pytest.raises(CapExceededError, match="capped at 35 cells"):
+        schreier.automorphism_rows(prism())
+    assert calls == []
+
+
+def test_automorphism_search_refuses_partial_maps_before_concatenating(monkeypatch):
+    # two 3-cycles: 3 × 6 target cells per root, then 18 maps of width 6
+    g = two_cycles(3)
+    monkeypatch.setattr(schreier, "CELL_CAP", 18 * 6)
+    assert [p.images for p in exact_automorphisms(g)] == _extend_automorphisms(g)
+    monkeypatch.setattr(schreier, "CELL_CAP", 18 * 6 - 1)
+    with pytest.raises(CapExceededError, match="capped at 107 cells"):
+        schreier.automorphism_rows(g)
+
+
+def test_automorphism_search_over_the_cell_cap_allocates_no_table():
+    # two 200-cycles: 80,000 maps of 400 points are 32 M int32 cells (128 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match=f"capped at {schreier.CELL_CAP}"):
+            schreier.automorphism_rows(two_cycles(200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_pairwise_distances_refuse_before_any_block(monkeypatch):
+    rows = np.array(list(itertools.permutations(range(4))))  # 276 pairs × 4 points
+    monkeypatch.setattr(schreier, "PAIR_CAP", 276 * 4)
+    assert sum(c for _, c in pairwise_distances(rows)[0]) == 276
+    monkeypatch.setattr(schreier, "PAIR_CAP", 276 * 4 - 1)
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as blocks:
+        with pytest.raises(CapExceededError, match="capped at 1103 compared cells"):
+            pairwise_distances(rows)
+    assert blocks.call_count == 0
+
+
+def test_dense_tables_exactly_at_the_cell_cap_are_admitted(monkeypatch):
+    g = prism()  # n = 6
+    monkeypatch.setattr(schreier, "_LANCZOS_STEPS", 2)
+    monkeypatch.setattr(schreier, "CELL_CAP", 6 * 6)
+    assert spectral_gap(g) == dense_gap(g)
+    assert len(enumerate_eps_automorphisms(g, 1, mode="local-search")) > 6
+    monkeypatch.setattr(schreier, "CELL_CAP", 6 * 6 - 1)
+    with pytest.raises(CapExceededError, match="dense spectral gap is capped at 35"):
+        spectral_gap(g)
+    with mock.patch.object(schreier, "_descend") as descents:
+        with pytest.raises(CapExceededError, match="swap-gain table is capped at 35"):
+            enumerate_eps_automorphisms(g, 1, mode="local-search")
+    assert descents.call_count == 0
