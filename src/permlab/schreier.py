@@ -42,7 +42,7 @@ __all__ = [
 EXPANSION_CAP = 24
 # cells of any one dense table: an n×n eigensolve or swap-gain table (~19 s
 # and 0.4 GB at the cap), a |G|×|G| biregular copy, the automorphism rows and
-# their partial maps (Sym(7)'s regular graph: 100 MB of int32)
+# their partial maps and hit table (Sym(7)'s regular graph: 100 MB of int32)
 CELL_CAP = 5040 ** 2
 # cells compared by pairwise_distances, k(k-1)/2 pairs × n points, at
 # 1.2-1.8 ns per cell on a 2-vCPU Xeon: the automorphisms of regular:alt7
@@ -343,9 +343,10 @@ def automorphism_rows(g: LabeledSchreierGraph) -> np.ndarray:
     is the whole component of that image.  So each root is tried against
     every vertex of the components of its size at once (`_label_maps`), and
     an automorphism picks one map per component, hitting each once.  Each
-    step is refused before it allocates more than CELL_CAP cells: targets ×
-    component points before `_label_maps`, partial maps × their new width
-    before the concatenation.
+    step is refused before it allocates a table of more than CELL_CAP cells:
+    targets × component points before `_label_maps`, partial maps × targets
+    before the mask of free targets, and the extended maps × their new width
+    or × the component count before the concatenation and the hit table.
     """
     comps = components(g)
     comp_of = np.empty(g.n, dtype=np.intp)
@@ -361,9 +362,11 @@ def automorphism_rows(g: LabeledSchreierGraph) -> np.ndarray:
         targets = np.flatnonzero(size == len(c)).astype(np.int32)
         _check_cells(len(targets) * len(c), "the exact automorphism search")
         comp, targets, images = _label_maps(S, S, min(c), targets)
-        at, pick = np.nonzero(~hit[:, comp_of[targets]])
-        _check_cells(len(at) * (maps.shape[1] + len(c)),
+        _check_cells(len(maps) * len(targets), "the exact automorphism search")
+        free = ~hit[:, comp_of[targets]]
+        _check_cells(np.count_nonzero(free) * max(maps.shape[1] + len(c), len(comps)),
                      "the exact automorphism search")
+        at, pick = np.nonzero(free)
         maps, hit = np.concatenate([maps[at], images[pick]], 1), hit[at]
         hit[np.arange(len(hit)), comp_of[targets[pick]]] = True
         points.append(comp)

@@ -252,6 +252,24 @@ def test_exact_autos_of_a_large_identity_graph_exits_two(tmp_path, capsys):
     assert "capped" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rigidity", "--check", "action-centralizer", "--perms", "(99 100)"],
+    ["schreier", "--mode", "exact-autos", "--graph"],
+])
+def test_automorphisms_of_many_fixed_points_exit_two_at_once(tmp_path, capsys, argv):
+    # 98 or 100 one-point components: refused by the fourth component, before
+    # ~10^6 partial maps of up to 100 points or their hit table are built
+    if argv[0] == "schreier":
+        graph = tmp_path / "identity100.graph"
+        graph.write_text("n=100 labels=s\n" + "".join(f"{i} s {i}\n" for i in range(1, 101)),
+                         encoding="utf-8")
+        argv = [*argv, f"file:{graph}"]
+    t0 = time.perf_counter()
+    assert main([*argv, "-o", str(tmp_path / "r.json")]) == 2
+    assert time.perf_counter() - t0 < 5
+    assert "capped" in capsys.readouterr().err
+
+
 def test_exact_autos_of_regular_sym7_exits_two_before_its_distances(tmp_path, capsys):
     # the 5,040 automorphism rows fit CELL_CAP exactly; their 6.4e10
     # compared cells do not fit PAIR_CAP, refused before any Permutation

@@ -821,6 +821,39 @@ def test_automorphism_search_over_the_cell_cap_allocates_no_table():
     assert peak < 16 * 2 ** 20
 
 
+@pytest.mark.parametrize("n", [100, 3000])
+def test_automorphism_search_on_many_point_components_allocates_no_table(n):
+    # n fixed points: step 3 at n = 100 would hold 970,200 maps, and step 2
+    # at n = 3000 a 9 M × 3,000 hit table (27 GB); both are over CELL_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match=f"capped at {schreier.CELL_CAP}"):
+            schreier.automorphism_rows(build_schreier_graph({"e": identity(n)}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
+
+
+def test_automorphism_search_refuses_the_free_target_mask_first(monkeypatch):
+    # a 3-cycle, then ten 2-cycles: the 3 rotations × 20 targets of size 2
+    # make a 60-cell mask, the first table of step 2 over a 59-cell budget
+    swaps = [p + 1 if p % 2 else p - 1 for p in range(3, 23)]
+    g = build_schreier_graph({"a": Permutation((1, 2, 0, *swaps))})
+    cells, check = [], schreier._check_cells
+    monkeypatch.setattr(schreier, "_check_cells",
+                        lambda c, table: cells.append(c) or check(c, table))
+    monkeypatch.setattr(schreier, "CELL_CAP", 59)
+    with pytest.raises(CapExceededError, match="capped at 59 cells"):
+        schreier.automorphism_rows(g)
+    assert cells == [3 * 3, 1 * 3, 3 * 11, 20 * 2, 3 * 20]
+    cells.clear()
+    monkeypatch.setattr(schreier, "CELL_CAP", 60)  # the mask fits, its maps do not
+    with pytest.raises(CapExceededError, match="capped at 60 cells"):
+        schreier.automorphism_rows(g)
+    assert cells[-2:] == [3 * 20, 3 * 20 * 11]
+
+
 def test_pairwise_distances_refuse_before_any_block(monkeypatch):
     rows = np.array(list(itertools.permutations(range(4))))  # 276 pairs × 4 points
     monkeypatch.setattr(schreier, "PAIR_CAP", 276 * 4)
