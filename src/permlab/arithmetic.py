@@ -173,19 +173,19 @@ class SelectorProblem:
         return tuple(zip(self.qs, self.gamma))
 
 
-def find_witness_prime(problem: SelectorProblem, floor: int = 13,
-                       scan_limit: int = PRIME_SCAN_LIMIT) -> int:
+def find_witness_prime(problem: SelectorProblem, floor: int = 13) -> int:
     """Smallest prime p >= floor with p ≡ b_{q,gamma(q)} (mod q) for all q.
 
     The b-congruences force p**4 - 1 ≡ a_{q,gamma(q)} (mod q), which is
-    re-verified before returning.  Dirichlet guarantees existence; the scan
-    budget turns the missing effective bound into a loud failure.
+    re-verified before returning.  Dirichlet guarantees existence; a scan of
+    at most PRIME_SCAN_LIMIT candidates turns the missing effective bound
+    into a loud failure.
     """
     pairs = {q: residue_pair(q) for q in problem.qs}
     want_b = {q: pairs[q].b(g) for q, g in problem.items()}
     l, m = crt_combine(want_b)
     p = l if l >= floor else l + ((floor - l + m - 1) // m) * m
-    for _ in range(scan_limit):
+    for _ in range(PRIME_SCAN_LIMIT):
         if is_prime(p):
             for q, g in problem.items():
                 if (pow(p, 4, q) - 1) % q != pairs[q].a(g):
@@ -194,7 +194,7 @@ def find_witness_prime(problem: SelectorProblem, floor: int = 13,
             return p
         p += m
     raise CapExceededError(
-        f"no witness prime within {scan_limit} candidates of the progression")
+        f"no witness prime within {PRIME_SCAN_LIMIT} candidates of the progression")
 
 
 def alt_target_degrees(lo: int, hi: int) -> list[int]:

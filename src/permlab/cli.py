@@ -21,12 +21,13 @@ from fractions import Fraction
 from . import __version__
 from .arithmetic import SelectorProblem, find_witness_prime, residue_pair
 from .errors import CapExceededError, ParseError
-from .groups import FiniteGroup, construct_group, default_corpus, parse_group_spec
+from .groups import (SYM_SCAN_CAP, FiniteGroup, construct_group, default_corpus,
+                     parse_group_spec)
 from .perms import Permutation, parse_permutation
-from .rigidity import (BRUTE_DEGREE_CAP, GroupAction, action_centralizer,
+from .rigidity import (_perm_action, action_centralizer,
                        biregular_double_centralizer,
                        centralizer_in_sym_bruteforce, class_power_types)
-from .schreier import (EXHAUSTIVE_CAP, EXPANSION_CAP, automorphism_rows,
+from .schreier import (EXPANSION_CAP, automorphism_rows,
                        cluster_scan, component_mass_profile, components,
                        default_cluster_epsilon, directed_cycle_graph,
                        edge_expansion, enumerate_eps_automorphisms,
@@ -242,7 +243,7 @@ def cmd_schreier(args) -> dict:
         search = args.search
         if search == "auto":
             search = "backtracking" if eps == 0 else (
-                "exhaustive" if graph.n <= EXHAUSTIVE_CAP else "local-search")
+                "exhaustive" if graph.n <= SYM_SCAN_CAP else "local-search")
         autos = enumerate_eps_automorphisms(graph, eps, mode=search,
                                             restarts=args.restarts,
                                             seed=args.seed)
@@ -306,16 +307,13 @@ def cmd_rigidity(args) -> dict:
             raise ValueError("action-centralizer needs --perms")
         parsed = [parse_permutation(t.strip()) for t in args.perms.split(";")]
         top = max(p.degree for p in parsed)
-        perms = [parse_permutation(p.to_cycle_string(), degree=top)
-                 for p in parsed]
-        action = GroupAction(tuple(f"p{k + 1}" for k in range(len(perms))),
-                             tuple(perms))
-        C = action_centralizer(action)
+        perms = [Permutation(p.images + tuple(range(p.degree, top))) for p in parsed]
+        C = action_centralizer(_perm_action(perms))
         checks = []
-        if top <= BRUTE_DEGREE_CAP:
+        if top <= SYM_SCAN_CAP:
             brute = centralizer_in_sym_bruteforce(perms)
             checks.append({"check": "matches the brute-force centralizer",
-                           "pass": {C.element(i).images for i in range(len(C))}
+                           "pass": set(map(tuple, C.matrix.tolist()))
                            == {p.images for p in brute}})
         return {
             "command": "rigidity",

@@ -66,6 +66,7 @@ __all__ = [
     "iter_alt_subgroups",
     "subgroup_search_iso_alt",
     "are_isomorphic",
+    "sym_scan_rows",
     "left_regular_permutation",
     "right_regular_permutation",
 ]
@@ -73,6 +74,8 @@ __all__ = [
 ELEMENT_CAP = 10 ** 6
 TABLE_CAP = 5000
 SIMPLICITY_CAP = 10 ** 5
+ISOMORPHISM_CAP = 10 ** 6  # generator-image tuples tried by are_isomorphic
+SYM_SCAN_CAP = 8  # degree of the largest Sym(n) a brute-force scan lists
 _BLOCK = 1 << 14  # rows per block of row gathers (conjugation orbits, FO scans)
 
 
@@ -678,6 +681,14 @@ def construct_group(spec) -> FiniteGroup:
     return g
 
 
+def sym_scan_rows(n: int) -> np.ndarray:
+    """All of Sym(n) for a brute-force scan, refused above SYM_SCAN_CAP: the
+    read-only int32 rows of `construct_group`'s Sym(n), in lexicographic order."""
+    if n > SYM_SCAN_CAP:
+        raise CapExceededError(f"scans of all of Sym({n}) are capped at degree {SYM_SCAN_CAP}")
+    return construct_group(GroupSpec("sym", n)).matrix
+
+
 def default_corpus() -> list[GroupSpec]:
     """The default verification corpus of constructor groups."""
     specs = [GroupSpec("alt", n) for n in (4, 5, 6)]
@@ -816,15 +827,15 @@ def is_abelian(G: FiniteGroup) -> bool:
     return all(G.mul(a, b) == G.mul(b, a) for a in gens for b in gens)
 
 
-def is_simple_bruteforce(G: FiniteGroup, cap: int = SIMPLICITY_CAP) -> bool:
+def is_simple_bruteforce(G: FiniteGroup) -> bool:
     """Abstract simplicity: the normal closure of every nontrivial class is G.
 
     The trivial group is not simple.  Abelianness is NOT consulted here;
     Z/p is simple, and the non-abelian-simple classifier layers the extra
     check on top.
     """
-    if len(G) > cap:
-        raise CapExceededError(f"simplicity check capped at {cap} elements")
+    if len(G) > SIMPLICITY_CAP:
+        raise CapExceededError(f"simplicity check capped at {SIMPLICITY_CAP} elements")
     if len(G) == 1:
         return False
     return all(len(generated_subgroup(G, cls)) == len(G)
@@ -912,8 +923,7 @@ def subgroup_search_iso_alt(G: FiniteGroup, l: int,
 # isomorphism oracle (slow path, small groups only)
 
 
-def are_isomorphic(G: FiniteGroup, H: FiniteGroup,
-                   budget: int = 10 ** 6) -> bool:
+def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
     """Generator-image backtracking; intended as a test oracle for |G| ≤ ~10³."""
     if len(G) != len(H):
         return False
@@ -927,7 +937,7 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup,
     total = 1
     for lst in candidate_lists:
         total *= len(lst)
-        if total > budget:
+        if total > ISOMORPHISM_CAP:
             raise CapExceededError("isomorphism search budget exceeded")
     src = [partial(G.mul, g) for g in gens]
     for images in itertools.product(*candidate_lists):

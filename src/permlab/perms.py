@@ -13,15 +13,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
-
-from .errors import CapExceededError
 
 __all__ = [
     "Permutation",
@@ -364,30 +361,17 @@ def conjugacy_test(p: Permutation, q: Permutation, ambient: str = "sym") -> bool
     return x.is_even()
 
 
-def min_conjugate_distance(g: Permutation, h: Permutation, cap: int = 8) -> Fraction:
-    """min over x in Sym(n) of d(g, x h x^-1), by exhaustive search."""
+def min_conjugate_distance(g: Permutation, h: Permutation) -> Fraction:
+    """min over x in Sym(n) of d(g, x h x^-1): the least count, over the rows
+    x of `groups.sym_scan_rows(n)`, of the points i with x(h(i)) != g(x(i))."""
+    import numpy as np
+
+    from .groups import sym_scan_rows  # groups imports perms
     if g.degree != h.degree:
         raise ValueError(f"degree mismatch: {g.degree} vs {h.degree}")
-    n = g.degree
-    if n > cap:
-        raise CapExceededError(
-            f"min_conjugate_distance scans all of Sym({n}); cap is {cap}")
-    gi = g.images
-    hi = h.images
-    best = n + 1
-    for x in itertools.permutations(range(n)):
-        diff = 0
-        for i in range(n):
-            # (x h x^-1)(x(i)) = x(h(i)), compared against g at the point x(i)
-            if x[hi[i]] != gi[x[i]]:
-                diff += 1
-                if diff >= best:
-                    break
-        if diff < best:
-            best = diff
-            if best == 0:
-                break
-    return Fraction(best, n)
+    X = sym_scan_rows(g.degree)
+    return Fraction(int((X[:, list(h.images)] != np.take(g.images, X)).sum(1).min()),
+                    g.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,15 @@ or not, is the label-respecting automorphism group of its Schreier graph
 determined by the image of one point, pushed along generator edges for
 every candidate image at once, and the int32 rows go straight into a
 FiniteGroup.  Both stages of a double centralizer take this one path; the
-brute-force scan of Sym(n) is its oracle at small degrees.  The biregular
-check compares row sets: the left copy is the Cayley table, the right copy
-its transpose, the flip the inverse array.  Permutations are built only by
-the public functions that return them.
+brute-force scan of `groups.sym_scan_rows` is its oracle at small degrees.
+The biregular check compares row sets: the left copy is the Cayley table,
+the right copy its transpose, the flip the inverse array.  Permutations are
+built by the public functions that return them and for the generators that
+a double centralizer's two stages take as actions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CapExceededError
 from .groups import (FiniteGroup, left_regular_permutation,
-                     right_regular_permutation, set_product)
+                     right_regular_permutation, set_product, sym_scan_rows)
 from .perms import CycleType, Permutation, identity
 from .schreier import (LabeledSchreierGraph, _check_cells, automorphism_rows,
                        components, pairwise_distances)
@@ -42,10 +42,9 @@ __all__ = [
     "DoubleCentralizerReport", "double_centralizer_check",
     "BiregularReport", "biregular_double_centralizer",
     "is_regular_via_centralizer", "one_discrete_check", "class_power_types",
-    "BRUTE_DEGREE_CAP", "CLASS_POWER_GROUP_CAP", "CLASS_POWER_EXPONENT_CAP",
+    "CLASS_POWER_GROUP_CAP", "CLASS_POWER_EXPONENT_CAP",
 ]
 
-BRUTE_DEGREE_CAP = 8
 CLASS_POWER_GROUP_CAP = 10 ** 4
 CLASS_POWER_EXPONENT_CAP = 6
 
@@ -76,15 +75,16 @@ def flip_permutation(G: FiniteGroup) -> Permutation:
     return Permutation(tuple(G.inv(x) for x in range(len(G))))
 
 
-def biregular_action(G: FiniteGroup, cap: int = CLASS_POWER_GROUP_CAP) -> GroupAction:
+def biregular_action(G: FiniteGroup) -> GroupAction:
     """The action generated by left translations, inverse right translations,
     and the flip, on the |G| elements of G.
 
     Labels: L<k> for x -> g_k*x, R<k> for x -> x*g_k^-1, t for x -> x^-1;
     the construction checks t*L<k>*t = R<k> pointwise.
     """
-    if len(G) > cap:
-        raise CapExceededError(f"two-sided action capped at groups of size {cap}")
+    if len(G) > CLASS_POWER_GROUP_CAP:
+        raise CapExceededError("two-sided action capped at groups of size"
+                               f" {CLASS_POWER_GROUP_CAP}")
     t = flip_permutation(G)
     labels: list[str] = []
     images: list[Permutation] = []
@@ -119,18 +119,15 @@ def centralizer_transitive_action(action: GroupAction) -> FiniteGroup:
     return action_centralizer(action)
 
 
-def centralizer_in_sym_bruteforce(perms: Sequence[Permutation],
-                                  cap: int = BRUTE_DEGREE_CAP) -> list[Permutation]:
-    """Scan all of Sym(n) for permutations commuting with every given one."""
+def centralizer_in_sym_bruteforce(perms: Sequence[Permutation]) -> list[Permutation]:
+    """Scan all of Sym(n) (`groups.sym_scan_rows`, refused above degree
+    `groups.SYM_SCAN_CAP`) for permutations commuting with every given one,
+    in lexicographic order."""
     perms = list(perms)
     if not perms:
         raise ValueError("at least one permutation is required")
-    n = perms[0].degree
-    if n > cap:
-        raise CapExceededError(f"brute-force centralizer capped at degree {cap}")
-    rows = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
-                       dtype=np.int8).reshape(-1, n)
-    for a in (np.array(p.images, dtype=np.int8) for p in perms):
+    rows = sym_scan_rows(perms[0].degree)
+    for a in (np.array(p.images) for p in perms):
         rows = rows[(a[rows] == rows[:, a]).all(1)]
     return [Permutation(tuple(row)) for row in rows.tolist()]
 
@@ -228,8 +225,7 @@ def one_discrete_check(perms: Sequence[Permutation]) -> bool:
     return len(rows) < 2 or all(d == 1 for d, _ in pairwise_distances(rows)[0])
 
 
-def class_power_types(G: FiniteGroup, g, k: int,
-                      cap: int = CLASS_POWER_GROUP_CAP) -> set[CycleType]:
+def class_power_types(G: FiniteGroup, g, k: int) -> set[CycleType]:
     """Cycle types of all products of k conjugates of g.
 
     The k-fold product set of the conjugacy class is grown one factor at a
@@ -237,8 +233,9 @@ def class_power_types(G: FiniteGroup, g, k: int,
     """
     if not 1 <= k <= CLASS_POWER_EXPONENT_CAP:
         raise ValueError(f"k must lie in 1..{CLASS_POWER_EXPONENT_CAP}")
-    if len(G) > cap:
-        raise CapExceededError(f"class power types capped at groups of size {cap}")
+    if len(G) > CLASS_POWER_GROUP_CAP:
+        raise CapExceededError("class power types capped at groups of size"
+                               f" {CLASS_POWER_GROUP_CAP}")
     gi = g if isinstance(g, int) else G.index_of(g)
     cl = G.class_of(gi)
     current = frozenset(cl)

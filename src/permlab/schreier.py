@@ -10,7 +10,6 @@ surfaces of this package.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,8 +18,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CapExceededError
-from .groups import (ELEMENT_CAP, FiniteGroup, _generated_group, _min_labels,
-                     _void_rows, left_regular_permutation, spread)
+from .groups import (FiniteGroup, _generated_group, _min_labels, _void_rows,
+                     left_regular_permutation, spread, sym_scan_rows)
 from .perms import Permutation, identity, parse_permutation
 
 __all__ = [
@@ -35,7 +34,7 @@ __all__ = [
     "ClusterScan", "cluster_scan", "pairwise_distances", "default_cluster_epsilon",
     "write_graph_file", "read_graph_file", "parse_graph_text",
     "graph_file_text", "histogram_csv",
-    "EXPANSION_CAP", "CELL_CAP", "PAIR_CAP", "GAP_CAP", "EXHAUSTIVE_CAP",
+    "EXPANSION_CAP", "CELL_CAP", "PAIR_CAP", "GAP_CAP",
     "CLUSTER_THRESHOLD",
 ]
 
@@ -51,10 +50,11 @@ CELL_CAP = 5040 ** 2
 PAIR_CAP = 10 ** 10
 GAP_CAP = 40320  # Sym(8); the Lanczos basis holds _LANCZOS_STEPS × n floats, 97 MB
 _LANCZOS_STEPS = 300
-EXHAUSTIVE_CAP = 8
 CLUSTER_THRESHOLD = Fraction(3, 10)
 _PAIR_BLOCK = 1 << 20  # cells per block of mismatch counts or swap gains
 _TARGET_BLOCK = 1 << 20  # targets × points per block of root targets
+_SUBSET_BLOCK = 1 << 16  # subset bitmasks per block of the expansion scan
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 def _check_cells(cells: int, table: str) -> None:
@@ -116,9 +116,9 @@ class LabeledSchreierGraph:
     def is_transitive(self) -> bool:
         return len(components(self)) == 1
 
-    def image_group(self, cap: int = ELEMENT_CAP) -> FiniteGroup:
+    def image_group(self) -> FiniteGroup:
         return _generated_group([p.images for p in self.images],
-                                f"image({self.name or 'action'})", cap)
+                                f"image({self.name or 'action'})")
 
 
 def build_schreier_graph(images) -> LabeledSchreierGraph:
@@ -194,27 +194,39 @@ def adjacency_matrix(g: LabeledSchreierGraph) -> np.ndarray:
     return a
 
 
-def edge_expansion(g: LabeledSchreierGraph, cap: int = EXPANSION_CAP) -> Fraction:
-    """min over nonempty A, |A| <= n/2, of |boundary(A)| / (deg * |A|), exact."""
+def edge_expansion(g: LabeledSchreierGraph) -> Fraction:
+    """min over nonempty A, |A| <= n/2, of |boundary(A)| / (deg * |A|), exact.
+
+    The subsets A are bitmasks, scanned in blocks of _SUBSET_BLOCK.  Per
+    symmetrized generator p, per-byte tables give the mask of p^-1(A), and
+    |boundary(A)| is the sum over p of popcount(A & ~p^-1(A)).  The least
+    boundary b_s is kept per size s; the result is min over s of b_s/(deg*s).
+    """
     n = g.n
-    if n > cap:
-        raise CapExceededError(f"edge expansion enumerates subsets; n capped at {cap}")
+    if n > EXPANSION_CAP:
+        raise CapExceededError(f"edge expansion enumerates subsets; n capped at {EXPANSION_CAP}")
     if n < 2:
         raise ValueError("edge expansion needs at least two vertices")
-    gens = symmetrized_generators(g)
-    deg = len(gens)
-    best = None
-    verts = range(n)
-    for size in range(1, n // 2 + 1):
-        for subset in itertools.combinations(verts, size):
-            a = set(subset)
-            boundary = sum(1 for u in subset for p in gens if p.apply(u) not in a)
-            value = Fraction(boundary, deg * size)
-            if best is None or value < best:
-                best = value
-                if best == 0:
-                    return best
-    return best
+    gens, nbytes = _symmetrized_rows(g), (n + 7) // 8
+
+    def popcount(x):  # set bits per mask, by a 256-entry table
+        return sum(_POPCOUNT[x >> 8 * b & 255] for b in range(nbytes))
+    # tables[p, b, v]: the mask of the points that p sends into the bits v of byte b
+    bits = np.zeros((len(gens), nbytes * 8), dtype=np.int64)
+    bits[:, :n] = np.left_shift(1, np.argsort(gens, axis=1))
+    on = np.arange(256) >> np.arange(8)[:, None] & 1  # on[k, v]: bit k of v
+    tables = bits.reshape(len(gens), nbytes, 8) @ on
+    best = np.full(n // 2 + 1, len(gens) * n, dtype=np.int32)
+    for lo in range(0, 1 << n, _SUBSET_BLOCK):
+        A = np.arange(lo, min(lo + _SUBSET_BLOCK, 1 << n), dtype=np.int64)
+        size = popcount(A)
+        keep = (size >= 1) & (size <= n // 2)
+        A, size, boundary = A[keep], size[keep], np.zeros(np.count_nonzero(keep), np.int32)
+        parts = [A >> 8 * b & 255 for b in range(nbytes)]
+        for t in tables:  # the bytes' preimages are disjoint: their sum is their union
+            boundary += popcount(A & ~sum(t[b][parts[b]] for b in range(nbytes)))
+        np.minimum.at(best, size, boundary)
+    return min(Fraction(int(b), len(gens) * s) for s, b in enumerate(best) if s)
 
 
 def spectral_gap(g: LabeledSchreierGraph) -> float:
@@ -386,7 +398,8 @@ def enumerate_eps_automorphisms(g: LabeledSchreierGraph, eps,
                                 seed: int = 0) -> list[Permutation]:
     """Automorphism-like maps with defect <= eps.
 
-    exhaustive    complete scan of Sym(n); n <= EXHAUSTIVE_CAP.
+    exhaustive    complete scan of `groups.sym_scan_rows(n)`, maps in
+                  lexicographic order; refused above groups.SYM_SCAN_CAP.
     backtracking  exact automorphisms only; complete precisely when eps = 0.
     local-search  exact automorphisms plus hill-climbing descents from seeded
                   random starts, none when eps·|E| < 1; a sample, not an enumeration.
@@ -395,10 +408,7 @@ def enumerate_eps_automorphisms(g: LabeledSchreierGraph, eps,
     S, edges = g.image_array, g.edge_count
     need = edges - eps * edges // 1  # defect <= eps iff count >= need
     if mode == "exhaustive":
-        if g.n > EXHAUSTIVE_CAP:
-            raise CapExceededError(
-                f"exhaustive scan over Sym({g.n}) refused; cap {EXHAUSTIVE_CAP}")
-        rows = np.array(list(itertools.permutations(range(g.n))), dtype=np.intp)
+        rows = sym_scan_rows(g.n)
         return [Permutation(tuple(row))
                 for row in rows[_preserved(S, rows) >= need].tolist()]
     if mode == "backtracking":

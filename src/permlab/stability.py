@@ -371,16 +371,15 @@ class ScanReport:
     all_within_bound: bool
 
 
-def identity_preserving_scan(G: FiniteGroup, m: int, window=Fraction(0),
-                             cap: int = SCAN_CAP) -> ScanReport:
+def identity_preserving_scan(G: FiniteGroup, m: int, window=Fraction(0)) -> ScanReport:
     """Every map sending the identity to the identity and the remaining
     elements anywhere in Sym(m): defect, nearest-homomorphism distance, and
     the worst observed distance/defect ratio."""
     sym_m = construct_group(f"sym{m}")
     others = [i for i in range(len(G)) if i != G.identity_index]
     total = len(sym_m) ** len(others)
-    if total > cap:
-        raise CapExceededError(f"scan of {total} maps exceeds the cap {cap}")
+    if total > SCAN_CAP:
+        raise CapExceededError(f"scan of {total} maps exceeds the cap {SCAN_CAP}")
     choice = np.full((total, len(G)), sym_m.identity_index, dtype=np.intp)
     choice[:, others] = np.array(list(itertools.product(
         range(len(sym_m)), repeat=len(others))), dtype=np.intp).reshape(total, -1)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permlab import arithmetic
 from permlab.arithmetic import (SelectorProblem, alt_target_degrees,
                                 crt_combine, factorial_gap_check,
                                 factorial_half, find_witness_prime,
@@ -165,9 +166,13 @@ def test_selector_problem_validation():
         SelectorProblem(qs=(7, 7), gamma=(0, 1))
 
 
-def test_scan_budget_failure_is_loud():
-    with pytest.raises(CapExceededError):
-        find_witness_prime(SelectorProblem.of({7: 1}), scan_limit=1)
+def test_scan_budget_failure_is_loud(monkeypatch):
+    # the progression for {7: 1} from the floor 13 runs 16, 23, ...
+    monkeypatch.setattr(arithmetic, "PRIME_SCAN_LIMIT", 1)
+    with pytest.raises(CapExceededError, match="within 1 candidates"):
+        find_witness_prime(SelectorProblem.of({7: 1}))
+    monkeypatch.setattr(arithmetic, "PRIME_SCAN_LIMIT", 2)
+    assert find_witness_prime(SelectorProblem.of({7: 1})) == 23
 
 
 # -- target degrees and factorial gaps --------------------------------------------------

@@ -292,6 +292,38 @@ def test_stability_map_over_the_group_cap_exits_two_at_once(tmp_path, capsys):
     assert "capped at |G| <= 24" in capsys.readouterr().err
 
 
+_BRUTE = [{"check": "matches the brute-force centralizer", "pass": True}]
+
+
+@pytest.mark.parametrize("argv, code, fields", [
+    (("schreier", "--graph", "regular:sym4", "--mode", "report"), 0,
+     {"n": 24, "edge_expansion": "1/6"}),
+    (("schreier", "--graph", "cycle:24", "--mode", "report"), 0,
+     {"n": 24, "edge_expansion": "1/12"}),
+    (("schreier", "--graph", "cycle:9", "--mode", "clusters", "--search", "exhaustive"),
+     2, None),
+    (("rigidity", "--check", "action-centralizer", "--perms", "(1 2 3);(4 5 6 7 8)"), 0,
+     {"degree": 8, "centralizer_order": 15, "checks": _BRUTE}),
+    (("rigidity", "--check", "action-centralizer", "--perms", "(1 2 3);(4 5 6 7 8 9)"), 0,
+     {"degree": 9, "centralizer_order": 18, "checks": []}),
+], ids=["report-regular-sym4", "report-cycle-24", "clusters-exhaustive-cycle-9",
+        "action-centralizer-degree-8", "action-centralizer-degree-9"])
+def test_brute_force_scans_finish_within_budget(tmp_path, capsys, argv, code, fields):
+    # every subset of 24 points, all of Sym(8), or a loud refusal of Sym(9);
+    # the brute-force centralizer row appears up to groups.SYM_SCAN_CAP only
+    out = tmp_path / "r.json"
+    t0 = time.perf_counter()
+    assert main([*argv, "-o", str(out)]) == code
+    assert time.perf_counter() - t0 < 10
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "capped at degree 8" in err and not out.exists()
+    else:
+        rep = json.loads(out.read_text(encoding="utf-8"))
+        assert {k: rep[k] for k in fields} == fields
+
+
 # -- determinism and side outputs -----------------------------------------------------
 
 def test_reports_are_byte_identical_across_runs(tmp_path):

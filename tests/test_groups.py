@@ -489,9 +489,12 @@ def test_simplicity_known_values():
     assert not is_simple_bruteforce(G("cyclic1"))
 
 
-def test_simplicity_cap():
-    with pytest.raises(CapExceededError):
-        is_simple_bruteforce(G("sym4"), cap=10)
+def test_simplicity_cap(monkeypatch):
+    monkeypatch.setattr(groups, "SIMPLICITY_CAP", 23)
+    with pytest.raises(CapExceededError, match="capped at 23 elements"):
+        is_simple_bruteforce(G("sym4"))
+    monkeypatch.setattr(groups, "SIMPLICITY_CAP", 24)
+    assert not is_simple_bruteforce(G("sym4"))
 
 
 def test_is_abelian():
@@ -518,6 +521,32 @@ def test_spectrum_and_isomorphism_oracle():
     assert not are_isomorphic(G("d12"), G("alt4"))
     assert not are_isomorphic(G("z6"), G("sym3"))
     assert are_isomorphic(G("sym3"), G("d6"))
+
+
+def test_isomorphism_oracle_cap(monkeypatch):
+    # Sym(3)'s generators have orders 2 and 3; d6 has 3 elements of order 2
+    # and 2 of order 3, so the search tries 3 * 2 generator images
+    monkeypatch.setattr(groups, "ISOMORPHISM_CAP", 5)
+    with pytest.raises(CapExceededError, match="isomorphism search budget exceeded"):
+        are_isomorphic(G("sym3"), G("d6"))
+    monkeypatch.setattr(groups, "ISOMORPHISM_CAP", 6)
+    assert are_isomorphic(G("sym3"), G("d6"))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sym_scan_rows_list_sym_n_in_lexicographic_order(n):
+    rows = groups.sym_scan_rows(n)
+    assert rows.tolist() == [list(p) for p in itertools.permutations(range(n))]
+    assert not rows.flags.writeable
+
+
+def test_sym_scan_rows_cap(monkeypatch):
+    with pytest.raises(CapExceededError, match=r"Sym\(9\) are capped at degree 8"):
+        groups.sym_scan_rows(9)
+    monkeypatch.setattr(groups, "SYM_SCAN_CAP", 3)
+    with pytest.raises(CapExceededError, match=r"Sym\(4\) are capped at degree 3"):
+        groups.sym_scan_rows(4)
+    assert len(groups.sym_scan_rows(3)) == 6
 
 
 # -- Alt(l) subgroup search --------------------------------------------------

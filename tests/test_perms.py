@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permlab import groups
 from permlab.errors import CapExceededError
 from permlab.perms import (
     CycleType,
@@ -292,7 +293,7 @@ def test_find_conjugator():
     assert find_conjugator(g, parse_permutation("(1 2)", 5)) is None
 
 
-def test_min_conjugate_distance():
+def test_min_conjugate_distance(monkeypatch):
     g = parse_permutation("(1 2 3 4)")
     h = g * g
     # oracle: direct scan over Sym(4), done inline
@@ -300,8 +301,21 @@ def test_min_conjugate_distance():
         hamming_distance(g, x * h * x.inverse()) for x in all_sym(4))
     assert min_conjugate_distance(g, h) == best == Fraction(1, 2)
     assert min_conjugate_distance(g, g) == 0
-    with pytest.raises(CapExceededError):
-        min_conjugate_distance(identity(9), identity(9), cap=8)
+    with pytest.raises(CapExceededError, match=r"Sym\(9\) are capped at degree 8"):
+        min_conjugate_distance(identity(9), identity(9))
+    monkeypatch.setattr(groups, "SYM_SCAN_CAP", 3)
+    with pytest.raises(CapExceededError, match=r"Sym\(4\) are capped at degree 3"):
+        min_conjugate_distance(g, h)
+    assert min_conjugate_distance(parse_permutation("(1 2 3)"),
+                                  parse_permutation("(1 2)", degree=3)) == Fraction(2, 3)
+
+
+@given(pairs_same_degree(6))
+@settings(max_examples=120, deadline=None)
+def test_min_conjugate_distance_matches_a_scan_of_sym_n(pair):
+    g, h = pair
+    assert min_conjugate_distance(g, h) == min(
+        hamming_distance(g, x * h * x.inverse()) for x in all_sym(g.degree))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+import permlab.groups as groups
+import permlab.rigidity as rigidity
 import permlab.schreier as schreier
 from permlab.errors import CapExceededError
-from permlab.groups import FiniteGroup, construct_group, extend, generating_subset
+from permlab.groups import (SYM_SCAN_CAP, FiniteGroup, construct_group, extend,
+                            generating_subset)
 from permlab.perms import Permutation, identity, parse_permutation
 from permlab.rigidity import (
-    BRUTE_DEGREE_CAP, BiregularReport, GroupAction, _is_copy,
+    BiregularReport, GroupAction, _is_copy,
     action_centralizer, action_from_group, biregular_action,
     biregular_double_centralizer, centralizer_in_sym_bruteforce, centralizer_transitive_action,
     class_power_types, double_centralizer_check, flip_permutation,
@@ -79,9 +82,13 @@ def test_flip_conjugation_identity_per_generator():
         assert t * by_label[f"L{k}"] * t == by_label[f"R{k}"]
 
 
-def test_biregular_cap():
-    with pytest.raises(CapExceededError):
-        biregular_action(construct_group("sym5"), cap=100)
+def test_biregular_cap(monkeypatch):
+    sym5 = construct_group("sym5")
+    monkeypatch.setattr(rigidity, "CLASS_POWER_GROUP_CAP", len(sym5) - 1)
+    with pytest.raises(CapExceededError, match="two-sided action capped at groups of size 119"):
+        biregular_action(sym5)
+    monkeypatch.setattr(rigidity, "CLASS_POWER_GROUP_CAP", len(sym5))
+    assert biregular_action(sym5).degree == 120
 
 
 # -- centralizers ------------------------------------------------------------------------
@@ -104,9 +111,13 @@ def test_transitive_centralizer_rejects_intransitive():
             GroupAction(("a",), (parse_permutation("(1 2)(3 4)"),)))
 
 
-def test_bruteforce_centralizer_cap():
-    with pytest.raises(CapExceededError):
+def test_bruteforce_centralizer_cap(monkeypatch):
+    with pytest.raises(CapExceededError, match=r"Sym\(9\) are capped at degree 8"):
         centralizer_in_sym_bruteforce([identity(9)])
+    monkeypatch.setattr(groups, "SYM_SCAN_CAP", 4)
+    with pytest.raises(CapExceededError, match=r"Sym\(5\) are capped at degree 4"):
+        centralizer_in_sym_bruteforce([identity(5)])
+    assert len(centralizer_in_sym_bruteforce([identity(4)])) == 24
 
 
 def test_action_centralizer_on_mixed_orbits():
@@ -181,7 +192,7 @@ def test_double_centralizer_past_the_brute_force_degree():
     # own centralizer, twice the order of the cyclic group the input generates
     g = parse_permutation("(1 2)(3 4 5)(6 7 8 9)")
     r = double_centralizer_check([g])
-    assert g.degree == 9 > BRUTE_DEGREE_CAP
+    assert g.degree == 9 > SYM_SCAN_CAP
     assert len(r.subgroup) == 12
     assert len(r.centralizer) == 24
     assert all(c * g == g * c for c in r.centralizer)
@@ -357,11 +368,14 @@ def test_class_power_types_monotone_for_involutions():
             assert class_power_types(G, g, k) <= class_power_types(G, g, k + 2)
 
 
-def test_class_power_types_caps():
+def test_class_power_types_caps(monkeypatch):
     S4 = construct_group("sym4")
     with pytest.raises(ValueError):
         class_power_types(S4, 1, 0)
     with pytest.raises(ValueError):
         class_power_types(S4, 1, 7)
-    with pytest.raises(CapExceededError):
-        class_power_types(S4, 1, 2, cap=10)
+    monkeypatch.setattr(rigidity, "CLASS_POWER_GROUP_CAP", 23)
+    with pytest.raises(CapExceededError, match="class power types capped at groups of size 23"):
+        class_power_types(S4, 1, 2)
+    monkeypatch.setattr(rigidity, "CLASS_POWER_GROUP_CAP", 24)
+    assert class_power_types(S4, 1, 2)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import permlab.groups as groups
 import permlab.schreier as schreier
 from permlab.cli import main
 from permlab.errors import CapExceededError
@@ -19,7 +20,7 @@ from permlab.groups import construct_group, extend, right_regular_permutation
 from permlab.perms import (Permutation, hamming_distance, identity, parse_permutation,
                            random_permutation)
 from permlab.schreier import (
-    ClusterScan, EXHAUSTIVE_CAP, GAP_CAP, LabeledSchreierGraph, adjacency_matrix,
+    ClusterScan, GAP_CAP, LabeledSchreierGraph, adjacency_matrix,
     build_schreier_graph, cluster_scan, component_mass_profile, components,
     default_cluster_epsilon, directed_cycle_graph, edge_expansion,
     enumerate_eps_automorphisms, epsilon_defect, exact_automorphisms,
@@ -245,11 +246,28 @@ def test_cheeger_consistency_small():
         assert (edge_expansion(g) > 0) == (spectral_gap(g) > 1e-9)
 
 
-def test_expansion_cap():
+def test_expansion_cap(monkeypatch):
     with pytest.raises(CapExceededError):
         edge_expansion(directed_cycle_graph(30))
     # a cycle splits best into two arcs: boundary 2 over deg 2 times n/2
     assert edge_expansion(directed_cycle_graph(14)) == Fraction(1, 7)
+    monkeypatch.setattr(schreier, "EXPANSION_CAP", 13)
+    with pytest.raises(CapExceededError, match="n capped at 13"):
+        edge_expansion(directed_cycle_graph(14))
+    assert edge_expansion(directed_cycle_graph(13)) == Fraction(1, 6)
+
+
+@given(st.integers(2, 10), st.integers(1, 3), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_edge_expansion_matches_a_scan_of_every_subset(n, labels, rng):
+    g = LabeledSchreierGraph(tuple(f"s{k}" for k in range(labels)),
+                             tuple(random_permutation(rng, n) for _ in range(labels)))
+    gens = symmetrized_generators(g)
+    expected = min(
+        Fraction(sum(p.apply(u) not in A for u in A for p in gens), len(gens) * len(A))
+        for size in range(1, n // 2 + 1)
+        for A in map(set, itertools.combinations(range(n), size)))
+    assert edge_expansion(g) == expected
 
 
 # -- epsilon defect ----------------------------------------------------------------------------
@@ -304,10 +322,14 @@ def test_exhaustive_matches_backtracking_at_zero():
         assert [p.images for p in ex] == [p.images for p in bt]
 
 
-def test_exhaustive_cap_and_mode_validation():
+def test_exhaustive_cap_and_mode_validation(monkeypatch):
     g = regular_action_graph(construct_group("alt4"))  # n = 12
     with pytest.raises(CapExceededError):
         enumerate_eps_automorphisms(g, 0, mode="exhaustive")
+    monkeypatch.setattr(groups, "SYM_SCAN_CAP", 4)
+    with pytest.raises(CapExceededError, match=r"Sym\(5\) are capped at degree 4"):
+        enumerate_eps_automorphisms(directed_cycle_graph(5), 0, mode="exhaustive")
+    assert len(enumerate_eps_automorphisms(directed_cycle_graph(4), 0, mode="exhaustive")) == 4
     with pytest.raises(ValueError):
         enumerate_eps_automorphisms(g, Fraction(1, 2), mode="backtracking")
     with pytest.raises(ValueError):

@@ -287,9 +287,13 @@ def test_identity_preserving_scan_z2_sym3():
     assert scan.max_ratio < STABILITY_BOUND
 
 
-def test_scan_cap():
-    with pytest.raises(CapExceededError):
-        identity_preserving_scan(construct_group("cyclic3"), 3, cap=10)
+def test_scan_cap(monkeypatch):
+    # cyclic3's two non-identity elements each go anywhere in Sym(3): 6 ** 2 maps
+    monkeypatch.setattr(stability, "SCAN_CAP", 35)
+    with pytest.raises(CapExceededError, match="scan of 36 maps exceeds the cap 35"):
+        identity_preserving_scan(construct_group("cyclic3"), 3)
+    monkeypatch.setattr(stability, "SCAN_CAP", 36)
+    assert len(identity_preserving_scan(construct_group("cyclic3"), 3).rows) == 36
 
 
 # -- metric sanity ------------------------------------------------------------------------
