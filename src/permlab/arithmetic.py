@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .errors import CapExceededError
 

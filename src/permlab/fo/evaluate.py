@@ -47,7 +47,7 @@ from ..perms import Permutation
 from . import macros as _macros
 from .macros import ArgKind
 from .syntax import (And, Comm, Eq, Implies, Int, Inv, MacroCall, Mul, Not,
-                     One, Or, Quant, SetCall, Var, term_variables, to_text)
+                     One, Or, Quant, SetCall, Var, term_variables)
 
 __all__ = ["evaluate", "evaluate_detailed", "EvalResult", "validate_formula",
            "eval_term", "NAIVE_CAP", "STRATEGIES"]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping
 
 __all__ = [
     "Permutation",

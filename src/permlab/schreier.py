@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CapExceededError
 from .groups import (FiniteGroup, _generated_group, _min_labels, _void_rows,
                      left_regular_permutation, spread, sym_scan_rows)
-from .perms import Permutation, identity, parse_permutation
+from .perms import Permutation, identity
 
 __all__ = [
     "LabeledSchreierGraph", "build_schreier_graph", "regular_action_graph",

@@ -306,11 +306,15 @@ _BRUTE = [{"check": "matches the brute-force centralizer", "pass": True}]
      {"degree": 8, "centralizer_order": 15, "checks": _BRUTE}),
     (("rigidity", "--check", "action-centralizer", "--perms", "(1 2 3);(4 5 6 7 8 9)"), 0,
      {"degree": 9, "centralizer_order": 18, "checks": []}),
+    (("verify", "--groups", "sym8", "--sentences", "prime_remark", "--strategy", "class"),
+     0, {"summary": {"asserted": 1, "failed": 0, "rows": 1}}),
 ], ids=["report-regular-sym4", "report-cycle-24", "clusters-exhaustive-cycle-9",
-        "action-centralizer-degree-8", "action-centralizer-degree-9"])
+        "action-centralizer-degree-8", "action-centralizer-degree-9",
+        "verify-class-sym8"])
 def test_brute_force_scans_finish_within_budget(tmp_path, capsys, argv, code, fields):
     # every subset of 24 points, all of Sym(8), or a loud refusal of Sym(9);
-    # the brute-force centralizer row appears up to groups.SYM_SCAN_CAP only
+    # the brute-force centralizer row appears up to groups.SYM_SCAN_CAP only;
+    # the class strategy's orbit representatives on all of Sym(8)
     out = tmp_path / "r.json"
     t0 = time.perf_counter()
     assert main([*argv, "-o", str(out)]) == code

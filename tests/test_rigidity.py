@@ -82,6 +82,13 @@ def test_flip_conjugation_identity_per_generator():
         assert t * by_label[f"L{k}"] * t == by_label[f"R{k}"]
 
 
+def test_image_group_reads_the_element_cap_at_call_time(monkeypatch):
+    sym3 = construct_group("sym3")
+    monkeypatch.setattr(groups, "ELEMENT_CAP", 5)
+    with pytest.raises(CapExceededError, match="element cap 5"):
+        action_from_group(sym3).image_group()
+
+
 def test_biregular_cap(monkeypatch):
     sym5 = construct_group("sym5")
     monkeypatch.setattr(rigidity, "CLASS_POWER_GROUP_CAP", len(sym5) - 1)

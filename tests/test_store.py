@@ -4,7 +4,7 @@ products, and the FO whole-domain scans built on them."""
 import hashlib
 import json
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from permlab import groups
 from permlab.fo.evaluate import _Evaluator
 from permlab.fo.syntax import And, Comm, Eq, Implies, Inv, Mul, Not, One, Or, Var
-from permlab.groups import FiniteGroup, TABLE_CAP, construct_group, default_corpus
+from permlab.groups import (FiniteGroup, TABLE_CAP, construct_group, default_corpus,
+                            generated_subgroup, orbit)
+from permlab.perms import parse_permutation
 from permlab.schreier import regular_action_graph
 
 # (matrix, table, classes, class representatives): the first 16 hex digits
@@ -110,6 +112,9 @@ def test_matrix_is_one_read_only_int32_store():
      "duplicate element in element list"),
     ([(1, 0, 2), (0, 2, 1)], "identity missing from element list"),
     (np.array([(1, 0)], dtype=np.int32), "identity missing from element list"),
+    ([(0, 1), (1, 2)], "element entries must lie in 0..1"),
+    (np.array([(0, 1, 2), (0, 1, -1)], dtype=np.int32), "element entries must lie in 0..2"),
+    ([tuple(range(17)), tuple(range(16)) + (17,)], "element entries must lie in 0..16"),
 ])
 def test_constructor_errors_keep_their_messages(elements, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -167,6 +172,82 @@ def test_products_match_tuple_composition(name, data):
         assert row not in g
         with pytest.raises(ValueError, match=re.escape(f"not an element of {g.name}")):
             g.index_of(row)
+
+
+# -- row keys: base-d digits up to degree 15, row bytes above it --------------
+
+# Sym(4) × C2 on 15 and on 17 points, one group per key encoding
+KEYED = ["generated[(1 2 3 4),(1 2),(14 15)]", "generated[(1 2 3 4),(1 2),(16 17)]"]
+
+
+def _index(g, cycles):
+    p = parse_permutation(cycles)
+    return g.index_of(tuple(p.images) + tuple(range(p.degree, g.degree)))
+
+
+@pytest.mark.parametrize("name, kind", zip(KEYED, [np.int64, np.void]))
+def test_rank_matches_a_dict_of_element_tuples(name, kind):
+    g, tuples, index = _oracle(name)
+    assert len(g) == 48 and np.issubdtype(g._keys.dtype, kind)
+    backwards = [index[t] for t in reversed(tuples)]
+    assert g._rank(g.matrix[::-1]).tolist() == backwards
+    # 288 rows: more than _search looks up in the given order
+    assert g._rank(np.tile(g.matrix[::-1], (6, 1))).tolist() == backwards * 6
+    assert g._rank(np.array(tuples[3])) == 3
+    assert all(g.index_of(t) == i for t, i in index.items())
+    cycle = tuple(range(1, g.degree)) + (0,)  # a permutation outside the group
+    assert cycle not in index and cycle not in g
+
+
+@pytest.mark.parametrize("name", ["sym4", *KEYED])
+def test_rows_with_entries_outside_the_degree_are_no_elements(name):
+    g = construct_group(name)
+    d, ident = g.degree, tuple(range(g.degree))
+    rows = [ident[:-1] + (d,), (-1,) + ident[1:], ident[:-1] + (2 ** 31 - 1,)]
+    if d == 4:
+        # base-4 digits equal to the identity's key 27, and two rows that
+        # share the key 28
+        rows += [(0, 1, 1, 7), (0, 2, -2, 3), (0, 1, 2, 4), (0, 1, 3, 0)]
+        assert [sum(x * 4 ** (3 - i) for i, x in enumerate(r)) for r in rows[3:]] == \
+            [27, 27, 28, 28]
+    for row in rows:
+        assert row not in g
+        with pytest.raises(ValueError, match=re.escape(f"not an element of {g.name}: {row}")):
+            g.index_of(row)
+        with pytest.raises(ValueError, match=re.escape(f"not an element of {g.name}: {row}")):
+            g._rank(np.array([ident, row, ident]))
+
+
+def _scalar_orbit_labels(g, by, points):
+    """Least member of each point's orbit under x ↦ b·x·b^-1, by `orbit`."""
+    least = {}
+    for x in points:
+        if x not in least:
+            members = orbit(x, [partial(g.conj, by=b) for b in by])
+            least.update(dict.fromkeys(members, min(members)))
+    return [least[x] for x in points]
+
+
+@pytest.mark.parametrize("name", KEYED)
+def test_conjugation_orbits_match_scalar_conj(name, monkeypatch):
+    monkeypatch.setattr(groups, "_BLOCK", 5)  # many blocks per generator
+    g = construct_group(name)
+    # Sym(4) × 1 is normal, so conjugation by g's generators keeps it
+    sub = generated_subgroup(g, [_index(g, "(1 2 3 4)"), _index(g, "(1 2)")])
+    points = np.array(sorted(sub))
+    for by in (g.generators, [_index(g, "(1 2)"), _index(g, "(2 3 4)")]):
+        assert g.conjugation_orbits(by, points).tolist() == \
+            _scalar_orbit_labels(g, by, points.tolist())
+    assert g.conjugation_orbits(g.generators).tolist() == \
+        _scalar_orbit_labels(g, g.generators, range(len(g)))
+
+
+@pytest.mark.parametrize("name", KEYED)
+def test_conjugation_orbits_refuse_points_not_closed_under_conjugation(name):
+    g = construct_group(name)
+    points = np.array(sorted([g.identity_index, _index(g, "(1 2)")]))
+    with pytest.raises(ValueError, match="a conjugate is missing from the points"):
+        g.conjugation_orbits([_index(g, "(1 2 3 4)")], points)
 
 
 def test_mul_builds_no_table_above_the_cap():
