@@ -11,8 +11,9 @@ A map is held as a |G|×n int32 image array.  Defects, injectivity and
 distances are numpy counts of disagreeing points over blocks of pairs and
 batches of maps.  Homomorphisms are spread from the identity by
 :func:`~permlab.groups.spread`, one block of generator images at a time,
-and kept when every generator edge agrees.  Permutations and Fractions are
-built only for results.
+and kept when every generator edge agrees; generator images whose pairwise
+products have orders not dividing those of the generators' products are
+dropped first.  Permutations and Fractions are built only for results.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CapExceededError
-from .groups import (FiniteGroup, GroupSpec, construct_group, parse_group_spec,
-                     spread)
+from .groups import (FiniteGroup, GroupSpec, _void_rows, construct_group,
+                     parse_group_spec, spread)
 from .perms import Permutation, evaluate_word, identity, parse_permutation
 from .schreier import pairwise_distances
 
@@ -244,10 +245,13 @@ def enumerate_homs(G: FiniteGroup, m: int) -> list[AlmostHom]:
     """All homomorphisms G -> Sym(m), each returned as a defect-zero AlmostHom.
 
     Each generator's image ranges over the elements of Sym(m) whose order
-    divides the generator's order; a stored presentation prunes those
-    assignments through relator checks.  The output is sorted by image
-    tuples, so enumeration order is deterministic.  Results are memoized
-    per (G, m); every call returns a fresh list.
+    divides the generator's order.  Assignments are pruned where, for some
+    generators g_i, g_j, the order of x_i·x_j does not divide that of
+    g_i·g_j (exact for Sym(4), presented by a², b⁴, (ab)³), and where a
+    stored presentation's relator fails; the edge check decides the rest.
+    The output is sorted by image tuples, so enumeration order is
+    deterministic.  Results are memoized per (G, m); every call returns a
+    fresh list.
     """
     return [AlmostHom._of_array(G, h) for h in _homs(G, m)]
 
@@ -263,23 +267,35 @@ def _homs(G: FiniteGroup, m: int) -> np.ndarray:
     pres = builtin_presentation(getattr(G, "spec", None))
     gens = list(G.generators) if pres is None else \
         [G.index_of(p) for p in pres.images_in_group]
-    candidate_lists = [[i for i in range(len(sym_m))
-                        if G.order_of(g) % sym_m.order_of(i) == 0]
-                       for g in gens]
+    orders = np.array([sym_m.order_of(i) for i in range(len(sym_m))])
+    candidate_lists = [np.flatnonzero(G.order_of(g) % orders == 0) for g in gens]
     if math.prod(map(len, candidate_lists)) * len(G) > HOM_BUDGET:
         raise CapExceededError("homomorphism search budget exceeded")
-    assignments = itertools.product(*candidate_lists)
+    # assignments (rows of image indices) grow one generator at a time; a
+    # row stays when every product x_i·x_j has an order dividing that of
+    # g_i·g_j, as under any homomorphism (ord(xy) = ord(yx): no convention)
+    assignments = np.zeros((1, 0), dtype=np.intp)
+    for j, candidates in enumerate(candidate_lists):
+        assignments = np.column_stack([np.repeat(assignments, len(candidates), 0),
+                                       np.tile(candidates, len(assignments))])
+        for i in range(j):
+            xy = np.take_along_axis(*sym_m.matrix[assignments[:, [i, j]].T], 1)
+            power = xy
+            for _ in range(G.order_of(G.mul(gens[i], gens[j])) - 1):
+                power = np.take_along_axis(xy, power, 1)
+            assignments = assignments[(power == np.arange(m)).all(1)]
     if pres is not None:
-        perm = {i: sym_m.element(i) for lst in candidate_lists for i in lst}
-        assignments = (a for a in assignments if all(
+        perm = {i: sym_m.element(i) for i in np.unique(assignments).tolist()}
+        assignments = assignments[np.array([all(
             evaluate_word(rel, dict(zip(pres.names, map(perm.get, a)))).is_identity()
-            for rel in pres.relators))
+            for rel in pres.relators) for a in assignments.tolist()], dtype=bool)]
     # each block of generator images fixes maps spread from the identity along
     # x -> gens[j]*x; those agreeing on every edge are exactly the homomorphisms
     edges = G.mul_many(np.array(gens, dtype=np.intp)[:, None], np.arange(len(G)))
+    rows = _BLOCK // (len(G) * m) + 1
     blocks = []  # the identity assignment always survives, so never empty
-    while block := list(itertools.islice(assignments, _BLOCK // (len(G) * m) + 1)):
-        images = sym_m.matrix[np.array(block, dtype=np.intp).reshape(len(block), -1)]
+    for r0 in range(0, len(assignments), rows):
+        images = sym_m.matrix[assignments[r0:r0 + rows]]
         b, k, _ = images.shape
         # images[a, j][p] is flat[j][a*m + p]: one gather composes a whole column
         flat = images.transpose(1, 0, 2).reshape(k, b * m)
@@ -296,7 +312,7 @@ def _homs(G: FiniteGroup, m: int) -> np.ndarray:
             ok &= (H[edges[j]] == step(j, H)).all((0, 2))
         blocks.append(H.transpose(1, 0, 2)[ok])
     homs = np.concatenate(blocks)
-    homs = homs[np.lexsort(homs.reshape(len(homs), -1).T[::-1])]
+    homs = homs[np.argsort(_void_rows(homs.reshape(len(homs), -1), ">i4"))]
     homs.flags.writeable = False
     return homs
 
@@ -322,8 +338,8 @@ def _nearest(maps: np.ndarray, G: FiniteGroup,
     best: list = [None] * len(maps)
     # top degree first, so an over-cap window is refused before any search
     for m in range(math.ceil((1 + Fraction(window)) * n), n - 1, -1):
-        homs = enumerate_homs(G, m)
-        H, padded = np.stack([h.array for h in homs]), _pad(maps, m)
+        homs = enumerate_homs(G, m)  # the results are taken from this list
+        H, padded = _homs(G, m), _pad(maps, m)  # ranked as its cached array
         step = max(1, _BLOCK // H.size)
         for b0 in range(0, len(maps), step):
             counts = (padded[b0:b0 + step, None] != H).sum(3).max(2)

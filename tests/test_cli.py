@@ -292,6 +292,16 @@ def test_stability_map_over_the_group_cap_exits_two_at_once(tmp_path, capsys):
     assert "capped at |G| <= 24" in capsys.readouterr().err
 
 
+def test_stability_scan_of_sym4_at_degree_six_exits_two(tmp_path, capsys):
+    # 720^23 identity-preserving maps: refused by the scan cap, not searched
+    t0 = time.perf_counter()
+    assert main(["stability", "--group", "sym4", "--degree", "6",
+                 "-o", str(tmp_path / "r.json")]) == 2
+    assert time.perf_counter() - t0 < 2
+    assert "maps exceeds the cap 10000" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 _BRUTE = [{"check": "matches the brute-force centralizer", "pass": True}]
 
 

@@ -3,15 +3,17 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache, partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permlab.errors import CapExceededError
-from permlab.groups import FiniteGroup, construct_group, extend, \
-    generated_subgroup, left_regular_permutation
+from permlab.groups import FiniteGroup, construct_group, default_corpus, extend, \
+    generated_subgroup, left_regular_permutation, spread
 from permlab.perms import Permutation, evaluate_word, hamming_distance, identity, \
     parse_permutation
 import permlab.stability as stability
@@ -221,6 +223,84 @@ def test_enumerate_homs_caps():
         enumerate_homs(construct_group("sym5"), 3)
     with pytest.raises(CapExceededError):
         enumerate_homs(construct_group("cyclic2"), 7)
+
+
+def test_homs_budget_counts_unpruned_assignments(monkeypatch):
+    # Sym(4) -> Sym(6): 76 x 256 order-compatible images of (1 2), (1 2 3 4),
+    # times 24 elements, are counted although 2,476 survive the pair prune
+    G = construct_group("sym4")
+    stability._homs.cache_clear()
+    monkeypatch.setattr(stability, "HOM_BUDGET", 76 * 256 * 24 - 1)
+    with pytest.raises(CapExceededError, match="budget exceeded"):
+        stability._homs(G, 6)
+    monkeypatch.setattr(stability, "HOM_BUDGET", 76 * 256 * 24)
+    assert len(stability._homs(G, 6)) == 2476
+
+
+def test_over_budget_homs_are_refused_before_any_assignment_array(monkeypatch):
+    # Sym(4) -> Sym(7): 232 x 1,072 image pairs x 24 elements is past the
+    # budget; the unpruned index array alone would take 4 MB
+    monkeypatch.setattr(stability, "HOM_DEGREE_CAP", 7)
+    G, sym7 = construct_group("sym4"), construct_group("sym7")
+    for i in range(len(sym7)):  # element orders are cached outside the trace
+        sym7.order_of(i)
+    stability._homs.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="budget exceeded"):
+            stability._homs(G, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name", ["sym1", "cyclic1"])
+def test_zero_generator_domains_have_the_trivial_hom(name):
+    G = construct_group(name)
+    pres = builtin_presentation(G.spec)
+    assert len(G) == 1 and (G.generators if pres is None else pres.names) == ()
+    for m in (1, 3):
+        homs = stability._homs(G, m)
+        assert homs.tolist() == [[list(range(m))]]
+        [hom] = enumerate_homs(G, m)
+        assert is_homomorphism(hom)
+
+
+def unpruned_homs(G, m):
+    """Every homomorphism G -> Sym(m) by the edge check alone, as image rows
+    in lexicographic order: every tuple of images of G's own generators with
+    orders dividing theirs (the count HOM_BUDGET bounds) is spread from the
+    identity and kept when every generator edge agrees."""
+    sym_m, gens = construct_group(f"sym{m}"), list(G.generators)
+    choice = np.array(list(itertools.product(*[
+        [i for i in range(len(sym_m)) if G.order_of(g) % sym_m.order_of(i) == 0]
+        for g in gens])), dtype=np.intp).reshape(-1, len(gens))
+    images = sym_m.matrix[choice][None]  # 1 × assignments × generators × m
+    edges = G.mul_many(np.array(gens, dtype=np.intp)[:, None], np.arange(len(G)))
+
+    def step(j, values):  # the image of gens[j]·x is x_j composed after x's
+        return np.take_along_axis(images[:, :, j], values, 2)
+    start = np.broadcast_to(np.arange(m, dtype=np.int32), (len(choice), m))
+    _, H = spread(edges, G.identity_index, start, step)
+    ok = np.ones(len(choice), dtype=bool)
+    for j in range(len(gens)):
+        ok &= (H[edges[j]] == step(j, H)).all((0, 2))
+    return sorted(H.transpose(1, 0, 2)[ok].reshape(int(ok.sum()), -1).tolist())
+
+
+def test_pruned_homs_equal_the_unpruned_reference():
+    cases = [(construct_group(spec), m) for spec in default_corpus()
+             for m in range(1, 6) if len(construct_group(spec)) <= 24]
+    # C6 on an involution and a 3-cycle: a², b³, (ab)⁶ present an infinite
+    # group, so pairs like (1 2), (1 2 3) pass the prune and the edge check
+    # must refuse them
+    c6 = construct_group("generated[(1 2),(3 4 5)]")
+    cases += [(construct_group("sym4"), 6)] + [(c6, m) for m in range(1, 6)]
+    assert len(cases) == 17 * 5 + 6  # corpus groups of order <= 24, then the extras
+    for G, m in cases:
+        homs = stability._homs(G, m)
+        assert homs.reshape(len(homs), -1).tolist() == unpruned_homs(G, m), (G.name, m)
 
 
 # -- nearest homomorphism ------------------------------------------------------------
