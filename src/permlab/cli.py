@@ -44,15 +44,11 @@ DEFAULT_SENTENCES = ["felgner", "congruence(1,3)", "prime_remark"]
 _CONGRUENCE_ID = re.compile(r"^congruence\((\d+),\s*(\d+)\)$")
 
 
-def _num(x):
-    """Exact rationals as "p/q" strings, integral values as plain ints."""
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _jsonable(obj):
+    """The report as JSON values: exact rationals as "p/q" strings (integral
+    ones as plain ints), permutations as cycle strings."""
     if isinstance(obj, Fraction):
-        return _num(obj)
+        return int(obj) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, float):
         return round(obj, 12)
     if isinstance(obj, Permutation):
@@ -209,8 +205,7 @@ def cmd_schreier(args) -> dict:
     if args.mode == "exact-autos":
         rows = automorphism_rows(graph)  # distances refuse a large list first
         dists = [d for d, _ in pairwise_distances(rows)[0]]
-        pairwise = None if not dists else _num(dists[0]) if len(dists) == 1 \
-            else [_num(d) for d in dists]
+        pairwise = None if not dists else dists[0] if len(dists) == 1 else dists
         checks = [{"check": "pairwise distances all equal 1",
                    "pass": not dists or dists == [Fraction(1)]}]
         if G is not None:
@@ -218,8 +213,7 @@ def cmd_schreier(args) -> dict:
                            "pass": len(rows) == len(G)})
         return {"command": "schreier", "config": config,
                 "count": len(rows), "pairwise_distance": pairwise,
-                "automorphisms": [Permutation(tuple(r)).to_cycle_string()
-                                  for r in rows.tolist()],
+                "automorphisms": [Permutation(tuple(r)) for r in rows.tolist()],
                 "checks": checks}
     if args.mode == "report":
         gap = spectral_gap(graph)
@@ -233,10 +227,8 @@ def cmd_schreier(args) -> dict:
         return {"command": "schreier", "config": config,
                 "n": graph.n, "labels": list(graph.labels),
                 "symmetrized_degree": symmetrized_degree(graph),
-                "mass_profile": [_num(f) for f in component_mass_profile(graph)],
-                "spectral_gap": gap,
-                "edge_expansion":
-                    _num(expansion) if expansion is not None else None,
+                "mass_profile": component_mass_profile(graph),
+                "spectral_gap": gap, "edge_expansion": expansion,
                 "connected": connected, "checks": checks}
     if args.mode == "clusters":
         eps = default_cluster_epsilon(graph) if args.eps == "auto" else args.eps
@@ -247,7 +239,7 @@ def cmd_schreier(args) -> dict:
         autos = enumerate_eps_automorphisms(graph, eps, mode=search,
                                             restarts=args.restarts,
                                             seed=args.seed)
-        config.update({"eps": _num(eps), "search": search})
+        config.update({"eps": eps, "search": search})
         if len(autos) < 2:
             return {"command": "schreier", "config": config,
                     "automorphisms": len(autos), "clusters": None, "checks": []}
@@ -264,12 +256,10 @@ def cmd_schreier(args) -> dict:
             "command": "schreier", "config": config,
             "automorphisms": len(autos),
             "clusters": [len(c) for c in scan.clusters],
-            "gap_interval": [_num(scan.gap_interval[0]),
-                             _num(scan.gap_interval[1])],
+            "gap_interval": scan.gap_interval,
             "histogram": [[d.numerator, d.denominator, c]
                           for d, c in scan.histogram],
-            "product_defects": {f"{i},{j}": _num(d)
-                                for (i, j), d in scan.product_defects},
+            "product_defects": {f"{i},{j}": d for (i, j), d in scan.product_defects},
             "checks": checks,
         }
         _write_plot_data(args, histogram_csv(scan).splitlines())
@@ -319,7 +309,7 @@ def cmd_rigidity(args) -> dict:
             "command": "rigidity",
             "config": {"perms": args.perms, "check": "action-centralizer"},
             "degree": top, "centralizer_order": len(C),
-            "elements": [C.element(i).to_cycle_string() for i in range(len(C))],
+            "elements": list(C.elements()),
             "checks": checks,
         }
     if args.check == "class-powers":
@@ -348,13 +338,11 @@ def cmd_stability(args) -> dict:
                    "pass": near.within_bound}]
         return {
             "command": "stability",
-            "config": {"map": args.map, "window": _num(args.window)},
-            "defect": _num(rep.defect), "argmax": list(rep.argmax),
-            "injectivity": _num(rep.injectivity),
-            "nearest": {"degree": near.degree, "distance": _num(near.distance),
-                        "ratio": _num(near.ratio) if near.ratio is not None
-                        else None,
-                        "hom": [p.to_cycle_string() for p in near.hom.images]},
+            "config": {"map": args.map, "window": args.window},
+            "defect": rep.defect, "argmax": rep.argmax,
+            "injectivity": rep.injectivity,
+            "nearest": {"degree": near.degree, "distance": near.distance,
+                        "ratio": near.ratio, "hom": near.hom.images},
             "checks": checks,
         }
     G = construct_group(parse_group_spec(args.group))
@@ -364,9 +352,8 @@ def cmd_stability(args) -> dict:
     report = {
         "command": "stability",
         "config": {"group": args.group, "degree": args.degree,
-                   "window": _num(args.window)},
-        "rows": len(scan.rows),
-        "max_ratio": _num(scan.max_ratio) if scan.max_ratio is not None else None,
+                   "window": args.window},
+        "rows": len(scan.rows), "max_ratio": scan.max_ratio,
         "bound": STABILITY_BOUND,
         "checks": checks,
     }

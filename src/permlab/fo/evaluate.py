@@ -181,22 +181,15 @@ def _validate_call_args(name: str, args: tuple, spec):
             if not isinstance(arg, SetCall):
                 raise ValueError(f"{name}: expected a set expression")
             _validate_set_call(arg)
-        elif kind is ArgKind.ELEM:
-            if isinstance(arg, Int):
-                if arg.value != 1:
-                    raise ValueError(f"{name}: integer {arg.value} is not a group element")
-            elif isinstance(arg, SetCall):
+        elif isinstance(arg, SetCall):  # kind ELEM or ELEM_OR_SET from here on
+            if kind is ArgKind.ELEM:
                 raise ValueError(f"{name}: expected an element, got a set expression")
-            else:
-                _validate_term(arg)
-        elif kind is ArgKind.ELEM_OR_SET:
-            if isinstance(arg, SetCall):
-                _validate_set_call(arg)
-            elif isinstance(arg, Int):
-                if arg.value != 1:
-                    raise ValueError(f"{name}: integer {arg.value} is not a group element")
-            else:
-                _validate_term(arg)
+            _validate_set_call(arg)
+        elif isinstance(arg, Int):
+            if arg.value != 1:
+                raise ValueError(f"{name}: integer {arg.value} is not a group element")
+        else:
+            _validate_term(arg)
 
 
 def _validate_set_call(node: SetCall):
@@ -240,16 +233,9 @@ def _resolve_arg(arg, kind, G: FiniteGroup, env: dict):
         return arg.value
     if kind is ArgKind.READING:
         return arg.name
-    if kind is ArgKind.SET:
+    if isinstance(arg, SetCall):  # validated: kind SET or ELEM_OR_SET
         return _eval_set_call(arg, G, env)
-    if kind is ArgKind.ELEM:
-        if isinstance(arg, Int):  # validated to be 1
-            return G.identity_index
-        return eval_term(arg, G, env)
-    # ELEM_OR_SET
-    if isinstance(arg, SetCall):
-        return _eval_set_call(arg, G, env)
-    if isinstance(arg, Int):
+    if isinstance(arg, Int):  # an element, validated to be 1
         return G.identity_index
     return eval_term(arg, G, env)
 
@@ -418,11 +404,9 @@ def _orbit_reps(G: FiniteGroup, fixed: frozenset) -> list[int]:
     c = G.centralizer_of(fixed)
     if len(c) == len(G):
         return G.class_representatives()
-    reps = G._orbit_reps_memo.get(c)
-    if reps is None:  # the orbits depend on C(fixed) only
-        reps = G._orbit_reps_memo[c] = G.conjugation_orbit_reps(
-            generating_subset(G, c))
-    return reps
+    # the orbits depend on C(fixed) only
+    return G.memoized("fo.orbit_reps", c, lambda: G.conjugation_orbit_reps(
+        generating_subset(G, c)))
 
 
 # -- entry points ------------------------------------------------------------------------

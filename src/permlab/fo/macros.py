@@ -12,8 +12,9 @@ indices; a macro turns them into a truth value.  Argument kinds:
 Arity specs are either a tuple of kinds or ("*", kind) for one-or-more
 variadic arguments.  Implementations receive the ambient FiniteGroup and
 the resolved argument list; results are memoized on the group keyed by
-(name, resolved arguments), so repeated sentence evaluations over one
-group reuse all subgroup searches.
+(name, resolved arguments), under their own query tag of
+`FiniteGroup.memoized`, so repeated sentence evaluations over one group
+reuse all subgroup searches.
 """
 
 from __future__ import annotations
@@ -147,19 +148,11 @@ def signature_of(name: str):
     return None
 
 
-def _memo_call(G: FiniteGroup, name: str, resolved: tuple, impl):
-    key = (name, resolved)
-    memo = G._macro_memo
-    if key not in memo:
-        memo[key] = impl(G, resolved)
-    return memo[key]
-
-
 def call_set_function(G: FiniteGroup, name: str, resolved: tuple) -> frozenset:
-    spec, impl = SET_FUNCTIONS[name]
-    return _memo_call(G, name, resolved, impl)
+    impl = SET_FUNCTIONS[name][1]
+    return G.memoized("fo.call", (name, resolved), lambda: impl(G, resolved))
 
 
 def call_macro(G: FiniteGroup, name: str, resolved: tuple) -> bool:
-    spec, impl = MACROS[name]
-    return _memo_call(G, name, resolved, impl)
+    impl = MACROS[name][1]
+    return G.memoized("fo.call", (name, resolved), lambda: impl(G, resolved))

@@ -10,8 +10,11 @@ through :meth:`FiniteGroup.mul_many`: a gather from the int32 Cayley table
 TABLE_CAP elements, composed and ranked rows above it; scalar `mul` and
 `inv` read the same table and inverse array.  No other module knows how
 elements are stored; :class:`~permlab.perms.Permutation` objects appear only
-at API boundaries.  Groups are immutable after construction (the internal
-caches only memoize pure queries), so sharing them between callers is safe.
+at API boundaries.  Groups are immutable after construction, so sharing
+them between callers is safe: every pure query result that is kept
+(centralizers, subgroup tests, the class partition, and the FO evaluator's
+orbit representatives and macro values) goes through one memo store,
+:meth:`FiniteGroup.memoized`.
 
 Every closure of generators goes through one breadth-first routine over
 element rows, `_closure` (constructor groups, image groups, subgroups,
@@ -261,14 +264,7 @@ class FiniteGroup:
         self._table: tuple | None = None
         self._inverse: np.ndarray | None = None
         self._orders: list[int] = [0] * len(self)
-        self._classes: tuple[frozenset, ...] | None = None
-        self._class_index: tuple[np.ndarray, list[int]] | None = None
-        # memo tables for pure queries; keyed by frozensets of element indices
-        self._centralizer_memo: dict[frozenset, frozenset] = {}
-        self._subgroup_memo: dict[frozenset, bool] = {}
-        self._subclass_reps_memo: dict[frozenset, tuple] = {}
-        self._orbit_reps_memo: dict[frozenset, list] = {}
-        self._macro_memo: dict = {}
+        self._memo: dict[tuple, object] = {}  # see `memoized`
         self.spec: GroupSpec | None = None  # set by construct_group
 
     # -- basic queries ------------------------------------------------------
@@ -326,6 +322,16 @@ class FiniteGroup:
 
     def generator_permutations(self) -> list[Permutation]:
         return [self.element(i) for i in self.generators]
+
+    def memoized(self, query: str, key, compute):
+        """compute(), run once per (query, key) on this group: the one store
+        of its pure query results.  `query` names what is asked and `key` is
+        a hashable argument, such as a frozenset of element indices."""
+        try:
+            return self._memo[query, key]
+        except KeyError:
+            result = self._memo[query, key] = compute()
+            return result
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -438,25 +444,23 @@ class FiniteGroup:
     def _partition(self) -> tuple[np.ndarray, list[int]]:
         """(class index of every element, int32; least member of each class),
         classes in (size, least member) order."""
-        if self._class_index is None:
+        def compute():
             labels = self.conjugation_orbits(self.generators)
             reps, _sizes, order = _size_order(labels)
             rank = np.empty(len(order), dtype=np.int32)
             rank[order] = np.arange(len(order))
-            self._class_index = (rank[np.searchsorted(reps, labels)],
-                                 reps[order].tolist())
-        return self._class_index
+            return rank[np.searchsorted(reps, labels)], reps[order].tolist()
+        return self.memoized("partition", None, compute)
 
     def conjugacy_classes(self) -> tuple[frozenset, ...]:
         """Conjugacy classes, sorted by (size, least member); the sets are
         built on first request, from the partition."""
-        if self._classes is None:
+        def compute():
             class_of = self._partition()[0]
             members = np.argsort(class_of, kind="stable")
             ends = np.cumsum(np.bincount(class_of))[:-1]
-            self._classes = tuple(frozenset(m.tolist())
-                                  for m in np.split(members, ends))
-        return self._classes
+            return tuple(frozenset(m.tolist()) for m in np.split(members, ends))
+        return self.memoized("classes", None, compute)
 
     def class_representatives(self) -> list[int]:
         """Least member of each class, in (class size, member) order."""
@@ -479,24 +483,19 @@ class FiniteGroup:
         by g, keep the candidate rows x with x(g(i)) = g(x(i)).  Those x map
         fix(g) onto itself, so fixed points need no test."""
         key = frozenset(indices)
-        cached = self._centralizer_memo.get(key)
-        if cached is not None:
-            return cached
-        mat, cand = self.matrix, np.arange(len(self))
-        for g in generating_subset(self, key):
-            garr = mat[g]
-            for i in np.flatnonzero(garr != np.arange(self.degree)).tolist():
-                cand = cand[mat[cand, garr[i]] == garr[mat[cand, i]]]
-        if len(cand) == len(self):
+
+        def compute():
+            mat, cand = self.matrix, np.arange(len(self))
+            for g in generating_subset(self, key):
+                garr = mat[g]
+                for i in np.flatnonzero(garr != np.arange(self.degree)).tolist():
+                    cand = cand[mat[cand, garr[i]] == garr[mat[cand, i]]]
+            if len(cand) < len(self):
+                return frozenset(cand.tolist())
             # one whole-group set serves the empty key and every central one
-            result = self._centralizer_memo.get(frozenset())
-            if result is None:
-                result = self._centralizer_memo[frozenset()] = \
-                    frozenset(range(len(self)))
-        else:
-            result = frozenset(cand.tolist())
-        self._centralizer_memo[key] = result
-        return result
+            return self.memoized("centralizer", frozenset(),
+                                 lambda: frozenset(range(len(self))))
+        return self.memoized("centralizer", key, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -776,13 +775,8 @@ def is_subgroup(G: FiniteGroup, S: Iterable[int]) -> bool:
     pairwise closure test.
     """
     key = frozenset(S)
-    cached = G._subgroup_memo.get(key)
-    if cached is not None:
-        return cached
-    ok = G.identity_index in key and \
-        generating_subset(G, key, cap=len(key)) is not None
-    G._subgroup_memo[key] = ok
-    return ok
+    return G.memoized("is_subgroup", key, lambda: G.identity_index in key and
+                      generating_subset(G, key, cap=len(key)) is not None)
 
 
 def subgroup_index(G: FiniteGroup, H: Iterable[int]) -> int:
@@ -871,27 +865,18 @@ def is_simple_bruteforce(G: FiniteGroup) -> bool:
 # Alt(l) subgroup search
 
 
-_ALT_SPECTRUM_CACHE: dict[int, Counter] = {}
-
-
 def _alt_spectrum(l: int) -> Counter:
-    spec = _ALT_SPECTRUM_CACHE.get(l)
-    if spec is None:
-        spec = _ALT_SPECTRUM_CACHE[l] = element_order_spectrum(
-            construct_group(GroupSpec("alt", l)))
-    return spec
+    A = construct_group(GroupSpec("alt", l))
+    return A.memoized("order_spectrum", None, lambda: element_order_spectrum(A))
 
 
 def _subgroup_class_reps(G: FiniteGroup, W: frozenset) -> tuple[int, ...]:
     """Conjugacy-class representatives of the subgroup W, computed within G."""
-    cached = G._subclass_reps_memo.get(W)
-    if cached is not None:
-        return cached
-    points = np.array(sorted(W))
-    labels = G.conjugation_orbits(generating_subset(G, W), points)
-    result = tuple(points[labels == points].tolist())  # least members
-    G._subclass_reps_memo[W] = result
-    return result
+    def compute():
+        points = np.array(sorted(W))
+        labels = G.conjugation_orbits(generating_subset(G, W), points)
+        return tuple(points[labels == points].tolist())  # least members
+    return G.memoized("subgroup_class_reps", W, compute)
 
 
 def iter_alt_subgroups(G: FiniteGroup, l: int,

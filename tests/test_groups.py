@@ -406,7 +406,7 @@ def test_is_subgroup_of_a_large_centralizer_within_budget(monkeypatch):
     g = G("sym9")
     c = g.centralizer_of({idx(g, "(1 2)")})
     assert len(c) == 2 * factorial(7)
-    g._subgroup_memo.pop(c, None)
+    g._memo.pop(("is_subgroup", c), None)
     products = 0
     mul, closure = g.mul, groups._closure
 
