@@ -341,9 +341,10 @@ class _Evaluator:
             com = _match_commute_quant(q)
             if com is not None:
                 var, tnode, rest = com
-                c = self.G.centralizer_of(
-                    frozenset((eval_term(tnode, self.G, env),)))
-                return self._scan(q.kind, var, sorted(c), rest, env)
+                t = eval_term(tnode, self.G, env)
+                domain = range(len(self.G)) if self.G.is_central((t,)) \
+                    else sorted(self.G.centralizer_of((t,)))
+                return self._scan(q.kind, var, domain, rest, env)
         return self._scan(q.kind, q.var, range(len(self.G)), q.body, env)
 
     def _scan(self, kind: str, var: str, domain, body, env: dict) -> bool:
@@ -401,9 +402,9 @@ def _split_prefix(f, mode: str):
 def _orbit_reps(G: FiniteGroup, fixed: frozenset) -> list[int]:
     """Representatives of orbits of conjugation by C(fixed) on G,
     as least indices ordered by (orbit size, least index)."""
-    c = G.centralizer_of(fixed)
-    if len(c) == len(G):
+    if G.is_central(fixed):
         return G.class_representatives()
+    c = G.centralizer_of(fixed)
     # the orbits depend on C(fixed) only
     return G.memoized("fo.orbit_reps", c, lambda: G.conjugation_orbit_reps(
         generating_subset(G, c)))

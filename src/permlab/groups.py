@@ -30,8 +30,10 @@ min-label propagation over index maps, the labels of a Schreier graph
 representatives of subgroups), each generator's conjugates of the points
 keyed in blocks and searched among their keys.  The class partition is an
 int32 class index per element; the frozensets of `conjugacy_classes` are
-built only on request.  Centralizers eliminate candidates: each moved point
-of each generator of the key keeps the surviving rows that commute there.
+built only on request.  Centralizers eliminate candidates, seeded by the
+rows of C_Sym(d)(g) for one generator g of the key when there are fewer of
+those than |G|: each moved point of each generator keeps the rows that
+commute there.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CapExceededError
-from .perms import Permutation, parse_permutation
+from .perms import Permutation, centralizer_order_sym, parse_permutation
 
 __all__ = [
     "FiniteGroup",
@@ -200,6 +202,25 @@ def _search(keys: np.ndarray, order: np.ndarray, wanted: np.ndarray):
     at = np.empty(len(wanted), dtype=np.intp)
     at[ask] = np.minimum(np.searchsorted(keys, wanted[ask]), len(keys) - 1)
     return order[at], keys[at] != wanted
+
+
+def _sym_centralizer_rows(p: Permutation) -> np.ndarray:
+    """The centralizer_order_sym(p.cycle_type()) int32 rows of C_Sym(d)(p):
+    the x that map each cycle (c_0 … c_l-1) of p onto one of equal length,
+    c_i ↦ c'_(i+r) for some r.  The product of one block per length l with
+    m cycles (m! cycle maps × l^m rotations)."""
+    by_len: dict[int, list] = {}
+    for c in p.cycles(include_fixed=True):
+        by_len.setdefault(len(c), []).append(c)
+    rows = np.arange(p.degree, dtype=np.int32)[None]
+    for length, cycs in by_len.items():
+        cyc, m = np.array(cycs, dtype=np.int32), len(cycs)
+        onto = np.array(list(itertools.permutations(range(m))))[:, None, :, None]
+        turn = np.indices((length,) * m).reshape(m, -1).T[None, :, :, None]
+        block = cyc[onto, (np.arange(length) + turn) % length].reshape(-1, cyc.size)
+        rows = np.repeat(rows, len(block), axis=0)
+        rows[:, cyc.ravel()] = np.tile(block, (len(rows) // len(block), 1))
+    return rows
 
 
 def _min_labels(maps: list[np.ndarray], n: int) -> np.ndarray:
@@ -476,17 +497,34 @@ class FiniteGroup:
 
     # -- centralizers -------------------------------------------------------
 
+    def is_central(self, indices: Iterable[int]) -> bool:
+        """Whether every element of `indices` commutes with every generator,
+        i.e. lies in the center; compares composed rows, so no table."""
+        mat = self.matrix
+        return all(np.array_equal(mat[a][mat[g]], mat[g][mat[a]])
+                   for a in indices for g in self.generators)
+
     def centralizer_of(self, indices: Iterable[int]) -> frozenset:
         """Centralizer {x : xs = sx for all s in the given set} as index set.
 
-        Candidate elimination: per generator g of the key and point i moved
-        by g, keep the candidate rows x with x(g(i)) = g(x(i)).  Those x map
-        fix(g) onto itself, so fixed points need no test."""
+        C_G(g) = G ∩ C_Sym(d)(g): the generator of the key with the least
+        |C_Sym(d)(g)|, counted exactly, seeds the candidates with those of
+        its rows that are in G when that count is below |G|, else all rows
+        are candidates.  Per other generator g and point i moved by g, keep
+        the rows x with x(g(i)) = g(x(i)).  Those x map fix(g) onto itself,
+        so fixed points need no test."""
         key = frozenset(indices)
 
         def compute():
             mat, cand = self.matrix, np.arange(len(self))
-            for g in generating_subset(self, key):
+            gens = generating_subset(self, key)
+            sizes = [centralizer_order_sym(self.element(g).cycle_type()) for g in gens]
+            if gens and min(sizes) < len(self):
+                seed = gens.pop(sizes.index(min(sizes)))
+                rows = _sym_centralizer_rows(self.element(seed))
+                found, missing = _search(self._keys, self._row_order, _row_keys(rows))
+                cand = np.sort(found[~missing])
+            for g in gens:
                 garr = mat[g]
                 for i in np.flatnonzero(garr != np.arange(self.degree)).tolist():
                     cand = cand[mat[cand, garr[i]] == garr[mat[cand, i]]]
@@ -842,8 +880,7 @@ def element_order_spectrum(G: FiniteGroup,
 
 
 def is_abelian(G: FiniteGroup) -> bool:
-    gens = G.generators or [G.identity_index]
-    return all(G.mul(a, b) == G.mul(b, a) for a in gens for b in gens)
+    return G.is_central(G.generators)
 
 
 def is_simple_bruteforce(G: FiniteGroup) -> bool:

@@ -39,8 +39,10 @@ from permlab.groups import (
     subgroup_as_group,
     subgroup_index,
     subgroup_search_iso_alt,
+    sym_scan_rows,
 )
-from permlab.perms import Permutation, parse_permutation
+from permlab.perms import Permutation, centralizer_order_sym, parse_permutation
+from permlab.rigidity import action_from_group
 from permlab.schreier import LabeledSchreierGraph, components
 
 
@@ -341,6 +343,86 @@ def test_centralizer_orders_are_group_order_over_class_size(spec):
     g = G(spec)
     for r, cls in zip(g.class_representatives(), g.conjugacy_classes()):
         assert len(g.centralizer_of([r])) * len(cls) == len(g), r
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sym_centralizer_rows_are_the_commuting_rows_of_sym(n):
+    sym = sym_scan_rows(n)
+    for r in G(f"sym{n}").class_representatives():  # one per cycle type
+        p = G(f"sym{n}").element(r)
+        rows = groups._sym_centralizer_rows(p)
+        assert rows.dtype == np.int32
+        assert len({tuple(row) for row in rows.tolist()}) == len(rows)
+        assert len(rows) == centralizer_order_sym(p.cycle_type())
+        g = np.array(p.images)
+        assert (rows[:, g] == g[rows]).all()  # x·p = p·x
+        commuting = sym[(sym[:, g] == g[sym]).all(axis=1)]
+        assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, commuting.tolist()))
+
+
+def elimination_centralizer(g, key):
+    """The centralizer by candidate elimination from every row, as
+    `centralizer_of` runs it when no generator of the key has fewer Sym(d)
+    centralizer rows than |G|: per generator s of the key and point i moved
+    by s, keep the rows x with x(s(i)) = s(x(i))."""
+    mat, cand = g.matrix, np.arange(len(g))
+    for s in generating_subset(g, frozenset(key)):
+        sarr = mat[s]
+        for i in np.flatnonzero(sarr != np.arange(g.degree)).tolist():
+            cand = cand[mat[cand, sarr[i]] == sarr[mat[cand, i]]]
+    return frozenset(cand.tolist())
+
+
+def test_centralizer_of_class_reps_matches_the_elimination_scan():
+    image = action_from_group(G("alt5")).image_group()
+    # Dih(17) on 17 points: its 17-cycles seed candidates from Sym(17) (17 < 34)
+    dihedral17 = "generated[(" + " ".join(map(str, range(1, 18))) + "),(1 17)(2 16)" \
+        "(3 15)(4 14)(5 13)(6 12)(7 11)(8 10)]"
+    for g in (G("sym8"), G("alt8"), G("psl2(13)"),
+              G("generated[(1 2 3 4),(1 2),(16 17)]"), G(dihedral17), image):
+        assert g.degree != 17 or g._keys.dtype.kind == "V"  # bytes keys
+        for r in g.class_representatives():
+            assert g.centralizer_of([r]) == elimination_centralizer(g, [r]), (g.name, r)
+
+
+def test_centralizer_of_multi_element_keys_matches_the_elimination_scan():
+    for spec, keys in [("sym8", [["(1 2)", "(3 4 5)"], ["(1 2 3)(4 5)", "(6 7)"],
+                                 ["(1 2)(3 4)", "(1 3)(2 4)"]]),
+                       ("generated[(1 2 3 4),(1 2),(16 17)]",
+                        [["(1 2)", "(16 17)"], ["(1 2)(3 4)", "(1 3)(2 4)"]])]:
+        g = G(spec)
+        for key in keys:
+            key = [idx(g, c) for c in key]
+            assert g.centralizer_of(key) == elimination_centralizer(g, key), (spec, key)
+
+
+@pytest.mark.parametrize("spec, cycles, built", [
+    ("psl2(13)", "(1 2 3 4 5 6 7 8 9 10 11 12 13)", True),  # 13 < 1,092
+    ("sym8", "(7 8)", True),  # 1,440 < 40,320
+    ("psl2(13)", "(1 14)(2 13)(3 7)(4 5)(8 12)(10 11)", False),  # 92,160 >= 1,092
+    ("cyclic(12)", "(1 2 3 4 5 6 7 8 9 10 11 12)", False),  # 12 = |G|
+])
+def test_centralizer_of_candidates_on_both_sides_of_the_order_test(
+        monkeypatch, spec, cycles, built):
+    g = G(spec)
+    g._memo.clear()
+    x = idx(g, cycles)
+    assert (centralizer_order_sym(g.element(x).cycle_type()) < len(g)) == built
+    calls = []
+    rows = groups._sym_centralizer_rows
+    monkeypatch.setattr(groups, "_sym_centralizer_rows",
+                        lambda p: calls.append(p) or rows(p))
+    assert g.centralizer_of([x]) == elimination_centralizer(g, [x])
+    assert len(calls) == built
+
+
+def test_is_central_means_commuting_with_every_generator():
+    z12, d8 = G("z12"), G("d8")
+    assert z12.is_central(range(len(z12)))
+    assert d8.is_central([]) and d8.is_central([d8.identity_index])
+    center = {x for x in range(len(d8)) if d8.is_central([x])}
+    assert center == d8.centralizer_of(range(len(d8))) and len(center) == 2
+    assert not d8.is_central(range(len(d8)))
 
 
 def test_triple_centralizer_identity():

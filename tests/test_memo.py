@@ -2,6 +2,7 @@
 are pure, and no module outside `groups` touches FiniteGroup's private state."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,24 @@ def test_macro_and_set_function_calls_compute_once(monkeypatch):
         assert not macros.call_macro(g, "trivial", (centralizer,))
         assert macros.call_macro(g, "trivial", (frozenset({g.identity_index}),))
     assert runs == ["C", "C", "trivial", "trivial"]
+
+
+def test_central_keys_build_no_whole_group_sets():
+    # prime_remark's outer quantifier ranges over C(∅) and the identity's
+    # commute rewrite over C(1); both are the whole group and need no set
+    g = fresh("sym", 8)
+    tracemalloc.start()
+    try:
+        result = evaluate_detailed(prime_remark_sentence(), g, "centralizer")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.value and result.witness == {"g": "(2 3 4 5 6 7 8)"}
+    whole = [key for key, value in g._memo.items() if isinstance(value, frozenset)
+             and len(value) == len(g) and key != ("centralizer", frozenset())]
+    assert not whole
+    # 2.0 MB measured against 5.3 MB when C(∅) and C(1) were built as sets
+    assert peak < 3 * 2 ** 20
 
 
 SENTENCES = [phi2(), congruence_sentence(1, 3), prime_remark_sentence(),
