@@ -23,7 +23,7 @@ from .arithmetic import SelectorProblem, find_witness_prime, residue_pair
 from .errors import CapExceededError, ParseError
 from .groups import (SYM_SCAN_CAP, FiniteGroup, construct_group, default_corpus,
                      parse_group_spec)
-from .perms import Permutation, parse_permutation
+from .perms import cycle_string, padded_rows, parse_permutation
 from .rigidity import (_perm_action, action_centralizer,
                        biregular_double_centralizer,
                        centralizer_in_sym_bruteforce, class_power_types)
@@ -46,13 +46,11 @@ _CONGRUENCE_ID = re.compile(r"^congruence\((\d+),\s*(\d+)\)$")
 
 def _jsonable(obj):
     """The report as JSON values: exact rationals as "p/q" strings (integral
-    ones as plain ints), permutations as cycle strings."""
+    ones as plain ints); permutations arrive as cycle strings."""
     if isinstance(obj, Fraction):
         return int(obj) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, float):
         return round(obj, 12)
-    if isinstance(obj, Permutation):
-        return obj.to_cycle_string()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -213,7 +211,7 @@ def cmd_schreier(args) -> dict:
                            "pass": len(rows) == len(G)})
         return {"command": "schreier", "config": config,
                 "count": len(rows), "pairwise_distance": pairwise,
-                "automorphisms": [Permutation(tuple(r)) for r in rows.tolist()],
+                "automorphisms": [cycle_string(r) for r in rows.tolist()],
                 "checks": checks}
     if args.mode == "report":
         gap = spectral_gap(graph)
@@ -295,21 +293,20 @@ def cmd_rigidity(args) -> dict:
     if args.check == "action-centralizer":
         if not args.perms:
             raise ValueError("action-centralizer needs --perms")
-        parsed = [parse_permutation(t.strip()) for t in args.perms.split(";")]
-        top = max(p.degree for p in parsed)
-        perms = [Permutation(p.images + tuple(range(p.degree, top))) for p in parsed]
-        C = action_centralizer(_perm_action(perms))
+        rows = padded_rows(t.strip() for t in args.perms.split(";"))
+        top = len(rows[0])
+        C = action_centralizer(_perm_action(rows))
+        elements = C.matrix.tolist()
         checks = []
         if top <= SYM_SCAN_CAP:
-            brute = centralizer_in_sym_bruteforce(perms)
+            brute = centralizer_in_sym_bruteforce(rows)
             checks.append({"check": "matches the brute-force centralizer",
-                           "pass": set(map(tuple, C.matrix.tolist()))
-                           == {p.images for p in brute}})
+                           "pass": set(map(tuple, elements)) == {p.images for p in brute}})
         return {
             "command": "rigidity",
             "config": {"perms": args.perms, "check": "action-centralizer"},
             "degree": top, "centralizer_order": len(C),
-            "elements": list(C.elements()),
+            "elements": [cycle_string(r) for r in elements],
             "checks": checks,
         }
     if args.check == "class-powers":
@@ -342,7 +339,8 @@ def cmd_stability(args) -> dict:
             "defect": rep.defect, "argmax": rep.argmax,
             "injectivity": rep.injectivity,
             "nearest": {"degree": near.degree, "distance": near.distance,
-                        "ratio": near.ratio, "hom": near.hom.images},
+                        "ratio": near.ratio,
+                        "hom": [cycle_string(r) for r in near.hom.array.tolist()]},
             "checks": checks,
         }
     G = construct_group(parse_group_spec(args.group))

@@ -43,7 +43,7 @@ import numpy as np
 from .. import groups as _groups
 from ..errors import CapExceededError
 from ..groups import FiniteGroup, generating_subset
-from ..perms import Permutation
+from ..perms import Permutation, cycle_string
 from . import macros as _macros
 from .macros import ArgKind
 from .syntax import (And, Comm, Eq, Implies, Int, Inv, MacroCall, Mul, Not,
@@ -486,6 +486,5 @@ def evaluate_detailed(formula, G: FiniteGroup, strategy: str = "class",
         (run_kind == "forall" and not value)
     witness = None
     if informative and assign:
-        witness = {var: G.element(x).to_cycle_string()
-                   for var, x in assign.items()}
+        witness = {var: cycle_string(G.element_tuple(x)) for var, x in assign.items()}
     return EvalResult(value=value, strategy=strategy, group=G.name, witness=witness)

@@ -49,7 +49,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CapExceededError
-from .perms import Permutation, centralizer_order_sym, parse_permutation
+from .perms import (CycleType, Permutation, centralizer_order_sym,
+                    padded_rows, parse_permutation, row_cycles)
 
 __all__ = [
     "FiniteGroup",
@@ -82,23 +83,6 @@ SIMPLICITY_CAP = 10 ** 5
 ISOMORPHISM_CAP = 10 ** 6  # generator-image tuples tried by are_isomorphic
 SYM_SCAN_CAP = 8  # degree of the largest Sym(n) a brute-force scan lists
 _BLOCK = 1 << 14  # rows per block of row gathers (conjugation orbits, FO scans)
-
-
-def _tuple_order(p: tuple) -> int:
-    seen = [False] * len(p)
-    lengths = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 1
-        seen[start] = True
-        j = p[start]
-        while j != start:
-            seen[j] = True
-            length += 1
-            j = p[j]
-        lengths.append(length)
-    return lcm(*lengths)
 
 
 def orbit(seed, gens, cap: int | None = None) -> list | None:
@@ -204,15 +188,16 @@ def _search(keys: np.ndarray, order: np.ndarray, wanted: np.ndarray):
     return order[at], keys[at] != wanted
 
 
-def _sym_centralizer_rows(p: Permutation) -> np.ndarray:
-    """The centralizer_order_sym(p.cycle_type()) int32 rows of C_Sym(d)(p):
-    the x that map each cycle (c_0 … c_l-1) of p onto one of equal length,
-    c_i ↦ c'_(i+r) for some r.  The product of one block per length l with
-    m cycles (m! cycle maps × l^m rotations)."""
+def _sym_centralizer_rows(row) -> np.ndarray:
+    """The centralizer_order_sym(CycleType.of(row)) int32 rows of
+    C_Sym(d)(p) for the image row `row` of p: the x that map each cycle
+    (c_0 … c_l-1) of p onto one of equal length, c_i ↦ c'_(i+r) for some r.
+    The product of one block per length l with m cycles (m! cycle maps ×
+    l^m rotations)."""
     by_len: dict[int, list] = {}
-    for c in p.cycles(include_fixed=True):
+    for c in row_cycles(row, include_fixed=True):
         by_len.setdefault(len(c), []).append(c)
-    rows = np.arange(p.degree, dtype=np.int32)[None]
+    rows = np.arange(len(row), dtype=np.int32)[None]
     for length, cycs in by_len.items():
         cyc, m = np.array(cycs, dtype=np.int32), len(cycs)
         onto = np.array(list(itertools.permutations(range(m))))[:, None, :, None]
@@ -412,7 +397,8 @@ class FiniteGroup:
     def order_of(self, i: int) -> int:
         o = self._orders[i]
         if o == 0:
-            o = self._orders[i] = _tuple_order(self.element_tuple(i))
+            o = self._orders[i] = lcm(*map(len, row_cycles(
+                self.element_tuple(i), include_fixed=True)))
         return o
 
     # -- conjugacy ----------------------------------------------------------
@@ -518,10 +504,11 @@ class FiniteGroup:
         def compute():
             mat, cand = self.matrix, np.arange(len(self))
             gens = generating_subset(self, key)
-            sizes = [centralizer_order_sym(self.element(g).cycle_type()) for g in gens]
+            sizes = [centralizer_order_sym(CycleType.of(self.element_tuple(g)))
+                     for g in gens]
             if gens and min(sizes) < len(self):
                 seed = gens.pop(sizes.index(min(sizes)))
-                rows = _sym_centralizer_rows(self.element(seed))
+                rows = _sym_centralizer_rows(self.element_tuple(seed))
                 found, missing = _search(self._keys, self._row_order, _row_keys(rows))
                 cand = np.sort(found[~missing])
             for g in gens:
@@ -710,13 +697,7 @@ def _build_psl2(p: int) -> FiniteGroup:
 
 
 def _build_generated(gens: tuple[str, ...]) -> FiniteGroup:
-    perms = [parse_permutation(g) for g in gens]
-    degree = max(p.degree for p in perms)
-    padded = []
-    for p in perms:
-        images = tuple(p.images) + tuple(range(p.degree, degree))
-        padded.append(images)
-    return _generated_group(padded, "generated[" + ",".join(gens) + "]")
+    return _generated_group(padded_rows(gens), "generated[" + ",".join(gens) + "]")
 
 
 _CONSTRUCT_CACHE: dict[GroupSpec, FiniteGroup] = {}

@@ -4,6 +4,11 @@ Conventions used throughout the package:
 
 * a permutation of degree n acts on the points 0..n-1 internally; all text
   I/O (cycle notation, one-line notation) is 1-based,
+* inside the package a permutation is an image row (a sequence, or an int32
+  row of an array); :class:`Permutation` objects are built where text is
+  parsed or where a public function returns one,
+* :func:`cycle_string` is the one writer of cycle notation, for image rows
+  and Permutations alike,
 * composition applies the right factor first: ``(p * q)(i) == p(q(i))``,
 * all metric values are exact ``fractions.Fraction`` numbers,
 * words (``evaluate_word``) are terms of the sentence language, parsed and
@@ -14,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +31,10 @@ __all__ = [
     "CycleType",
     "LambdaProfile",
     "identity",
+    "row_cycles",
+    "cycle_string",
     "parse_permutation",
+    "padded_rows",
     "random_permutation",
     "hamming_distance",
     "centralizer_order_sym",
@@ -90,28 +99,10 @@ class Permutation:
         return all(i == j for i, j in enumerate(self.images))
 
     def cycles(self, *, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles as 0-based tuples, each starting at its least point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = self.images[start]
-            while j != start:
-                seen[j] = True
-                cyc.append(j)
-                j = self.images[j]
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
-        return out
+        return row_cycles(self.images, include_fixed=include_fixed)
 
     def cycle_type(self) -> "CycleType":
-        counts: dict[int, int] = {}
-        for cyc in self.cycles(include_fixed=True):
-            counts[len(cyc)] = counts.get(len(cyc), 0) + 1
-        return CycleType(tuple(sorted(counts.items())))
+        return CycleType.of(self.images)
 
     def is_even(self) -> bool:
         # parity = (degree - number of cycles) mod 2
@@ -121,12 +112,7 @@ class Permutation:
         return lcm(*(length for length, _ in self.cycle_type().pairs)) if self.degree else 1
 
     def to_cycle_string(self) -> str:
-        """1-based cycle notation; fixed points omitted; identity prints as '()'."""
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join(
-            "(" + " ".join(str(i + 1) for i in cyc) + ")" for cyc in cycs)
+        return cycle_string(self.images)
 
     def to_one_line_string(self) -> str:
         return "[" + ",".join(str(i + 1) for i in self.images) + "]"
@@ -137,6 +123,37 @@ class Permutation:
 
 def identity(n: int) -> Permutation:
     return Permutation(tuple(range(n)))
+
+
+def row_cycles(row, *, include_fixed: bool = False) -> list[tuple[int, ...]]:
+    """Disjoint cycles of the image row `row` as 0-based tuples, each
+    starting at its least point."""
+    seen, out = [False] * len(row), []
+    for start, j in enumerate(row):
+        if seen[start] or (j == start and not include_fixed):
+            continue
+        cyc = [start]
+        seen[start] = True
+        while j != start:
+            seen[j] = True
+            cyc.append(j)
+            j = row[j]
+        out.append(tuple(cyc))
+    return out
+
+
+@lru_cache(maxsize=8)
+def _point_names(n: int) -> list[str]:
+    return [str(i + 1) for i in range(n)]
+
+
+def cycle_string(row) -> str:
+    """1-based cycle notation of the image row `row`, fixed points omitted,
+    the identity as '()': the one cycle-notation writer, with the point
+    names of the row's degree cached."""
+    names = _point_names(len(row))
+    return "".join(["(" + " ".join([names[i] for i in c]) + ")"
+                    for c in row_cycles(row)]) or "()"
 
 
 _DEG_RE = re.compile(r"deg\s*=\s*(\d+)")
@@ -213,6 +230,14 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
     return Permutation(tuple(images))
 
 
+def padded_rows(texts) -> list[tuple[int, ...]]:
+    """The image rows of the permutation texts `texts`, each padded with
+    fixed points to the largest of their degrees."""
+    rows = [parse_permutation(t).images for t in texts]
+    top = max(map(len, rows))
+    return [r + tuple(range(len(r), top)) for r in rows]
+
+
 def random_permutation(rng, n: int) -> Permutation:
     """Uniform element of Sym(n) drawn from the given random.Random."""
     images = list(range(n))
@@ -256,18 +281,18 @@ class CycleType:
     def degree(self) -> int:
         return sum(length * mult for length, mult in self.pairs)
 
-    def multiplicity(self, length: int) -> int:
-        for k, m in self.pairs:
-            if k == length:
-                return m
-        return 0
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.pairs)
 
     def all_lengths_odd_and_distinct(self) -> bool:
         """The split criterion for conjugacy classes of even permutations."""
         return all(k % 2 == 1 and m == 1 for k, m in self.pairs)
+
+    @classmethod
+    def of(cls, row) -> "CycleType":
+        """The cycle type of the image row `row`."""
+        counts = Counter(map(len, row_cycles(row, include_fixed=True)))
+        return cls(tuple(sorted(counts.items())))
 
     def __str__(self) -> str:
         return " ".join(f"{k}^{m}" for k, m in reversed(self.pairs))
@@ -319,23 +344,17 @@ def find_conjugator(p: Permutation, q: Permutation) -> Permutation | None:
     """Some x with x p x^-1 = q, or None when the cycle types differ.
 
     The conjugator is built by aligning the cycles of equal length in a fixed
-    order, so the result is deterministic.
+    order (a stable sort of each cycle list by length), so the result is
+    deterministic.
     """
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
     if p.cycle_type() != q.cycle_type():
         return None
-    by_len_p: dict[int, list[tuple[int, ...]]] = {}
-    by_len_q: dict[int, list[tuple[int, ...]]] = {}
-    for cyc in p.cycles(include_fixed=True):
-        by_len_p.setdefault(len(cyc), []).append(cyc)
-    for cyc in q.cycles(include_fixed=True):
-        by_len_q.setdefault(len(cyc), []).append(cyc)
     images = [0] * p.degree
-    for length, cycs_p in by_len_p.items():
-        for cp, cq in zip(cycs_p, by_len_q[length]):
-            for a, b in zip(cp, cq):
-                images[a] = b
+    for cp, cq in zip(*(sorted(x.cycles(include_fixed=True), key=len) for x in (p, q))):
+        for a, b in zip(cp, cq):
+            images[a] = b
     return Permutation(tuple(images))
 
 

@@ -14,9 +14,10 @@ every candidate image at once, and the int32 rows go straight into a
 FiniteGroup.  Both stages of a double centralizer take this one path; the
 brute-force scan of `groups.sym_scan_rows` is its oracle at small degrees.
 The biregular check compares row sets: the left copy is the Cayley table,
-the right copy its transpose, the flip the inverse array.  Permutations are
-built by the public functions that return them and for the generators that
-a double centralizer's two stages take as actions.
+the right copy its transpose, the flip the inverse array.  Actions and both
+stages of a double centralizer take generator rows, such as
+``G.matrix[list(G.generators)]``; Permutations are built only by the
+public functions that return them.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceededError
-from .groups import (FiniteGroup, left_regular_permutation,
-                     right_regular_permutation, set_product, sym_scan_rows)
-from .perms import CycleType, Permutation, identity
+from .groups import FiniteGroup, set_product, sym_scan_rows
+from .perms import CycleType, Permutation
 from .schreier import (LabeledSchreierGraph, _check_cells, automorphism_rows,
                        components, pairwise_distances)
 
@@ -53,26 +53,27 @@ GroupAction = LabeledSchreierGraph
 
 
 def action_from_group(G: FiniteGroup) -> GroupAction:
-    """G acting on its own points through its stored permutations."""
-    perms = G.generator_permutations()
-    if not perms:
-        perms = [identity(G.degree)]
-    return GroupAction(tuple(f"g{k + 1}" for k in range(len(perms))),
-                       tuple(perms), name=G.name)
+    """G acting on its own points through its stored permutations: the
+    rows of its generators, or the identity row of the trivial group."""
+    rows = G.matrix[list(G.generators) or [G.identity_index]]
+    return GroupAction(tuple(f"g{k + 1}" for k in range(len(rows))), rows, name=G.name)
 
 
 # -- the two-sided action -----------------------------------------------------------
 
 def left_copy_permutations(G: FiniteGroup) -> list[Permutation]:
-    return [left_regular_permutation(G, i) for i in range(len(G))]
+    """x ↦ i·x for every i: the rows of the Cayley table."""
+    return [Permutation(tuple(row)) for row in G.left_table().tolist()]
 
 
 def right_copy_permutations(G: FiniteGroup) -> list[Permutation]:
-    return [right_regular_permutation(G, i) for i in range(len(G))]
+    """x ↦ x·i for every i: the columns of the Cayley table."""
+    return [Permutation(tuple(row)) for row in G.left_table().T.tolist()]
 
 
 def flip_permutation(G: FiniteGroup) -> Permutation:
-    return Permutation(tuple(G.inv(x) for x in range(len(G))))
+    """x ↦ x^-1: the inverse array."""
+    return Permutation(tuple(G.inverse_array().tolist()))
 
 
 def biregular_action(G: FiniteGroup) -> GroupAction:
@@ -85,19 +86,15 @@ def biregular_action(G: FiniteGroup) -> GroupAction:
     if len(G) > CLASS_POWER_GROUP_CAP:
         raise CapExceededError("two-sided action capped at groups of size"
                                f" {CLASS_POWER_GROUP_CAP}")
-    t = flip_permutation(G)
-    labels: list[str] = []
-    images: list[Permutation] = []
-    for k, g in enumerate(G.generators):
-        left = left_regular_permutation(G, g)
-        right = right_regular_permutation(G, G.inv(g))
-        if t * left * t != right:
-            raise AssertionError("flip conjugation identity failed")
-        labels += [f"L{k + 1}", f"R{k + 1}"]
-        images += [left, right]
-    labels.append("t")
-    images.append(t)
-    return GroupAction(tuple(labels), tuple(images), name=f"twosided({G.name})")
+    t, gens, mat = G.inverse_array(), list(G.generators), G.matrix
+    # (g·x)(i) = g(x(i)) and (x·g^-1)(i) = x(g^-1(i)), ranked: no Cayley table
+    left = G._rank(mat[gens][:, mat]).reshape(-1, len(G))
+    right = G._rank(mat[:, mat[t[gens]]].swapaxes(0, 1)).reshape(-1, len(G))
+    if not np.array_equal(t[left[:, t]], right):  # (t·L·t)(x) = t(L(t(x)))
+        raise AssertionError("flip conjugation identity failed")
+    labels = [f"{side}{k + 1}" for k in range(len(gens)) for side in "LR"]
+    rows = np.stack([left, right], 1).reshape(-1, len(G))
+    return GroupAction((*labels, "t"), [*rows, t], name=f"twosided({G.name})")
 
 
 # -- centralizers of actions ---------------------------------------------------------
@@ -107,8 +104,7 @@ def action_centralizer(action: GroupAction) -> FiniteGroup:
     commuting with every generator are exactly the label-respecting
     automorphisms of the action's Schreier graph, maps between isomorphic
     orbits included.  Elements come in lexicographic image order."""
-    return FiniteGroup(automorphism_rows(action),
-                       name=f"C({action.name or 'action'})")
+    return FiniteGroup(automorphism_rows(action), name=f"C({action.name or 'action'})")
 
 
 def centralizer_transitive_action(action: GroupAction) -> FiniteGroup:
@@ -126,25 +122,27 @@ def centralizer_in_sym_bruteforce(perms: Sequence[Permutation]) -> list[Permutat
     perms = list(perms)
     if not perms:
         raise ValueError("at least one permutation is required")
-    rows = sym_scan_rows(perms[0].degree)
-    for a in (np.array(p.images) for p in perms):
+    S = _perm_action(perms).image_array
+    rows = sym_scan_rows(S.shape[1])
+    for a in S:
         rows = rows[(a[rows] == rows[:, a]).all(1)]
     return [Permutation(tuple(row)) for row in rows.tolist()]
 
 
 # -- double centralizers ---------------------------------------------------------------
 
-def _perm_action(perms: Sequence[Permutation]) -> GroupAction:
-    return GroupAction(tuple(f"p{k + 1}" for k in range(len(perms))),
-                       tuple(perms))
+def _perm_action(perms) -> GroupAction:
+    """The action of Permutations or image rows, labelled p1, p2, ..."""
+    return GroupAction(tuple(f"p{k + 1}" for k in range(len(perms))), perms)
 
 
-def _double_centralizer(gens: list[Permutation]) -> tuple[FiniteGroup, FiniteGroup]:
-    """C = C(gens) and C(C) in Sym(n).  The second stage centralizes a
-    generating subset of C, which has the same centralizer as all of C."""
+def _double_centralizer(gens) -> tuple[FiniteGroup, FiniteGroup]:
+    """C = C(gens) and C(C) in Sym(n), for generator Permutations or rows.
+    The second stage centralizes the rows of a generating subset of C,
+    which has the same centralizer as all of C."""
     C = action_centralizer(_perm_action(gens))
-    C_gens = C.generator_permutations() or [C.element(C.identity_index)]
-    return C, action_centralizer(_perm_action(C_gens))
+    return C, action_centralizer(_perm_action(
+        C.matrix[list(C.generators) or [C.identity_index]]))
 
 
 @dataclass(frozen=True)
@@ -161,15 +159,12 @@ def double_centralizer_check(perms: Iterable[Permutation]) -> DoubleCentralizerR
     gens = list(perms)
     if not gens:
         raise ValueError("at least one permutation is required")
-    subgroup = sorted(_perm_action(gens).image_group().elements(),
-                      key=lambda p: p.images)
-    C, CC = _double_centralizer(gens)
-    double = tuple(CC.elements())
-    return DoubleCentralizerReport(
-        subgroup=tuple(subgroup),
-        centralizer=tuple(C.elements()),
-        double=double,
-        closes={p.images for p in double} == {p.images for p in subgroup})
+    action = _perm_action(gens)
+    subgroup, (C, CC) = action.image_group(), _double_centralizer(action.image_array)
+    return DoubleCentralizerReport(  # CC's rows are in lexicographic order
+        subgroup=tuple(sorted(subgroup.elements(), key=lambda p: p.images)),
+        centralizer=tuple(C.elements()), double=tuple(CC.elements()),
+        closes=sorted(subgroup.matrix.tolist()) == CC.matrix.tolist())
 
 
 @dataclass(frozen=True)
@@ -199,8 +194,7 @@ def biregular_double_centralizer(G: FiniteGroup) -> BiregularReport:
     left = G.left_table()  # row i: x -> i*x
     right = left.T  # row i: x -> x*i
     t, e = G.inverse_array(), G.identity_index  # the flip x -> x^-1
-    gens = [Permutation(tuple(left[g].tolist())) for g in G.generators or [e]]
-    C, CC = _double_centralizer(gens)
+    C, CC = _double_centralizer(left[list(G.generators) or [e]])
     return BiregularReport(
         group=G.name,
         centralizer_is_right_copy=_is_copy(C.matrix, right, e),
@@ -236,9 +230,8 @@ def class_power_types(G: FiniteGroup, g, k: int) -> set[CycleType]:
     if len(G) > CLASS_POWER_GROUP_CAP:
         raise CapExceededError("class power types capped at groups of size"
                                f" {CLASS_POWER_GROUP_CAP}")
-    gi = g if isinstance(g, int) else G.index_of(g)
-    cl = G.class_of(gi)
+    cl = G.class_of(g if isinstance(g, int) else G.index_of(g))
     current = frozenset(cl)
     for _ in range(k - 1):
         current = set_product(G, current, cl)
-    return {G.element(x).cycle_type() for x in current}
+    return {CycleType.of(row) for row in G.matrix[sorted(current)].tolist()}

@@ -1,26 +1,30 @@
 """Labeled Schreier graphs: expansion, spectral gap, near-automorphisms.
 
 A graph is a vertex set {0..n-1} with one permutation per generator label;
-the directed labeled edge set is E = {(i, s, sigma_s(i))}.  Spectral and
-expansion quantities live on the symmetrized multigraph whose generator
-set is the collection of distinct permutations in {sigma_s} ∪ {sigma_s^-1}
-(an involution contributes once).  Text I/O is 1-based like all other
-surfaces of this package.
+the directed labeled edge set is E = {(i, s, sigma_s(i))}.  It is stored as
+one read-only L×n int32 image matrix, row s holding sigma_s, and every
+kernel here (components, gaps, defects, automorphisms, file I/O) reads its
+rows; Permutations are built only by the public functions that return
+them.  Spectral and expansion quantities live on the symmetrized
+multigraph whose generator set is the collection of distinct permutations
+in {sigma_s} ∪ {sigma_s^-1} (an involution contributes once).  Text I/O is
+1-based like all other surfaces of this package.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import CapExceededError
 from .groups import (FiniteGroup, _generated_group, _min_labels, _void_rows,
-                     left_regular_permutation, spread, sym_scan_rows)
-from .perms import Permutation, identity
+                     spread, sym_scan_rows)
+from .perms import Permutation
 
 __all__ = [
     "LabeledSchreierGraph", "build_schreier_graph", "regular_action_graph",
@@ -63,93 +67,105 @@ def _check_cells(cells: int, table: str) -> None:
         raise CapExceededError(f"{table} is capped at {CELL_CAP} cells")
 
 
-@dataclass(frozen=True)
 class LabeledSchreierGraph:
     """Labelled permutations of one degree: a Schreier graph, or the
-    generators of the action they define (named for reports)."""
+    generators of the action they define (named for reports).
 
-    labels: tuple[str, ...]
-    images: tuple[Permutation, ...]
-    name: str = field(default="", compare=False)
+    `image_array` is the one store: a read-only L×n int32 matrix, row s the
+    images of 0..n-1 under sigma_s, checked once when the graph is built
+    from Permutations or image rows.  `images` (Permutations, built on
+    first use), `sigma`, `point_maps` and `edges` read it.  Graphs are equal
+    when their labels and image matrices are, whatever their names."""
 
-    def __post_init__(self):
+    def __init__(self, labels, images, name: str = ""):
+        self.labels, self.name = tuple(labels), name
         if not self.labels:
             raise ValueError("a Schreier graph needs at least one label")
-        if len(self.labels) != len(self.images):
+        if len(self.labels) != len(images):
             raise ValueError("one permutation per label required")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be distinct")
-        degrees = {p.degree for p in self.images}
+        rows = [p.images if isinstance(p, Permutation) else p for p in images]
+        degrees = {len(r) for r in rows}
         if len(degrees) != 1:
             raise ValueError(f"mixed degrees {sorted(degrees)}")
         for s in self.labels:
             if any(ch.isspace() for ch in s) or not s:
                 raise ValueError(f"labels must be nonempty and space-free: {s!r}")
+        if (n := degrees.pop()) == 0:
+            raise ValueError("degree must be at least 1")
+        S = np.array(rows)
+        bad = S.dtype.kind not in "iu" or (np.sort(S, axis=1) != np.arange(n)).any(axis=1)
+        if np.any(bad):
+            row = np.asarray(rows[int(np.argmax(bad))]).tolist()
+            raise ValueError(f"not a permutation of 0..{n - 1}: {tuple(row)}")
+        self.image_array = S.astype(np.int32)
+        self.image_array.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return self.images[0].degree
+        return self.image_array.shape[1]
 
     degree = n
 
     @property
     def edge_count(self) -> int:
-        return self.n * len(self.labels)
+        return self.image_array.size
+
+    @cached_property
+    def images(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(tuple(r)) for r in self.image_array.tolist())
 
     def sigma(self, label: str) -> Permutation:
         return self.images[self.labels.index(label)]
 
     def edges(self) -> Iterator[tuple[int, str, int]]:
-        for s, p in zip(self.labels, self.images):
-            for i in range(self.n):
-                yield i, s, p.apply(i)
-
-    @property
-    def image_array(self) -> np.ndarray:  # row s holds sigma_s
-        return np.array([p.images for p in self.images], dtype=np.intp)
+        return ((i, s, j) for s, row in zip(self.labels, self.image_array.tolist())
+                for i, j in enumerate(row))
 
     def point_maps(self) -> list:
         """One vertex map i ↦ sigma_s(i) per label, for the scalar `extend`;
         batched walks use `image_array`."""
-        return [p.images.__getitem__ for p in self.images]
+        return [row.__getitem__ for row in self.image_array.tolist()]
 
     def is_transitive(self) -> bool:
         return len(components(self)) == 1
 
     def image_group(self) -> FiniteGroup:
-        return _generated_group([p.images for p in self.images],
-                                f"image({self.name or 'action'})")
+        return _generated_group(self.image_array, f"image({self.name or 'action'})")
+
+    def _key(self) -> tuple:
+        return self.labels, self.image_array.shape, self.image_array.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, LabeledSchreierGraph) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def build_schreier_graph(images) -> LabeledSchreierGraph:
     """From {label: Permutation} or [(label, Permutation), ...]; label order
     is sorted for mappings, as given for sequences."""
-    if isinstance(images, Mapping):
-        items = sorted(images.items())
-    else:
-        items = list(images)
-    return LabeledSchreierGraph(tuple(s for s, _ in items),
-                                tuple(p for _, p in items))
+    items = sorted(images.items()) if isinstance(images, Mapping) else list(images)
+    return LabeledSchreierGraph([s for s, _ in items], [p for _, p in items])
 
 
 def regular_action_graph(G: FiniteGroup) -> LabeledSchreierGraph:
-    """Left-regular Schreier graph on G's elements, labels s1, s2, ...
-
-    The trivial group gets a single identity loop so the graph is nonempty.
-    """
-    gens = G.generators
+    """Left-regular Schreier graph on G's elements, labels s1, s2, ...: the
+    rows of x ↦ g·x, composed and ranked, so no Cayley table is filled.
+    The trivial group gets a single identity loop so the graph is nonempty."""
+    gens = list(G.generators)
     if not gens:
-        return LabeledSchreierGraph(("s1",), (identity(len(G)),))
-    return LabeledSchreierGraph(
-        tuple(f"s{k + 1}" for k in range(len(gens))),
-        tuple(left_regular_permutation(G, g) for g in gens))
+        return LabeledSchreierGraph(("s1",), [np.arange(len(G))])
+    return LabeledSchreierGraph(tuple(f"s{k + 1}" for k in range(len(gens))),
+                                G._rank(G.matrix[gens][:, G.matrix]))
 
 
 def directed_cycle_graph(n: int, label: str = "s1") -> LabeledSchreierGraph:
     if n < 1:
         raise ValueError("cycle length must be positive")
-    rot = Permutation(tuple(list(range(1, n)) + [0]))
-    return LabeledSchreierGraph((label,), (rot,))
+    return LabeledSchreierGraph((label,), [(np.arange(n) + 1) % n])
 
 
 # -- components ------------------------------------------------------------------
@@ -364,7 +380,7 @@ def automorphism_rows(g: LabeledSchreierGraph) -> np.ndarray:
     comp_of = np.empty(g.n, dtype=np.intp)
     for ci, c in enumerate(comps):
         comp_of[list(c)] = ci
-    S = g.image_array.astype(np.int32)
+    S = g.image_array
     size = np.array([len(c) for c in comps])[comp_of]
     # partial maps over the components done so far and the components they
     # hit, each extended by every map of the next root into a free component
@@ -437,16 +453,15 @@ def enumerate_eps_automorphisms(g: LabeledSchreierGraph, eps,
 def induced_component_graph(g: LabeledSchreierGraph,
                             comp: Iterable[int]) -> LabeledSchreierGraph:
     """Restriction of every label to a component, vertices renumbered in
-    sorted order.  Components are generator-invariant, so this is total."""
-    verts = sorted(comp)
-    pos = {v: k for k, v in enumerate(verts)}
-    images = []
-    for p in g.images:
-        try:
-            images.append(Permutation(tuple(pos[p.apply(v)] for v in verts)))
-        except KeyError:
-            raise ValueError("vertex set is not generator-invariant") from None
-    return LabeledSchreierGraph(g.labels, tuple(images))
+    sorted order: one gather through the vertices' new positions (-1 off
+    the set).  Components are generator-invariant, so this is total."""
+    verts = np.array(sorted(comp), dtype=np.intp)
+    pos = np.full(g.n, -1, dtype=np.int32)
+    pos[verts] = np.arange(len(verts))
+    rows = pos[g.image_array[:, verts]]
+    if (rows < 0).any():
+        raise ValueError("vertex set is not generator-invariant")
+    return LabeledSchreierGraph(g.labels, rows)
 
 
 def connected_label_isomorphic(g1: LabeledSchreierGraph,
@@ -546,8 +561,7 @@ def default_cluster_epsilon(g: LabeledSchreierGraph) -> Fraction:
 
 def graph_file_text(g: LabeledSchreierGraph) -> str:
     lines = [f"n={g.n} labels={','.join(g.labels)}"]
-    for i, s, j in g.edges():
-        lines.append(f"{i + 1} {s} {j + 1}")
+    lines += [f"{i + 1} {s} {j + 1}" for i, s, j in g.edges()]
     return "\n".join(lines) + "\n"
 
 
@@ -581,12 +595,10 @@ def parse_graph_text(text: str) -> LabeledSchreierGraph:
         if images[s][iv] != -1:
             raise ValueError(f"duplicate edge for vertex {i}, label {s}")
         images[s][iv] = jv
-    perms = {}
     for s, imgs in images.items():
         if -1 in imgs:
             raise ValueError(f"label {s!r} is missing edges")
-        perms[s] = Permutation(tuple(imgs))
-    return LabeledSchreierGraph(labels, tuple(perms[s] for s in labels))
+    return LabeledSchreierGraph(labels, [images[s] for s in labels])
 
 
 def read_graph_file(path) -> LabeledSchreierGraph:

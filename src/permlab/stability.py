@@ -13,7 +13,8 @@ batches of maps.  Homomorphisms are spread from the identity by
 :func:`~permlab.groups.spread`, one block of generator images at a time,
 and kept when every generator edge agrees; generator images whose pairwise
 products have orders not dividing those of the generators' products are
-dropped first.  Permutations and Fractions are built only for results.
+dropped first.  Fractions are built only for results, Permutations only
+for parsed text and `AlmostHom.images`; cycle strings are written from rows.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 from .errors import CapExceededError
 from .groups import (FiniteGroup, GroupSpec, _void_rows, construct_group,
                      parse_group_spec, spread)
-from .perms import Permutation, evaluate_word, identity, parse_permutation
+from .perms import (Permutation, cycle_string, evaluate_word, identity,
+                    parse_permutation)
 from .schreier import pairwise_distances
 
 __all__ = [
@@ -87,28 +89,23 @@ class AlmostHom:
         return self.images[i]
 
     def __eq__(self, other):
-        if not isinstance(other, AlmostHom):
-            return NotImplemented
-        return np.array_equal(self.array, other.array)
+        return isinstance(other, AlmostHom) and np.array_equal(self.array, other.array)
 
-    def __hash__(self):
-        return hash((self.images,))
+    def __hash__(self):  # equal arrays, equal hashes, whatever their dtype
+        return hash((self.array.shape, self.array.astype(np.int32, copy=False).tobytes()))
 
 
 def almost_hom(G: FiniteGroup, mapping: Mapping[Permutation, Permutation] | Mapping[int, Permutation],
                degree: int | None = None) -> AlmostHom:
     """Build an AlmostHom from {element or index: image}; elements missing
     from the mapping default to the identity of the image degree."""
-    by_index: dict[int, Permutation] = {}
-    for key, img in mapping.items():
-        idx = key if isinstance(key, int) else G.index_of(key)
-        by_index[idx] = img
+    by_index = {key if isinstance(key, int) else G.index_of(key): img
+                for key, img in mapping.items()}
     if degree is None:
         if not by_index:
             raise ValueError("no images given and no degree to default to")
         degree = next(iter(by_index.values())).degree
-    images = tuple(by_index.get(i, identity(degree)) for i in range(len(G)))
-    return AlmostHom(G, images)
+    return AlmostHom(G, tuple(by_index.get(i, identity(degree)) for i in range(len(G))))
 
 
 def is_homomorphism(s: AlmostHom) -> bool:
@@ -167,7 +164,7 @@ def uniform_defect_report(s: AlmostHom) -> DefectReport:
         (G.identity_index, G.identity_index)
     return DefectReport(
         defect=Fraction(int(worst[0]), s.degree),
-        argmax=(G.element(g).to_cycle_string(), G.element(h).to_cycle_string()),
+        argmax=(cycle_string(G.element_tuple(g)), cycle_string(G.element_tuple(h))),
         injectivity=local_injectivity(s, range(len(G))),
         degree=s.degree)
 
@@ -402,7 +399,7 @@ def identity_preserving_scan(G: FiniteGroup, m: int, window=Fraction(0)) -> Scan
     maps = sym_m.matrix[choice]
     nearest = _nearest(maps, G, window)
     worst, _ = _worst_pairs(maps, G, list(range(len(G))))
-    names = [sym_m.element(i).to_cycle_string() for i in range(len(sym_m))]
+    names = [cycle_string(row) for row in sym_m.matrix.tolist()]
     reps = [_report(hom, k, d, Fraction(count, m))
             for count, (d, k, hom) in zip(worst.tolist(), nearest)]
     rows = tuple(ScanRow(images=tuple(names[c] for c in row), defect=r.defect,
@@ -421,9 +418,8 @@ def almost_hom_file_text(s: AlmostHom) -> str:
     if spec is None:
         raise ValueError("the domain has no constructor recipe to record")
     lines = [f"group={spec.canonical_name()} degree={s.degree}"]
-    for i in range(len(s.domain)):
-        lines.append(f"{s.domain.element(i).to_cycle_string()}"
-                     f" -> {s.images[i].to_cycle_string()}")
+    for g, image in zip(s.domain.matrix.tolist(), s.array.tolist()):
+        lines.append(f"{cycle_string(g)} -> {cycle_string(image)}")
     return "\n".join(lines) + "\n"
 
 

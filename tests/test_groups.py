@@ -350,7 +350,7 @@ def test_sym_centralizer_rows_are_the_commuting_rows_of_sym(n):
     sym = sym_scan_rows(n)
     for r in G(f"sym{n}").class_representatives():  # one per cycle type
         p = G(f"sym{n}").element(r)
-        rows = groups._sym_centralizer_rows(p)
+        rows = groups._sym_centralizer_rows(p.images)
         assert rows.dtype == np.int32
         assert len({tuple(row) for row in rows.tolist()}) == len(rows)
         assert len(rows) == centralizer_order_sym(p.cycle_type())

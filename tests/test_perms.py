@@ -1,14 +1,17 @@
 """Permutation primitives: parsing, metric, cycle data, conjugacy, words."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permlab
 from permlab import groups
 from permlab.errors import CapExceededError
 from permlab.perms import (
@@ -16,6 +19,7 @@ from permlab.perms import (
     Permutation,
     centralizer_order_sym,
     conjugacy_test,
+    cycle_string,
     evaluate_word,
     find_conjugator,
     hamming_distance,
@@ -95,6 +99,67 @@ def test_parse_errors():
 def test_parse_print_round_trip(p):
     assert parse_permutation(p.to_cycle_string(), degree=p.degree) == p
     assert parse_permutation(p.to_one_line_string()) == p
+
+
+def _reference_cycle_string(images) -> str:
+    """Cycle notation by its definition: from each moved point not yet
+    written, least first, follow the images round, 1-based."""
+    written, out = set(), []
+    for start in range(len(images)):
+        if start in written or images[start] == start:
+            continue
+        cycle, j = [], start
+        while j not in written:
+            written.add(j)
+            cycle.append(str(j + 1))
+            j = images[j]
+        out.append("(" + " ".join(cycle) + ")")
+    return "".join(out) or "()"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cycle_string_of_rows_matches_permutations_on_all_of_sym(n):
+    for row in groups.sym_scan_rows(n).tolist():
+        text = cycle_string(row)
+        assert text == Permutation(tuple(row)).to_cycle_string() \
+            == _reference_cycle_string(row)
+        assert parse_permutation(text, degree=n).images == tuple(row)
+    assert cycle_string(list(range(n))) == identity(n).to_cycle_string() == "()"
+    assert cycle_string([0]) == "()"
+
+
+# Every function in the package that calls Permutation(...): text parsers,
+# Permutation's own methods and constructors, and the public functions that
+# return Permutations.  Everything else works on image rows.
+PERMUTATION_BUILDERS = {
+    "perms.parse_permutation",
+    "perms.Permutation.__mul__", "perms.Permutation.inverse", "perms.identity",
+    "perms.random_permutation", "perms.find_conjugator",
+    "groups.FiniteGroup.element", "groups.left_regular_permutation",
+    "groups.right_regular_permutation",
+    "schreier.LabeledSchreierGraph.images", "schreier.symmetrized_generators",
+    "schreier.exact_automorphisms", "schreier.enumerate_eps_automorphisms",
+    "rigidity.left_copy_permutations", "rigidity.right_copy_permutations",
+    "rigidity.flip_permutation", "rigidity.centralizer_in_sym_bruteforce",
+    "stability.AlmostHom.images",
+}
+
+
+def test_permutation_objects_are_built_only_by_the_listed_functions():
+    root = Path(permlab.__file__).parent
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            func = child.func if isinstance(child, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) == "Permutation":
+                sites.add(".".join(scope))
+            defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + [child.name] if defines else scope)
+    for path in root.rglob("*.py"):
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+        visit(ast.parse(path.read_text(encoding="utf-8")), [module])
+    assert sites == PERMUTATION_BUILDERS
 
 
 # ---------------------------------------------------------------------------

@@ -556,20 +556,55 @@ def test_graph_file_text_is_one_based():
     assert lines[1:] == ["1 s1 2", "2 s1 3", "3 s1 1"]
 
 
-def test_graph_file_parse_errors():
+def test_graph_file_parse_errors(tmp_path, capsys):
     good = graph_file_text(directed_cycle_graph(3))
-    with pytest.raises(ValueError):
-        parse_graph_text("")
-    with pytest.raises(ValueError):
-        parse_graph_text("m=3 labels=s1\n")
-    with pytest.raises(ValueError):
-        parse_graph_text(good + "1 s2 2\n")  # unknown label
-    with pytest.raises(ValueError):
-        parse_graph_text(good + "1 s1 2\n")  # duplicate out-edge
-    with pytest.raises(ValueError):
-        parse_graph_text("n=3 labels=s1\n1 s1 2\n")  # missing edges
-    with pytest.raises(ValueError):
-        parse_graph_text("n=3 labels=s1\n1 s1 9\n2 s1 1\n3 s1 2\n")
+    malformed = [
+        "",
+        "m=3 labels=s1\n",
+        good + "1 s2 2\n",  # unknown label
+        good + "1 s1 2\n",  # duplicate out-edge
+        "n=3 labels=s1\n1 s1 2\n",  # missing edges
+        "n=3 labels=s1\n1 s1 9\n2 s1 1\n3 s1 2\n",  # vertex out of range
+        "n=3 labels=s1\n1 s1 2\n2 s1 2\n3 s1 1\n",  # s1 is not a bijection
+        "n=0 labels=s1\n",
+        "n=-2 labels=s1\n",
+    ]
+    for k, text in enumerate(malformed):
+        with pytest.raises(ValueError):
+            parse_graph_text(text)
+        path = tmp_path / f"bad{k}.graph"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert main(["schreier", "--graph", f"file:{path}", "--mode", "report",
+                     "-o", str(out)]) == 2, text
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(ValueError, match=r"not a permutation of 0\.\.2: \(1, 1, 0\)"):
+        parse_graph_text(malformed[6])
+
+
+def test_graphs_from_rows_and_from_permutations_agree():
+    for g in (prism(), pair_graph(), directed_cycle_graph(5)):
+        perms = [Permutation(tuple(row)) for row in g.image_array.tolist()]
+        for h in (LabeledSchreierGraph(g.labels, perms, name="copy"),
+                  LabeledSchreierGraph(g.labels, g.image_array.tolist()),
+                  LabeledSchreierGraph(g.labels, g.image_array.astype(np.int64))):
+            assert h == g and hash(h) == hash(g)
+            assert h.images == g.images == tuple(perms)
+            assert [h.sigma(s) for s in h.labels] == [g.sigma(s) for s in g.labels] == perms
+            assert h.image_array.dtype == np.int32 and not h.image_array.flags.writeable
+    g = prism()
+    assert g != LabeledSchreierGraph(g.labels[::-1], g.image_array)
+    assert g != LabeledSchreierGraph(g.labels, g.image_array[::-1])
+    assert len({g, prism(), regular_action_graph(construct_group("sym3"))}) == 1
+
+
+def test_image_rows_are_checked_like_permutations():
+    for rows in ([[0, 0, 1]], [[0, 1, 3]], [[-1, 0, 1]], [[0.0, 1.0]], [[]], [[0, 1], [0]]):
+        with pytest.raises(ValueError):
+            LabeledSchreierGraph(("a", "b")[:len(rows)], rows)
+    with pytest.raises(ValueError, match="one permutation per label"):
+        LabeledSchreierGraph(("a", "b"), [[0, 1]])
 
 
 def test_histogram_csv_shape():

@@ -50,6 +50,21 @@ def test_almost_hom_defaults_to_identity_images():
     assert s.degree == 3
 
 
+def test_equal_maps_hash_equal_without_building_permutations(monkeypatch):
+    s = z3_example()
+    t = AlmostHom._of_array(s.domain, s.array.astype(np.int64))
+    u = AlmostHom._of_array(s.domain, pad(s, 4).array[:, :3].copy())
+    homs = enumerate_homs(construct_group("sym3"), 3)  # its relator check builds some
+    built = []
+    post_init = Permutation.__post_init__
+    monkeypatch.setattr(Permutation, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    assert s == t == u and hash(s) == hash(t) == hash(u)
+    assert len({s, t, u, pad(s, 4)}) == 2
+    assert len(set(homs)) == len(homs)
+    assert built == []
+
+
 def test_pad_appends_fixed_points():
     s = z3_example()
     p = pad(s, 5)
