@@ -12,8 +12,8 @@ TABLE_CAP elements, composed and ranked rows above it; scalar `mul` and
 elements are stored; :class:`~permlab.perms.Permutation` objects appear only
 at API boundaries.  Groups are immutable after construction, so sharing
 them between callers is safe: every pure query result that is kept
-(centralizers, subgroup tests, the class partition, and the FO evaluator's
-orbit representatives and macro values) goes through one memo store,
+(centralizers, subgroup tests, the class scan and partition, the FO
+evaluator's orbit representatives and macro values) goes through one memo store,
 :meth:`FiniteGroup.memoized`.
 
 Every closure of generators goes through one breadth-first routine over
@@ -25,15 +25,16 @@ images, automorphisms and isomorphisms from blocks of root targets (the
 scalar :func:`extend` is their reference and the :func:`are_isomorphic`
 oracle's walk).  Orbits do not walk: `_min_labels` partitions by numpy
 min-label propagation over index maps, the labels of a Schreier graph
-(`schreier.components`) or, in :meth:`FiniteGroup.conjugation_orbits`
-(conjugacy classes, the FO evaluator's orbit representatives, class
-representatives of subgroups), each generator's conjugates of the points
-keyed in blocks and searched among their keys.  The class partition is an
-int32 class index per element; the frozensets of `conjugacy_classes` are
-built only on request.  Centralizers eliminate candidates, seeded by the
-rows of C_Sym(d)(g) for one generator g of the key when there are fewer of
-those than |G|: each moved point of each generator keeps the rows that
-commute there.
+(`schreier.components`) or, in :meth:`FiniteGroup.conjugation_orbits` (the
+FO evaluator's orbit representatives, class representatives of subgroups),
+each generator's conjugates of the points keyed and searched in blocks.
+Conjugacy classes come from `_class_scan`, in index order: each class's least
+member, certified by |G|/|C_G(r)| or listed by its conjugates, until the sizes
+sum to |G|.  The class index and the frozensets of `conjugacy_classes` are
+built only on request.
+Centralizers eliminate candidates, seeded by the rows of C_Sym(d)(g) for one
+generator g of the key when there are fewer of those than |G|: each moved
+point of each generator keeps the rows that commute there.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ TABLE_CAP = 5000
 SIMPLICITY_CAP = 10 ** 5
 ISOMORPHISM_CAP = 10 ** 6  # generator-image tuples tried by are_isomorphic
 SYM_SCAN_CAP = 8  # degree of the largest Sym(n) a brute-force scan lists
-_BLOCK = 1 << 14  # rows per block of row gathers (conjugation orbits, FO scans)
+_BLOCK = 1 << 14  # rows per block of row gathers (conjugation orbits, class scan, FO scans)
 
 
 def orbit(seed, gens, cap: int | None = None) -> list | None:
@@ -206,6 +207,25 @@ def _sym_centralizer_rows(row) -> np.ndarray:
         rows = np.repeat(rows, len(block), axis=0)
         rows[:, cyc.ravel()] = np.tile(block, (len(rows) // len(block), 1))
     return rows
+
+
+def _cycle_types(rows: np.ndarray) -> tuple[list[CycleType], np.ndarray]:
+    """(the distinct cycle types of the permutation rows `rows`, each row's
+    position among them).  The least point of each point's cycle is the
+    least of a window of 2^k points along it, doubled by squaring the rows
+    until 2^k ≥ d; the cycle lengths counted from it are sorted and keyed."""
+    n, d = rows.shape
+    power = (rows + np.arange(0, n * d, d, dtype=np.int32)[:, None]).ravel()
+    least = np.arange(n * d, dtype=np.int32)
+    for _ in range((d - 1).bit_length()):
+        np.minimum(least, least[power], out=least)
+        power = power[power]
+    del power  # the typing arrays are |rows|·d each: keep few alive at once
+    lengths = np.bincount(least, minlength=n * d).astype(np.int32)[least].reshape(n, d)
+    lengths.sort(axis=1)
+    lengths -= 1
+    _keys, first, at = np.unique(_row_keys(lengths), return_index=True, return_inverse=True)
+    return [CycleType.of(rows[f].tolist()) for f in first.tolist()], at
 
 
 def _min_labels(maps: list[np.ndarray], n: int) -> np.ndarray:
@@ -448,15 +468,95 @@ class FiniteGroup:
         reps, _sizes, order = _size_order(self.conjugation_orbits(by))
         return reps[order].tolist()
 
+    def _conjugates(self, x: int) -> np.ndarray:
+        """The class of x, ascending: y·x·y^-1 for every element y by two
+        table gathers within TABLE_CAP; above, breadth first under
+        conjugation by the generators, whose rows (g·c·g^-1)(i) =
+        g(c(g^-1(i))) are ranked.  (Sorted and deduplicated by hand:
+        np.unique without flags imports numpy.ma on first use, ~15 ms.)"""
+        seen = np.zeros(len(self), dtype=bool)
+        if (table := self._table or self.table()) is not None:
+            seen[table[0][table[0][:, x], table[1]]] = True
+            return np.flatnonzero(seen)
+        gens, level = self.matrix[list(self.generators)], np.array([x])
+        seen[x] = True
+        while level.size:
+            rows = self.matrix[level]
+            conj = self._rank(np.concatenate([g[rows[:, h]] for g, h in
+                                              zip(gens, np.argsort(gens, axis=1))]))
+            fresh = np.sort(conj[~seen[conj]])
+            level = fresh[np.diff(fresh, prepend=-1) != 0]
+            seen[level] = True
+        return np.flatnonzero(seen)
+
+    def _class_scan(self) -> tuple[list[int], np.ndarray, dict]:
+        """(least member of each class, in (size, least member) order; the
+        least member of each element's class where marked, else -1; that of
+        the one unmarked class of each cycle type that has one).
+
+        Rows are scanned in index order, _BLOCK at a time, by cycle type; a
+        row in no known class is the least member of a new one.  The rows of
+        a type are skipped once its classes hold all its d!/|C_Sym(d)(type)|
+        permutations.  A class that may complete its type (what is left of
+        that count divides |G|) has |G|/|C_G(r)| elements; any other is
+        listed by `_conjugates` and marked, as is a class that leaves its
+        type incomplete, so each type has at most one unmarked class.  Within
+        TABLE_CAP all rows share one type that never completes.  ValueError
+        if some |C_G(r)| does not divide |G| or the sizes never sum to |G|."""
+        def compute():
+            n, table = len(self), self._table or self.table()
+            unseen = {None: -1}  # per type, its permutations in no known class
+            label = np.full(n, -1, dtype=np.int32)
+            found, unmarked, left = [], {}, n
+            for start in range(0, n, _BLOCK):
+                marks = label[start:start + _BLOCK]
+                kinds, at = ([None], np.zeros(len(marks), dtype=np.intp)) if table \
+                    else _cycle_types(self.matrix[start:start + _BLOCK])
+                unseen |= {t: factorial(self.degree) // centralizer_order_sym(t)
+                           for t in kinds if t not in unseen}
+                todo = (marks < 0) & np.array([unseen[t] != 0 for t in kinds])[at]
+                while left and todo.any():
+                    x, t = start + (i := int(todo.argmax())), kinds[at[i]]
+                    if table or n % unseen[t]:  # its class cannot complete its type
+                        members = self._conjugates(x)
+                        size, label[members] = len(members), x
+                    else:
+                        size, rest = divmod(n, n if self.is_central((x,))
+                                            else len(self.centralizer_of((x,))))
+                        if rest:
+                            raise ValueError(
+                                f"{self.name}: a centralizer order does not divide {n}")
+                    found.append((size, x))
+                    left, unseen[t] = left - size, unseen[t] - size
+                    if not unseen[t]:
+                        unmarked[t] = x
+                        todo &= at != at[i]
+                        continue
+                    if label[x] < 0:
+                        label[self._conjugates(x)] = x
+                    todo &= marks < 0
+                if not left:
+                    break
+            if left:
+                raise ValueError(f"{self.name}: the class sizes sum to {n - left}, not {n}")
+            return [x for _size, x in sorted(found)], label, unmarked
+        return self.memoized("class_scan", None, compute)
+
     def _partition(self) -> tuple[np.ndarray, list[int]]:
         """(class index of every element, int32; least member of each class),
-        classes in (size, least member) order."""
+        classes in (size, least member) order: `_class_scan`'s marks, and
+        elsewhere the one unmarked class of the row's cycle type."""
         def compute():
-            labels = self.conjugation_orbits(self.generators)
-            reps, _sizes, order = _size_order(labels)
-            rank = np.empty(len(order), dtype=np.int32)
-            rank[order] = np.arange(len(order))
-            return rank[np.searchsorted(reps, labels)], reps[order].tolist()
+            reps, marks, unmarked = self._class_scan()
+            least = marks.copy()
+            for start in range(0, len(self), _BLOCK):
+                if (block := least[start:start + _BLOCK]).min() < 0:
+                    kinds, at = _cycle_types(self.matrix[start:start + _BLOCK])
+                    np.copyto(block, np.array([unmarked.get(t, -1) for t in kinds],
+                                              dtype=np.int32)[at], where=block < 0)
+            rank = np.zeros(len(self), dtype=np.int32)
+            rank[reps] = np.arange(len(reps))
+            return rank[least], reps
         return self.memoized("partition", None, compute)
 
     def conjugacy_classes(self) -> tuple[frozenset, ...]:
@@ -471,15 +571,18 @@ class FiniteGroup:
 
     def class_representatives(self) -> list[int]:
         """Least member of each class, in (class size, member) order."""
-        return list(self._partition()[1])
+        return list(self._class_scan()[0])
 
     def class_of(self, i: int) -> frozenset:
         return self.conjugacy_classes()[self._partition()[0][i]]
 
     def are_conjugate(self, i: int, j: int) -> bool:
-        """Whether elements i and j lie in one conjugacy class."""
-        class_of = self._partition()[0]
-        return class_of.item(i) == class_of.item(j)
+        """Whether elements i and j lie in one conjugacy class: one marked
+        class of `_class_scan`, or both unmarked and of one cycle type."""
+        label = self._class_scan()[1]
+        if label.item(i) >= 0 or label.item(j) >= 0:
+            return label.item(i) == label.item(j)
+        return CycleType.of(self.element_tuple(i)) == CycleType.of(self.element_tuple(j))
 
     # -- centralizers -------------------------------------------------------
 

@@ -402,9 +402,10 @@ class _PermOps:
 
     mul = staticmethod(Permutation.__mul__)
     inv = staticmethod(Permutation.inverse)
+    identity_index = property(lambda self: identity(self.degree))  # read for ``1`` only
 
     def __init__(self, degree: int):
-        self.identity_index = identity(degree)
+        self.degree = degree
 
 
 @lru_cache(maxsize=1024)

@@ -318,13 +318,18 @@ _BRUTE = [{"check": "matches the brute-force centralizer", "pass": True}]
      {"degree": 9, "centralizer_order": 18, "checks": []}),
     (("verify", "--groups", "sym8", "--sentences", "prime_remark", "--strategy", "class"),
      0, {"summary": {"asserted": 1, "failed": 0, "rows": 1}}),
+    (("verify", "--groups", "sym9", "--sentences", "prime_remark", "--strategy",
+      "centralizer"), 0, {"summary": {"asserted": 1, "failed": 0, "rows": 1}}),
+    (("verify", "--groups", "alt9", "--sentences", "congruence(1,3)"), 0,
+     {"summary": {"asserted": 1, "failed": 0, "rows": 1}}),
 ], ids=["report-regular-sym4", "report-cycle-24", "clusters-exhaustive-cycle-9",
         "action-centralizer-degree-8", "action-centralizer-degree-9",
-        "verify-class-sym8"])
+        "verify-class-sym8", "verify-centralizer-sym9", "verify-congruence-alt9"])
 def test_brute_force_scans_finish_within_budget(tmp_path, capsys, argv, code, fields):
     # every subset of 24 points, all of Sym(8), or a loud refusal of Sym(9);
     # the brute-force centralizer row appears up to groups.SYM_SCAN_CAP only;
-    # the class strategy's orbit representatives on all of Sym(8)
+    # the class strategy's orbit representatives on all of Sym(8); the class
+    # scans of Sym(9) and Alt(9)
     out = tmp_path / "r.json"
     t0 = time.perf_counter()
     assert main([*argv, "-o", str(out)]) == code

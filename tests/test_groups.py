@@ -206,8 +206,8 @@ def test_classes_of_a_set_not_closed_under_conjugation_raise():
 
 
 def test_conjugacy_classes_walk_no_orbit(monkeypatch):
-    # the class partition comes from the vectorized kernel, not from a
-    # breadth-first walk per element; fresh groups so nothing is cached
+    # the class partition comes from numpy kernels, not from the scalar
+    # `orbit` walk per element; fresh groups so nothing is cached
     calls = []
     real = groups.orbit
     monkeypatch.setattr(groups, "orbit",
@@ -216,6 +216,39 @@ def test_conjugacy_classes_walk_no_orbit(monkeypatch):
         g = groups._build_sym_or_alt(kind, 8)
         assert len(g.conjugacy_classes()) == {"sym": 22, "alt": 14}[kind]
     assert calls == []
+
+
+@pytest.mark.parametrize("spec", [
+    *(s.canonical_name() for s in default_corpus()), "sym7", "alt7", "sym8", "alt8",
+    "psl2(11)", "psl2(13)", "generated[(1 2 3 4),(1 2),(16 17)]", "psl2(7) image",
+    "alt4 in sym4", "fresh sym9", "fresh alt9",
+    # Sym(4) x 2^8 on 20 points: 6,144 elements in 1,280 classes, above
+    # TABLE_CAP, whose cycle types never fill up as in Sym(20)
+    "generated[(1 2),(1 2 3 4),(5 6),(7 8),(9 10),(11 12),(13 14),(15 16),(17 18),(19 20)]"])
+def test_class_scan_matches_conjugation_orbits(spec):
+    # the oracle is the conjugation orbits under the generators; then
+    # `are_conjugate` of a sample with every representative, asked before
+    # any partition is built, and the partition's class index
+    if spec == "alt4 in sym4":
+        g = _alt4_without_generators()
+    elif spec == "psl2(7) image":  # degree 168, so its rows are keyed by bytes
+        g = action_from_group(G("psl2(7)")).image_group()
+    elif spec.startswith("fresh"):
+        g = groups._build_sym_or_alt(spec[6:9], 9)
+    else:
+        g = G(spec)
+    labels = g.conjugation_orbits(g.generators)
+    reps, _sizes, order = groups._size_order(labels)
+    reps = reps[order].tolist()
+    g._memo.clear()
+    assert g.class_representatives() == reps
+    sample = range(len(g)) if len(g) <= 200 else \
+        np.random.default_rng(0).choice(len(g), 200, replace=False).tolist()
+    for x in sample:
+        assert [g.are_conjugate(x, r) for r in reps] == [labels[x] == r for r in reps]
+    class_of, partition_reps = g._partition()
+    assert partition_reps == reps
+    assert np.array_equal(np.array(reps)[class_of], labels)
 
 
 # A reference for the kernel's three callers: orbits of tuple conjugation

@@ -88,15 +88,44 @@ def test_subgroup_class_reps_compute_once_per_key(monkeypatch):
     assert len(scans) == 1
 
 
+def computed(monkeypatch):
+    """Patch FiniteGroup.memoized so that the query of each computed (not
+    looked up) result is recorded in the returned list."""
+    runs, inner = [], FiniteGroup.memoized
+
+    def memoized(self, query, key, compute):
+        return inner(self, query, key, lambda: runs.append(query) or compute())
+    monkeypatch.setattr(FiniteGroup, "memoized", memoized)
+    return runs
+
+
 def test_class_partition_and_classes_compute_once(monkeypatch):
     g = fresh("sym", 5)
-    scans = counting(monkeypatch, FiniteGroup, "conjugation_orbits")
+    runs = computed(monkeypatch)
+    orbits = counting(monkeypatch, FiniteGroup, "conjugation_orbits")
     classes = g.conjugacy_classes()
     assert g.conjugacy_classes() is classes
     assert len(g.class_representatives()) == len(classes) == 7
     assert g.are_conjugate(idx(g, "(1 2)"), idx(g, "(4 5)"))
     assert g.class_of(g.identity_index) == {g.identity_index}
-    assert len(scans) == 1
+    assert [q for q in runs if q in ("class_scan", "partition", "classes")] == \
+        ["classes", "partition", "class_scan"]
+    assert not orbits  # the classes come from the scan in index order
+
+
+@pytest.mark.parametrize("kind", ["sym", "alt"])
+def test_class_reps_and_conjugacy_of_degree_nine_build_no_partition(monkeypatch, kind):
+    g = fresh(kind, 9)
+    orbits = counting(monkeypatch, FiniteGroup, "conjugation_orbits")
+    reps = g.class_representatives()
+    nine_cycles = [r for r in reps if g.order_of(r) == 9]
+    assert len(nine_cycles) == {"sym": 1, "alt": 2}[kind]  # the 9-cycles split in Alt(9)
+    cycle = idx(g, "(1 2 3 4 5 6 7 8 9)")
+    assert sum(g.are_conjugate(cycle, r) for r in nine_cycles) == 1
+    assert g.are_conjugate(idx(g, "(1 2 3)"), idx(g, "(7 8 9)"))
+    assert not g.are_conjugate(idx(g, "(1 2 3)"), idx(g, "(1 2 3)(4 5 6)"))
+    assert not orbits
+    assert not [key for key in g._memo if key[0] in ("partition", "classes")]
 
 
 def test_alt_spectrum_is_computed_once(monkeypatch):

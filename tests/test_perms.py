@@ -425,6 +425,16 @@ def test_word_errors():
         evaluate_word("s s", {"s": identity(3)})
 
 
+def test_word_builds_the_identity_only_when_it_reads_one(monkeypatch):
+    s, t = parse_permutation("(1 2 3)"), parse_permutation("(1 2)", 3)
+    built, inner = [], Permutation.__post_init__
+    monkeypatch.setattr(Permutation, "__post_init__",
+                        lambda self: built.append(self.images) or inner(self))
+    assert evaluate_word("s*t", {"s": s, "t": t}) == s * t
+    assert len(built) == 2  # one product here, one in the reference above
+    assert evaluate_word("a*1", {"a": s}) == s
+
+
 @given(st.integers(2, 8), st.randoms(use_true_random=False))
 @settings(max_examples=30)
 def test_word_group_axioms(n, rng):
