@@ -5,6 +5,9 @@ sentences over them, measures Schreier-graph expansion and almost-
 automorphism clustering, runs residue/CRT witness-prime searches, and
 checks almost-homomorphism stability, everything with exact arithmetic
 and brute-force oracles at desk scale.
+
+No job path imports numpy.random or numpy.ma (8-23 ms each): draws come from
+`random`, and np.unique runs only with a return flag (without, it asks numpy.ma).
 """
 
 __version__ = "0.1.0"

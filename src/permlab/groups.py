@@ -472,8 +472,7 @@ class FiniteGroup:
         """The class of x, ascending: y·x·y^-1 for every element y by two
         table gathers within TABLE_CAP; above, breadth first under
         conjugation by the generators, whose rows (g·c·g^-1)(i) =
-        g(c(g^-1(i))) are ranked.  (Sorted and deduplicated by hand:
-        np.unique without flags imports numpy.ma on first use, ~15 ms.)"""
+        g(c(g^-1(i))) are ranked; sorted and deduplicated by hand."""
         seen = np.zeros(len(self), dtype=bool)
         if (table := self._table or self.table()) is not None:
             seen[table[0][table[0][:, x], table[1]]] = True

@@ -191,8 +191,9 @@ def component_mass_profile(g: LabeledSchreierGraph) -> list[Fraction]:
 
 def _symmetrized_rows(g: LabeledSchreierGraph) -> np.ndarray:
     """The distinct rows of sigma_s and sigma_s^-1 images, sorted."""
-    S = g.image_array
-    return np.unique(np.concatenate([S, np.argsort(S, axis=1)]), axis=0)
+    rows = np.concatenate([S := g.image_array, np.argsort(S, axis=1)])
+    rows = rows[np.argsort(_void_rows(rows, ">i4"))]
+    return rows[np.r_[True, (rows[1:] != rows[:-1]).any(1)]]
 
 
 def symmetrized_generators(g: LabeledSchreierGraph) -> list[Permutation]:
@@ -249,8 +250,9 @@ def spectral_gap(g: LabeledSchreierGraph) -> float:
     """1 - lambda2/deg of the symmetrized adjacency; 0 iff disconnected
     (up to rounding).  lambda2, the top eigenvalue of x ↦ Σ_s x[sigma_s] on the
     vectors of mean 0, comes from Lanczos with full reorthogonalization and a
-    fixed start.  It stops once the top Ritz residual |beta_k s_k| < 1e-13, or
-    on breakdown, where the tridiagonal eigenvalues are exact.  Graphs that
+    fixed start, random.Random(0)'s first 4n bytes as uint32s / 2^32 (--seed
+    never moves it).  It stops once the top Ritz residual |beta_k s_k| < 1e-13,
+    or on breakdown, where the tridiagonal eigenvalues are exact.  Graphs that
     outrun _LANCZOS_STEPS (cycle:n needs ~n/2) take the dense eigensolve."""
     n, gens = g.n, _symmetrized_rows(g)
     if n < 2:
@@ -259,7 +261,7 @@ def spectral_gap(g: LabeledSchreierGraph) -> float:
         raise CapExceededError(f"the spectral gap is capped at n = {GAP_CAP}")
     deg, basis = len(gens), np.empty((min(_LANCZOS_STEPS, n - 1), n))
     T = np.zeros((len(basis) + 1, len(basis) + 1))
-    v = np.random.default_rng(0).standard_normal(n)
+    v = np.frombuffer(random.Random(0).randbytes(4 * n), dtype=np.uint32) / 2.0 ** 32
     for k in range(len(basis)):
         v -= v.mean()
         basis[k] = v / np.linalg.norm(v)
@@ -320,7 +322,7 @@ def _descend(S: np.ndarray, T: np.ndarray, r: np.ndarray, count: int) -> int:
         i, j = divmod(k, n)
         r[i], r[j] = r[j], r[i]
         count, pos = count + int(gains[i, j]), k + 1
-        near = np.unique(np.concatenate(([i, j], S[:, [i, j]], T[:, [i, j]]), None))
+        near = np.flatnonzero(np.bincount(np.r_[i, j, S[:, i], S[:, j], T[:, i], T[:, j]]))
         gains[near] = _swap_gains(S, T, r, near[:, None], ids[None])
         gains[:, near] = gains[near].T
     return count
@@ -544,7 +546,7 @@ def cluster_scan(autos: Sequence[Permutation], g: LabeledSchreierGraph,
     # representative-product probes, pairs of clusters in order, counted on
     # the composed index rows rep_c(rep_d(x))
     S, reps = g.image_array, rows[[c[0] for c in clusters]]
-    probes = [((c, c + d), 1 - Fraction(int(count), g.edge_count))
+    probes = [((c, c + d), Fraction(g.edge_count - int(count), g.edge_count))
               for c in range(len(clusters))
               for d, count in enumerate(_preserved(S, reps[c][reps[c:]]))]
     return ClusterScan(Fraction(epsilon), Fraction(threshold), tuple(autos),

@@ -29,8 +29,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CapExceededError
-from .groups import (FiniteGroup, GroupSpec, _void_rows, construct_group,
-                     parse_group_spec, spread)
+from .groups import (FiniteGroup, GroupSpec, _cycle_types, _void_rows,
+                     construct_group, parse_group_spec, spread)
 from .perms import (Permutation, cycle_string, evaluate_word, identity,
                     parse_permutation)
 from .schreier import pairwise_distances
@@ -253,6 +253,12 @@ def enumerate_homs(G: FiniteGroup, m: int) -> list[AlmostHom]:
     return [AlmostHom._of_array(G, h) for h in _homs(G, m)]
 
 
+def _element_orders(G: FiniteGroup) -> np.ndarray:
+    """ord(x) for every element x of G: the lcm of its cycle type's lengths."""
+    kinds, at = _cycle_types(G.matrix)
+    return np.array([math.lcm(*(k for k, _ in t.pairs)) for t in kinds])[at]
+
+
 @lru_cache(maxsize=64)
 def _homs(G: FiniteGroup, m: int) -> np.ndarray:
     """enumerate_homs as one read-only (homs × |G| × m) image array."""
@@ -264,7 +270,7 @@ def _homs(G: FiniteGroup, m: int) -> np.ndarray:
     pres = builtin_presentation(getattr(G, "spec", None))
     gens = list(G.generators) if pres is None else \
         [G.index_of(p) for p in pres.images_in_group]
-    orders = np.array([sym_m.order_of(i) for i in range(len(sym_m))])
+    orders = _element_orders(sym_m)
     candidate_lists = [np.flatnonzero(G.order_of(g) % orders == 0) for g in gens]
     if math.prod(map(len, candidate_lists)) * len(G) > HOM_BUDGET:
         raise CapExceededError("homomorphism search budget exceeded")
@@ -282,7 +288,7 @@ def _homs(G: FiniteGroup, m: int) -> np.ndarray:
                 power = np.take_along_axis(xy, power, 1)
             assignments = assignments[(power == np.arange(m)).all(1)]
     if pres is not None:
-        perm = {i: sym_m.element(i) for i in np.unique(assignments).tolist()}
+        perm = {i: sym_m.element(i) for i in set(assignments.ravel().tolist())}
         assignments = assignments[np.array([all(
             evaluate_word(rel, dict(zip(pres.names, map(perm.get, a)))).is_identity()
             for rel in pres.relators) for a in assignments.tolist()], dtype=bool)]

@@ -6,14 +6,18 @@ via -o so the JSON can be loaded back and inspected.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from permlab.cli import main
 from permlab.groups import construct_group, default_corpus
 from permlab.perms import parse_permutation
-from permlab.schreier import CELL_CAP, GAP_CAP
+from permlab.schreier import CELL_CAP, GAP_CAP, regular_action_graph, write_graph_file
 from permlab.stability import almost_hom, write_almost_hom_file
 
 
@@ -466,3 +470,54 @@ def test_corpus_list(tmp_path):
 
 def test_corpus_unknown_action(tmp_path):
     assert main(["corpus", "bogus", "-o", str(tmp_path / "r.json")]) == 2
+
+
+# -- imports ---------------------------------------------------------------------------
+
+_IMPORT_GUARD = """
+import json, sys
+import permlab.schreier as schreier
+from permlab.cli import main
+descents, descend = [], schreier._descend
+def counting(*args):
+    descents.append(1)
+    return descend(*args)
+schreier._descend = counting
+codes = [main([*argv, "-o", out]) for argv, out in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "descents": len(descents),
+                  "loaded": [m for m in ("numpy.random", "numpy.ma") if m in sys.modules]}))
+"""
+
+
+def test_job_paths_import_neither_numpy_random_nor_numpy_ma(tmp_path):
+    # every kind of benchmark `actions` job and one `verify`, in one fresh
+    # interpreter: numpy.random and numpy.ma cost 8-23 ms each to import
+    graph, hom = tmp_path / "alt5.graph", tmp_path / "sym4.map"
+    write_graph_file(regular_action_graph(construct_group("alt5")), graph)
+    write_almost_hom_file(almost_hom(construct_group("sym4"), {
+        3: parse_permutation("(1 2)(4 5)", degree=5)}, degree=5), hom)
+    commands = [
+        ("schreier", "--graph", f"file:{graph}", "--mode", "report"),
+        ("schreier", "--graph", "regular:alt5", "--mode", "clusters"),
+        ("schreier", "--graph", "regular:psl2(7)", "--mode", "exact-autos"),
+        ("schreier", "--graph", "regular:sym3", "--mode", "clusters",
+         "--search", "local-search", "--eps", "1/2", "--restarts", "3"),
+        ("rigidity", "--group", "psl2(7)", "--check", "biregular"),
+        ("rigidity", "--check", "action-centralizer",
+         "--perms", "(1 2 3 4)(5 6 7 8);(1 5)(2 6)(3 7)(4 8)"),
+        ("stability", "--group", "cyclic2", "--degree", "6"),
+        ("stability", "--map", str(hom), "--window", "1/5"),
+        ("primes", "--q", "7,11", "--gamma", "1,0"),
+        ("verify", "--groups", "alt5,sym4"),
+    ]
+    argv = json.dumps([(c, str(tmp_path / f"r{k}.json")) for k, c in enumerate(commands)])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * len(commands)
+    assert result["descents"] > 0
+    assert result["loaded"] == []

@@ -113,6 +113,29 @@ def test_symmetrized_degree_counts_involutions_once():
     assert symmetrized_degree(pair_graph()) == 1
 
 
+@st.composite
+def label_rows(draw):
+    """Image rows of 1-6 labels on n <= 7 points, drawn with repeats from a
+    pool of permutations, their inverses and involutions (sigma = sigma^-1)."""
+    n = draw(st.integers(1, 7))
+    pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    pool += [tuple(np.argsort(p).tolist()) for p in pool]
+    for p in draw(st.lists(st.permutations(range(n)), max_size=2)):
+        inv = list(range(n))
+        for t in range(draw(st.integers(0, n // 2))):  # swap p[2t] with p[2t + 1]
+            inv[p[2 * t]], inv[p[2 * t + 1]] = p[2 * t + 1], p[2 * t]
+        pool.append(tuple(inv))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)))
+
+
+@given(label_rows())
+@settings(max_examples=200, deadline=None)
+def test_symmetrized_rows_match_the_unique_rows_reference(rows):
+    g = LabeledSchreierGraph(tuple(f"s{k}" for k in range(len(rows))), list(rows))
+    reference = np.unique(np.concatenate([rows, np.argsort(rows, axis=1)]), axis=0)
+    assert np.array_equal(schreier._symmetrized_rows(g), reference)
+
+
 def test_adjacency_is_symmetric_with_constant_row_sums():
     for g in (prism(), directed_cycle_graph(5), pair_graph()):
         a = adjacency_matrix(g)
@@ -174,15 +197,28 @@ def dense_gap(g):
 
 @pytest.mark.parametrize("graph", [
     "alt5", "alt6", "alt7", "psl2(7)", "sym5", "sym6", "dihedral12", "prism",
-    "cycle:2", "cycle:3", "cycle:10", "cycle:97", "cycle:256", "cycle:500"])
+    "pair", "two-cycles", *(f"cycle:{n}" for n in range(2, 41)),
+    "cycle:97", "cycle:256", "cycle:500"])
 def test_lanczos_gap_matches_the_dense_eigensolve(graph):
+    # the referee for the fixed start vector: lambda2 has high multiplicity
+    # on the regular graphs, and a structured start could miss it on cycles
     if graph == "prism":
         g = prism()
+    elif graph == "pair":  # disconnected: components {1, 2}, {3}, {4}
+        g = pair_graph()
+    elif graph == "two-cycles":  # disconnected: a 5-cycle and a 7-cycle
+        g = build_schreier_graph({"a": parse_permutation("(1 2 3 4 5)(6 7 8 9 10 11 12)")})
     elif graph.startswith("cycle:"):
         g = directed_cycle_graph(int(graph[6:]))
     else:
         g = regular_action_graph(construct_group(graph))
     assert abs(spectral_gap(g) - dense_gap(g)) <= 1e-12
+
+
+def test_default_cluster_epsilon_of_the_bench_clusters_graph():
+    # regular:alt5, the graph of the benchmark's clusters job: gap 1/3
+    g = regular_action_graph(construct_group("alt5"))
+    assert default_cluster_epsilon(g) == Fraction(33333333, 10 ** 12)
 
 
 def test_lanczos_gap_does_not_depend_on_the_seed(tmp_path):

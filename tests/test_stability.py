@@ -318,6 +318,14 @@ def test_pruned_homs_equal_the_unpruned_reference():
         assert homs.reshape(len(homs), -1).tolist() == unpruned_homs(G, m), (G.name, m)
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_element_orders_of_sym_match_order_of(m):
+    # the candidate filter of _homs takes every order of Sym(m) in one batch
+    sym_m = construct_group(f"sym{m}")
+    assert stability._element_orders(sym_m).tolist() == \
+        [sym_m.order_of(i) for i in range(len(sym_m))]
+
+
 # -- nearest homomorphism ------------------------------------------------------------
 
 def test_nearest_hom_refuses_an_over_cap_window_before_enumerating(monkeypatch):
