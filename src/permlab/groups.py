@@ -16,9 +16,11 @@ them between callers is safe: every pure query result that is kept
 evaluator's orbit representatives and macro values) goes through one memo store,
 :meth:`FiniteGroup.memoized`.
 
-Every closure of generators goes through one breadth-first routine over
-element rows, `_closure` (constructor groups, image groups, subgroups,
-generating subsets); the scalar :func:`orbit` stays as the tests' reference.
+Closures of generators run breadth first over element rows in `_closure`
+(constructor groups, image groups, Alt(l) subgroups, and subgroups of a group
+that has no table yet); within a built table, `_generate` grows subgroups and
+generating subsets by table gathers.  The scalar :func:`orbit` stays as the
+tests' reference.
 Values pushed along generator edges go through one batched kernel,
 :func:`spread`: Cayley-table rows, homomorphisms from blocks of generator
 images, automorphisms and isomorphisms from blocks of root targets (the
@@ -32,9 +34,11 @@ Conjugacy classes come from `_class_scan`, in index order: each class's least
 member, certified by |G|/|C_G(r)| or listed by its conjugates, until the sizes
 sum to |G|.  The class index and the frozensets of `conjugacy_classes` are
 built only on request.
-Centralizers eliminate candidates, seeded by the rows of C_Sym(d)(g) for one
-generator g of the key when there are fewer of those than |G|: each moved
-point of each generator keeps the rows that commute there.
+Centralizers compare each generator's Cayley-table row with its column
+within a built table.  Otherwise they eliminate candidates, seeded by the
+rows of C_Sym(d)(g) for one generator g of the key when there are fewer of
+those than |G|: each moved point of each generator keeps the rows that
+commute there.
 """
 
 from __future__ import annotations
@@ -595,6 +599,8 @@ class FiniteGroup:
     def centralizer_of(self, indices: Iterable[int]) -> frozenset:
         """Centralizer {x : xs = sx for all s in the given set} as index set.
 
+        A group that holds its Cayley table T keeps the x with T[g, x] =
+        T[x, g] for each generator g of the key.  Otherwise
         C_G(g) = G ∩ C_Sym(d)(g): the generator of the key with the least
         |C_Sym(d)(g)|, counted exactly, seeds the candidates with those of
         its rows that are in G when that count is below |G|, else all rows
@@ -606,6 +612,11 @@ class FiniteGroup:
         def compute():
             mat, cand = self.matrix, np.arange(len(self))
             gens = generating_subset(self, key)
+            if self._table is not None:  # g·x = x·g: row g against column g
+                T, keep = self._table[0], np.ones(len(self), dtype=bool)
+                for g in gens:
+                    keep &= T[g] == T[:, g]
+                cand, gens = np.flatnonzero(keep), []  # nothing left to eliminate
             sizes = [centralizer_order_sym(CycleType.of(self.element_tuple(g)))
                      for g in gens]
             if gens and min(sizes) < len(self):
@@ -857,17 +868,32 @@ def set_product(G: FiniteGroup, A: Iterable[int], B: Iterable[int]) -> frozenset
 def _generate(G: FiniteGroup, S: Iterable[int] | None,
               cap: int | None) -> tuple[list[int], np.ndarray] | None:
     """(greedy generating subset of ⟨S⟩, the member indices of ⟨S⟩), or
-    None once ⟨S⟩ would exceed `cap` elements; see `generating_subset`."""
+    None once ⟨S⟩ would exceed `cap` elements; see `generating_subset`.
+    Each chosen generator closes its subgroup by `_closure`, or by Cayley
+    table gathers and a membership mask once G holds its table (never
+    built here: `G.generators` may be what a table is waiting for)."""
     members = np.array(sorted(S) if S is not None else range(len(G)), dtype=np.intp)
     inside = np.zeros(len(G), dtype=bool)
     inside[G.identity_index] = True
     gens: list[int] = []
     while (outside := members[~inside[members]]).size:
         gens.append(int(outside[0]))
-        rows = _closure(G.matrix[gens], cap)
-        if rows is None:
-            return None
-        inside[G._rank(rows)] = True
+        if G._table is None:
+            rows = _closure(G.matrix[gens], cap)
+            if rows is None:
+                return None
+            inside[G._rank(rows)] = True
+            continue
+        # H = inside is closed under the old generators: grow it from g·H
+        T, at, hit = G._table[0], np.array(gens)[:, None], np.empty_like(inside)
+        level = T[gens[-1], inside]
+        while level.size:
+            inside[level] = True
+            if cap is not None and np.count_nonzero(inside) > cap:
+                return None
+            hit[:] = False
+            hit[T[at, level]] = True
+            level = np.flatnonzero(hit & ~inside)
     return gens, np.flatnonzero(inside)
 
 

@@ -266,7 +266,7 @@ def _homs(G: FiniteGroup, m: int) -> np.ndarray:
         raise CapExceededError(f"homomorphism search capped at |G| <= {HOM_GROUP_CAP}")
     if m > HOM_DEGREE_CAP:
         raise CapExceededError(f"homomorphism search capped at degree <= {HOM_DEGREE_CAP}")
-    sym_m = construct_group(f"sym{m}")
+    sym_m = construct_group(GroupSpec("sym", m))
     pres = builtin_presentation(getattr(G, "spec", None))
     gens = list(G.generators) if pres is None else \
         [G.index_of(p) for p in pres.images_in_group]
@@ -394,7 +394,7 @@ def identity_preserving_scan(G: FiniteGroup, m: int, window=Fraction(0)) -> Scan
     """Every map sending the identity to the identity and the remaining
     elements anywhere in Sym(m): defect, nearest-homomorphism distance, and
     the worst observed distance/defect ratio."""
-    sym_m = construct_group(f"sym{m}")
+    sym_m = construct_group(GroupSpec("sym", m))
     others = [i for i in range(len(G)) if i != G.identity_index]
     total = len(sym_m) ** len(others)
     if total > SCAN_CAP:

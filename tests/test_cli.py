@@ -10,10 +10,12 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from permlab import groups
 from permlab.cli import main
 from permlab.groups import construct_group, default_corpus
 from permlab.perms import parse_permutation
@@ -96,6 +98,16 @@ def test_verify_small_groups(tmp_path):
     assert rows[("sym(4)", "prime_remark")]["oracle"] is True
     assert rows[("cyclic(6)", "prime_remark")]["oracle"] is None
     assert rep["summary"] == {"rows": 8, "asserted": 3, "failed": 0}
+
+
+def test_plain_verify_closes_rows_only_to_build_groups_and_alt_subgroups(tmp_path, monkeypatch):
+    # fresh groups; subgroups of a group that holds its Cayley table close by it
+    monkeypatch.setattr(groups, "_CONSTRUCT_CACHE", {})
+    callers, closure = Counter(), groups._closure
+    monkeypatch.setattr(groups, "_closure", lambda *args: callers.update(
+        [sys._getframe(1).f_code.co_name]) or closure(*args))
+    assert run(tmp_path, "verify")[0] == 0
+    assert callers == {"_generated_group": 17, "iter_alt_subgroups": 9}
 
 
 def test_verify_congruence_id_with_comma(tmp_path):
@@ -294,6 +306,12 @@ def test_stability_map_over_the_group_cap_exits_two_at_once(tmp_path, capsys):
     assert main(["stability", "--map", str(path), "-o", str(tmp_path / "r.json")]) == 2
     assert time.perf_counter() - t0 < 2
     assert "capped at |G| <= 24" in capsys.readouterr().err
+
+
+def test_stability_below_degree_one_is_usage_error(tmp_path, capsys):
+    assert main(["stability", "--group", "cyclic2", "--degree", "-1",
+                 "-o", str(tmp_path / "r.json")]) == 2
+    assert "degree must be at least 1" in capsys.readouterr().err
 
 
 def test_stability_scan_of_sym4_at_degree_six_exits_two(tmp_path, capsys):

@@ -437,8 +437,7 @@ def test_centralizer_of_multi_element_keys_matches_the_elimination_scan():
 ])
 def test_centralizer_of_candidates_on_both_sides_of_the_order_test(
         monkeypatch, spec, cycles, built):
-    g = G(spec)
-    g._memo.clear()
+    g = FiniteGroup(G(spec).matrix, spec)  # no Cayley table: the row path
     x = idx(g, cycles)
     assert (centralizer_order_sym(g.element(x).cycle_type()) < len(g)) == built
     calls = []
@@ -447,6 +446,41 @@ def test_centralizer_of_candidates_on_both_sides_of_the_order_test(
                         lambda p: calls.append(p) or rows(p))
     assert g.centralizer_of([x]) == elimination_centralizer(g, [x])
     assert len(calls) == built
+
+
+def _table_and_row_paths(g, monkeypatch, tabled):
+    """Subgroup and centralizer results of `g` on class representatives,
+    their pairs and the subgroups they generate; with `tabled`, no row
+    closure or Sym(d) seed may run (psl2(13)'s 13-cycles would seed one)."""
+    if tabled:
+        fail = lambda *args: pytest.fail("a row path ran")  # noqa: E731
+        monkeypatch.setattr(groups, "_closure", fail)
+        monkeypatch.setattr(groups, "_sym_centralizer_rows", fail)
+    reps = construct_group(g.name).class_representatives()
+    out = []
+    for key in [[x] for x in reps] + [list(p) for p in itertools.combinations(reps, 2)]:
+        H = generated_subgroup(g, key)
+        smaller = sorted(H)[:-1]
+        out.append((generating_subset(g, key), H, is_subgroup(g, H), is_subgroup(g, smaller),
+                    generating_subset(g, key, cap=len(H)),
+                    generating_subset(g, key, cap=len(H) - 1),
+                    g.centralizer_of(key), g.centralizer_of(H)))
+    # the untabled group's own class scan would build its table
+    classes = construct_group(g.name).conjugacy_classes()
+    out.append(is_simple_bruteforce(g) if tabled else all(
+        len(generated_subgroup(g, c)) == len(g) for c in classes if g.identity_index not in c))
+    monkeypatch.undo()
+    return out
+
+
+@pytest.mark.parametrize("spec", [s.canonical_name() for s in default_corpus()]
+                         + ["psl2(13)", "alt(7)"])
+def test_table_path_matches_the_row_path(monkeypatch, spec):
+    tabled, rows = (FiniteGroup(G(spec).matrix, spec) for _ in range(2))
+    tabled.table()
+    assert _table_and_row_paths(tabled, monkeypatch, True) == \
+        _table_and_row_paths(rows, monkeypatch, False)
+    assert rows._table is None
 
 
 def test_is_central_means_commuting_with_every_generator():
