@@ -9,12 +9,12 @@ selector map requests, for every q simultaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 from typing import Mapping
 
 from .errors import CapExceededError
+from .record import Record
 
 __all__ = [
     "is_prime", "fourth_powers", "ResiduePair", "residue_pair",
@@ -26,12 +26,15 @@ __all__ = [
 PRIME_SCAN_LIMIT = 10 ** 7
 
 _TRIAL_BOUND = 10 ** 6
-# strong-pseudoprime bases that decide primality for every n < 3.3e24
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# bases deciding primality below _MR_BOUND = psi_13 (Sorenson, Webster, Math. Comp. 86)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n < 2**64 (and well beyond)."""
+    """Deterministic primality below psi_13 ~ 3.3e24; CapExceededError above."""
+    if n >= _MR_BOUND:
+        raise CapExceededError(f"primality is decided only below {_MR_BOUND}, not for {n}")
     if n < 2:
         return False
     if n < _TRIAL_BOUND:
@@ -74,8 +77,7 @@ def fourth_powers(q: int) -> set[int]:
     return {pow(x, 4, q) for x in range(1, q)}
 
 
-@dataclass(frozen=True)
-class ResiduePair:
+class ResiduePair(Record):
     """Target residues (a0, a1) and matching prime residues (b0, b1) mod q.
 
     A prime p with p ≡ b_i (mod q) has p**4 - 1 ≡ a_i (mod q): b0 = 1 gives
@@ -143,8 +145,7 @@ def crt_combine(residues: Mapping[int, int]) -> tuple[int, int]:
     return l % m, m
 
 
-@dataclass(frozen=True)
-class SelectorProblem:
+class SelectorProblem(Record):
     """A finite set of primes q >= 7 with a choice gamma(q) in {0, 1} each."""
 
     qs: tuple[int, ...]

@@ -36,14 +36,13 @@ per-binding walk, which remains for every other quantifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .. import groups as _groups
 from ..errors import CapExceededError
 from ..groups import FiniteGroup, generating_subset
 from ..perms import Permutation, cycle_string
+from ..record import Record
 from . import macros as _macros
 from .macros import ArgKind
 from .syntax import (And, Comm, Eq, Implies, Int, Inv, MacroCall, Mul, Not,
@@ -57,8 +56,7 @@ NAIVE_CAP = 2000
 STRATEGIES = ("naive", "class", "centralizer")
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(Record):
     value: bool
     strategy: str
     group: str

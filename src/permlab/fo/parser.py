@@ -22,9 +22,8 @@ whichever failure got further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ParseError
+from ..record import Record
 from .syntax import (And, Comm, Eq, Implies, Int, Inv, MacroCall, Mul, Not,
                      One, Or, Quant, SetCall, Var)
 
@@ -35,8 +34,7 @@ _TWO_CHAR = ("->",)
 _ONE_CHAR = "()[],.=*|&!"
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(Record):
     kind: str  # ident | int | sym | end
     text: str
     line: int

@@ -1,4 +1,4 @@
-"""AST for first-order group sentences, plus the canonical printer.
+"""AST for first-order group sentences (frozen records), plus the canonical printer.
 
 Terms are built from variables, the identity literal 1, products, inverses
 and commutator brackets.  Formulas combine equations and macro atoms with
@@ -8,7 +8,7 @@ integer literals and set expressions (calls to registered set functions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..record import Record
 
 __all__ = [
     "Var", "One", "Mul", "Inv", "Comm", "Int", "SetCall",
@@ -19,18 +19,15 @@ __all__ = [
 
 # -- terms --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class One:
+class One(Record):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class Mul:
+class Mul(Record):
     """A product.  Equality and hashing walk the left-nested chain of a long
     word in a loop rather than recursing once per factor."""
 
@@ -54,69 +51,58 @@ class Mul:
         return hash((Mul, first, *rights))
 
 
-@dataclass(frozen=True)
-class Inv:
+class Inv(Record):
     arg: object
 
 
-@dataclass(frozen=True)
-class Comm:
+class Comm(Record):
     left: object
     right: object
 
 
 # -- macro arguments that are not terms ----------------------------------------
 
-@dataclass(frozen=True)
-class Int:
+class Int(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class SetCall:
+class SetCall(Record):
     name: str
     args: tuple
 
 
 # -- formulas -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(Record):
     lhs: object
     rhs: object
 
 
-@dataclass(frozen=True)
-class MacroCall:
+class MacroCall(Record):
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     arg: object
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Quant:
+class Quant(Record):
     kind: str  # "forall" | "exists"
     var: str
     body: object

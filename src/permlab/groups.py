@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from math import factorial, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -56,6 +55,7 @@ import numpy as np
 from .errors import CapExceededError
 from .perms import (CycleType, Permutation, centralizer_order_sym,
                     padded_rows, parse_permutation, row_cycles)
+from .record import Record
 
 __all__ = [
     "FiniteGroup",
@@ -640,9 +640,8 @@ class FiniteGroup:
 # group specs and constructors
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Recipe for a constructor group.
+class GroupSpec(Record):
+    """Recipe for a constructor group, as a frozen record.
 
     kind ∈ {sym, alt, cyclic, dihedral, psl2, generated}; `n` is the degree
     for sym/alt, the order for cyclic/dihedral, the odd prime p for psl2;

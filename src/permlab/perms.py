@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from typing import Mapping
+
+from .record import Record
 
 __all__ = [
     "Permutation",
@@ -45,9 +46,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Permutation:
-    """An element of Sym(n), stored as the tuple of images of 0..n-1."""
+class Permutation(Record):
+    """An element of Sym(n): a frozen record of the images of 0..n-1."""
 
     images: tuple[int, ...]
 
@@ -261,9 +261,8 @@ def hamming_distance(p: Permutation, q: Permutation) -> Fraction:
 # cycle types
 
 
-@dataclass(frozen=True, slots=True)
-class CycleType:
-    """Multiset of cycle lengths, stored as sorted (length, multiplicity) pairs.
+class CycleType(Record):
+    """Multiset of cycle lengths: a frozen record of sorted (length, mult.) pairs.
 
     Fixed points are included, so the weighted lengths always sum to the degree.
     """
@@ -298,8 +297,7 @@ class CycleType:
         return " ".join(f"{k}^{m}" for k, m in reversed(self.pairs))
 
 
-@dataclass(frozen=True, slots=True)
-class LambdaProfile:
+class LambdaProfile(Record):
     """Mass profile of a cycle type: length k carries weight k*m_k/n."""
 
     entries: tuple[tuple[int, Fraction], ...]

@@ -22,7 +22,6 @@ public functions that return them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ import numpy as np
 from .errors import CapExceededError
 from .groups import FiniteGroup, set_product, sym_scan_rows
 from .perms import CycleType, Permutation
+from .record import Record
 from .schreier import (LabeledSchreierGraph, _check_cells, automorphism_rows,
                        components, pairwise_distances)
 
@@ -145,8 +145,7 @@ def _double_centralizer(gens) -> tuple[FiniteGroup, FiniteGroup]:
         C.matrix[list(C.generators) or [C.identity_index]]))
 
 
-@dataclass(frozen=True)
-class DoubleCentralizerReport:
+class DoubleCentralizerReport(Record):
     subgroup: tuple[Permutation, ...]
     centralizer: tuple[Permutation, ...]
     double: tuple[Permutation, ...]
@@ -167,8 +166,7 @@ def double_centralizer_check(perms: Iterable[Permutation]) -> DoubleCentralizerR
         closes=sorted(subgroup.matrix.tolist()) == CC.matrix.tolist())
 
 
-@dataclass(frozen=True)
-class BiregularReport:
+class BiregularReport(Record):
     group: str
     centralizer_is_right_copy: bool
     double_is_left_copy: bool

@@ -14,7 +14,6 @@ in {sigma_s} ∪ {sigma_s^-1} (an involution contributes once).  Text I/O is
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -25,6 +24,7 @@ from .errors import CapExceededError
 from .groups import (FiniteGroup, _generated_group, _min_labels, _void_rows,
                      spread, sym_scan_rows)
 from .perms import Permutation
+from .record import Record
 
 __all__ = [
     "LabeledSchreierGraph", "build_schreier_graph", "regular_action_graph",
@@ -487,8 +487,7 @@ def connected_label_isomorphic(g1: LabeledSchreierGraph,
 
 # -- cluster scans ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClusterScan:
+class ClusterScan(Record):
     epsilon: Fraction
     threshold: Fraction
     automorphisms: tuple[Permutation, ...]

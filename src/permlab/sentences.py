@@ -14,8 +14,6 @@ Three families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arithmetic import is_prime
@@ -23,6 +21,7 @@ from .errors import CapExceededError
 from .fo import And, evaluate_detailed, parse_formula
 from .groups import (FiniteGroup, GroupSpec, construct_group, default_corpus,
                      is_abelian, is_simple_bruteforce)
+from .record import Record
 
 __all__ = [
     "phi1", "phi2", "felgner_phi", "classify_nonabelian_simple",
@@ -166,8 +165,7 @@ def prime_remark_oracle(n: int) -> bool:
 
 # -- reports -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SentenceReport:
+class SentenceReport(Record):
     group: str
     sentence: str
     strategy: str

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
@@ -33,6 +32,7 @@ from .groups import (FiniteGroup, GroupSpec, _cycle_types, _void_rows,
                      construct_group, parse_group_spec, spread)
 from .perms import (Permutation, cycle_string, evaluate_word, identity,
                     parse_permutation)
+from .record import Record
 from .schreier import pairwise_distances
 
 __all__ = [
@@ -149,8 +149,7 @@ def uniform_defect(s: AlmostHom) -> Fraction:
     return local_defect(s, range(len(s.domain)))
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(Record):
     defect: Fraction
     argmax: tuple[str, str]  # the offending pair, as domain cycle strings
     injectivity: Fraction
@@ -196,8 +195,7 @@ def pad(s: AlmostHom, m: int) -> AlmostHom:
 
 # -- exact homomorphism enumeration ----------------------------------------------------
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Generators with defining relators, tied to concrete group elements."""
 
     names: tuple[str, ...]
@@ -322,8 +320,7 @@ def _homs(G: FiniteGroup, m: int) -> np.ndarray:
 
 # -- nearest homomorphism -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NearestHomReport:
+class NearestHomReport(Record):
     hom: AlmostHom
     degree: int
     distance: Fraction
@@ -373,16 +370,14 @@ def nearest_hom(s: AlmostHom, window=Fraction(0)) -> NearestHomReport:
 
 # -- scans --------------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(Record):
     images: tuple[str, ...]
     defect: Fraction
     distance: Fraction
     ratio: Fraction | None
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Record):
     group: str
     degree: int
     rows: tuple[ScanRow, ...]

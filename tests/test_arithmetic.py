@@ -39,6 +39,18 @@ def test_is_prime_large_values_cross_checked():
         assert is_prime(n) == sympy.isprime(n)
 
 
+def test_is_prime_past_twelve_bases_and_refused_at_thirteen():
+    # psi_12, the least strong pseudoprime to the bases 2..37, and psi_13,
+    # the same for 2..41 (Sorenson and Webster, Math. Comp. 86, 2017)
+    psi12, psi13 = 318665857834031151167461, 3317044064679887385961981
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    assert is_prime(psi13 - 168)  # the largest prime below psi_13 (sympy.prevprime)
+    for n in (psi13, psi13 + 2, 10 ** 40):
+        with pytest.raises(CapExceededError, match="primality is decided only below"):
+            is_prime(n)
+
+
 def test_28561_is_a_fourth_power_not_prime():
     assert 28561 == 13 ** 4
     assert not is_prime(28561)

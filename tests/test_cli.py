@@ -39,6 +39,18 @@ def test_primes_example(tmp_path):
     assert rep["config"] == {"floor": 13, "gamma": [1, 1], "q": [7, 11]}
 
 
+def test_primes_witness_past_the_primality_bound_exits_two(tmp_path, capsys):
+    # the 22 primes 7..97 have a witness near 4e34, past what is_prime decides
+    qs = [q for q in range(7, 100) if all(q % d for d in range(2, q))]
+    assert len(qs) == 22
+    out = tmp_path / "report.json"
+    code = main(["primes", "--q", ",".join(map(str, qs)), "--gamma",
+                 ",".join("1" * len(qs)), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert "primality is decided only below" in err and "Traceback" not in err
+
+
 def test_rigidity_biregular_example(tmp_path):
     code, rep = run(tmp_path, "rigidity", "--group", "sym3",
                     "--check", "biregular")
@@ -503,13 +515,15 @@ def counting(*args):
 schreier._descend = counting
 codes = [main([*argv, "-o", out]) for argv, out in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "descents": len(descents),
-                  "loaded": [m for m in ("numpy.random", "numpy.ma") if m in sys.modules]}))
+                  "loaded": [m for m in ("numpy.random", "numpy.ma", "dataclasses")
+                             if m in sys.modules]}))
 """
 
 
 def test_job_paths_import_neither_numpy_random_nor_numpy_ma(tmp_path):
     # every kind of benchmark `actions` job and one `verify`, in one fresh
-    # interpreter: numpy.random and numpy.ma cost 8-23 ms each to import
+    # interpreter: numpy.random and numpy.ma cost 8-23 ms each to import, and
+    # dataclasses would bring back its decorators' code generation
     graph, hom = tmp_path / "alt5.graph", tmp_path / "sym4.map"
     write_graph_file(regular_action_graph(construct_group("alt5")), graph)
     write_almost_hom_file(almost_hom(construct_group("sym4"), {
