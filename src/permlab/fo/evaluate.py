@@ -26,15 +26,20 @@ Orbit representatives are the least index of each orbit, visited in
 (orbit size, least index) order, so evaluation order and any reported
 witnesses are deterministic.
 
-Every quantifier whose body has no quantifier and no macro is decided over
-its domain in blocks of rows: inner quantifiers (centralizer-rewrite domains
-included) and the last level of the outermost prefix.  Each product in the
-body is one FiniteGroup.mul_many over a block, and the first deciding
-element in domain order is kept, so values and witnesses are those of the
-per-binding walk, which remains for every other quantifier.
+A quantifier whose body holds no macro atom, no centralizer rewrite and no
+unbound variable is decided over its domain in blocks (`_Evaluator._decide`):
+inner quantifiers, the last prefix level, and under naive every prefix level,
+the rest of the prefix folded into its body.  Each nested quantifier is one
+more array axis, so a term is computed once at the broadcast shape of its
+own variables ([h1, h2] once per (h1, h2) chunk, for every g of the block).
+A step evaluates at most groups._BLOCK cells.  The first deciding element in
+domain order is kept, so values and witnesses are those of the per-binding
+walk, which remains for every other quantifier.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -97,11 +102,10 @@ def eval_term(t, G: FiniteGroup, env: dict) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
-# -- whole-domain scans ----------------------------------------------------------
+# -- block decisions -------------------------------------------------------------
 #
-# A quantifier- and macro-free body is decided for a block of values of the
-# quantified variable at once: that variable is bound to the block's index
-# array, the others to indices, and `eval_term` runs on `_Gathers`.
+# Variables are bound to indices or index arrays, and `eval_term` runs on
+# `_Gathers`.
 
 class _Gathers:
     """The group operations `eval_term` uses, batched: they accept index
@@ -111,32 +115,6 @@ class _Gathers:
         self.mul = G.mul_many
         self.inv = lambda a: G.inverse_array()[a]
         self.identity_index = G.identity_index
-
-
-def _qf_variables(f) -> frozenset | None:
-    """Free variables of a quantifier- and macro-free formula, else None."""
-    if isinstance(f, Eq):
-        return frozenset(term_variables(f.lhs) | term_variables(f.rhs))
-    if isinstance(f, Not):
-        return _qf_variables(f.arg)
-    if isinstance(f, (And, Or, Implies)):
-        left, right = _qf_variables(f.left), _qf_variables(f.right)
-        return None if left is None or right is None else left | right
-    return None
-
-
-def _gather_formula(f, ops: _Gathers, env: dict):
-    if isinstance(f, Eq):
-        return np.equal(eval_term(f.lhs, ops, env), eval_term(f.rhs, ops, env))
-    if isinstance(f, Not):
-        return np.logical_not(_gather_formula(f.arg, ops, env))
-    left = _gather_formula(f.left, ops, env)
-    right = _gather_formula(f.right, ops, env)
-    if isinstance(f, And):
-        return np.logical_and(left, right)
-    if isinstance(f, Or):
-        return np.logical_or(left, right)
-    return np.logical_or(np.logical_not(left), right)
 
 
 # -- static validation -----------------------------------------------------------
@@ -307,6 +285,37 @@ class _Evaluator:
     def __init__(self, G: FiniteGroup, mode: str):
         self.G = G
         self.mode = mode
+        self.ops = _Gathers(G)
+        self.nodes: dict[int, tuple] = {}  # id(node) -> _analyse(node)
+        self.cells = 0  # cells decided in blocks so far
+
+    def _analyse(self, f) -> tuple:
+        """(free variables of f, or None when only the walk decides f;
+        the depth of quantifier nesting in f), once per node and evaluation."""
+        if (out := self.nodes.get(id(f))) is not None:
+            return out
+        if isinstance(f, Eq):
+            out = frozenset(term_variables(f.lhs) | term_variables(f.rhs)), 0
+        elif isinstance(f, Not):
+            out = self._analyse(f.arg)
+        elif isinstance(f, (And, Or, Implies)):
+            (lf, ld), (rf, rd) = self._analyse(f.left), self._analyse(f.right)
+            out = (None if lf is None or rf is None else lf | rf), max(ld, rd)
+        elif isinstance(f, Quant):
+            free, depth = self._analyse(f.body)
+            if self.mode == "centralizer" and _pattern_applies(f):
+                free = None
+            out = (None if free is None else free - {f.var}), depth + 1
+        else:  # macro atoms
+            out = None, 0
+        self.nodes[id(f)] = out
+        return out
+
+    def blocks(self, var: str, body, env: dict) -> bool:
+        """Whether body[var := x] is decided in blocks under env: no macro,
+        no rewrite, and every other free variable bound."""
+        free = self._analyse(body)[0]
+        return free is not None and free - {var} <= env.keys()
 
     def formula(self, f, env: dict) -> bool:
         if isinstance(f, Quant):
@@ -353,17 +362,37 @@ class _Evaluator:
         """The first x in `domain` for which body[var := x] decides the
         quantifier (true for exists, false for forall), or None."""
         want = kind == "exists"
-        free = _qf_variables(body)
-        if free is not None and free - {var} <= env.keys():
-            xs = np.arange(domain.start, domain.stop) \
-                if isinstance(domain, range) else np.asarray(domain)
-            ops, step = _Gathers(self.G), _groups._BLOCK
-            for start in range(0, len(xs), step):
-                block = xs[start:start + step]
-                vals = _gather_formula(body, ops, {**env, var: block})
-                hits = np.flatnonzero(np.broadcast_to(vals == want, block.shape))
-                if hits.size:
-                    return int(block[hits[0]])
+        if self.blocks(var, body, env):
+            if not isinstance(domain, range):
+                domain = np.asarray(domain)
+            # A body with quantifiers starts with one binding, decided by the
+            # walk, whose scalar products cost less than one-element arrays,
+            # until a binding shows nested work.  Blocks then double while
+            # that work stays under one block per binding: heavier bindings
+            # gain nothing from sharing steps, and those after the hit in a
+            # block would be waste.
+            step = 1 if self._analyse(body)[1] else _groups._BLOCK
+            start = 0
+            while start < len(domain):
+                if isinstance(block := domain[start:start + step], range):
+                    block = np.arange(block.start, block.stop)
+                spent = self.cells
+                if step == 1:
+                    if self.formula(body, {**env, var: int(block[0])}) == want:
+                        return int(block[0])
+                else:
+                    # a value that does not vary with var is read at block[0]
+                    hits = np.flatnonzero(self._decide(
+                        body, {**env, var: block}, block.shape) == want)
+                    if hits.size:
+                        return int(block[hits[0]])
+                spent = self.cells - spent
+                self.cells += len(block)
+                start += len(block)
+                if spent >= _groups._BLOCK * len(block):
+                    step = 1
+                elif spent or step > 1:
+                    step = min(2 * step, _groups._BLOCK)
             return None
         had_outer = var in env  # shadowed binding to restore afterwards
         outer = env.get(var)
@@ -379,6 +408,99 @@ class _Evaluator:
             env.pop(var, None)
         return hit
 
+    def _decide(self, f, env: dict, shape: tuple, care=None):
+        """Truth values of f, for which `blocks` holds, as a boolean array
+        that broadcasts to `shape`.  Variables are bound to indices or to
+        index arrays that broadcast to `shape`; cells outside the mask
+        `care` (None: every cell) may hold either value."""
+        if isinstance(f, Eq):
+            return np.equal(eval_term(f.lhs, self.ops, env),
+                            eval_term(f.rhs, self.ops, env))
+        if isinstance(f, Not):
+            return ~self._decide(f.arg, env, shape, care)
+        if isinstance(f, Quant):
+            return self._quant(f, env, shape, care)
+        left = self._decide(f.left, env, shape, care)
+        if self._analyse(f.right)[1]:
+            # as in the walk, the right side's quantifiers run only on the
+            # cells the left side leaves open
+            rest = ~left if isinstance(f, Or) else left
+            if care is not None:
+                rest = rest & care
+            if not np.count_nonzero(rest):
+                return ~left if isinstance(f, Implies) else left
+            right = self._decide(f.right, env, shape, rest)
+        else:
+            right = self._decide(f.right, env, shape)
+        if isinstance(f, And):
+            return left & right
+        if isinstance(f, Or):
+            return left | right
+        return ~left | right
+
+    def _quant(self, q: Quant, env: dict, shape: tuple, care):
+        """q over the whole group for every cell of `shape`.  The variable
+        takes a new trailing axis, bound to a chunk of the group, and outer
+        index arrays gain a unit axis to broadcast against it.  Rows of
+        axis 0 are dropped once decided; when `care` leaves only some cells
+        open, those are decided alone, gathered onto one axis."""
+        want = q.kind == "exists"
+        n, cells = len(self.G), math.prod(shape)
+        if care is not None and \
+                np.count_nonzero(care) * (cells // np.size(care)) < cells:
+            at = np.flatnonzero(np.broadcast_to(care, shape))
+            flat = {v: np.broadcast_to(a, shape).flat[at]
+                    if isinstance(a, np.ndarray) else a for v, a in env.items()}
+            out = np.zeros(cells, dtype=bool)
+            out[at] = self._quant(q, flat, at.shape, None)
+            return out.reshape(shape)
+        sub = {v: a[..., None] if isinstance(a, np.ndarray) else a
+               for v, a in env.items()}
+        # the first chunk holds as many elements as fit in _BLOCK cells when
+        # every quantifier nested in the body takes the whole group, else
+        # one; chunks double from there, so an early exit stays cheap
+        step = _groups._BLOCK // (cells * n ** self._analyse(q.body)[1]) or 1
+        if step >= n:  # the whole group in one chunk
+            sub[q.var] = np.arange(n)
+            vals = self._decide(q.body, sub, shape + (n,))
+            self.cells += cells * n
+            if not np.ndim(vals):  # q.var does not occur
+                return vals
+            return (np.logical_or if want else np.logical_and).reduce(vals, -1)
+        open_ = np.ones(shape, dtype=bool)
+        found = np.zeros(shape, dtype=bool)
+        rows = None  # the axis-0 positions still open, None while all are
+        start = 0
+        while start < n:
+            xs = sub[q.var] = np.arange(
+                start, min(n, start + min(step, _groups._BLOCK // cells or 1)))
+            vals = self._decide(q.body, sub, open_.shape + xs.shape, open_[..., None])
+            self.cells += open_.size * len(xs)
+            if not want:
+                vals = ~vals
+            if np.ndim(vals):
+                vals = np.logical_or.reduce(vals, -1)
+            start += len(xs)
+            step *= 2
+            if not np.count_nonzero(hit := vals & open_):
+                continue
+            if rows is None:
+                found |= hit
+            else:
+                found[rows] |= hit
+            open_ ^= hit
+            keep = np.logical_or.reduce(open_.reshape(len(open_), -1), -1)
+            if not np.count_nonzero(keep):
+                break
+            if not np.logical_and.reduce(keep):
+                rows = np.flatnonzero(keep) if rows is None else rows[keep]
+                open_ = open_[keep]
+                cells = open_.size
+                for v, a in list(sub.items()):
+                    if isinstance(a, np.ndarray) and a.ndim > len(shape) and len(a) > 1:
+                        sub[v] = a[keep]
+        return found if want else ~found
+
 
 def _pattern_applies(q: Quant) -> bool:
     return _match_conjugacy_exists(q) is not None or \
@@ -392,7 +514,7 @@ def _split_prefix(f, mode: str):
     while isinstance(f, Quant):
         if mode == "centralizer" and _pattern_applies(f):
             break
-        prefix.append((f.kind, f.var))
+        prefix.append(f)
         f = f.body
     return prefix, f
 
@@ -449,10 +571,10 @@ def evaluate_detailed(formula, G: FiniteGroup, strategy: str = "class",
     env0 = _coerce_env(G, env)
     ev = _Evaluator(G, strategy)
     prefix, body = _split_prefix(formula, strategy)
-    run_kind = prefix[0][0] if prefix else None
+    run_kind = prefix[0].kind if prefix else None
     run_len = 0
-    for kind, _var in prefix:
-        if kind != run_kind:
+    for q in prefix:
+        if q.kind != run_kind:
             break
         run_len += 1
 
@@ -464,18 +586,26 @@ def evaluate_detailed(formula, G: FiniteGroup, strategy: str = "class",
     def run(i: int, env_now: dict):
         if i == len(prefix):
             return ev.formula(body, env_now), {}
-        kind, var = prefix[i]
-        want = kind == "exists"
-        if i == len(prefix) - 1:
-            x = ev.first_hit(kind, var, domain_for(env_now), body, env_now)
+        q = prefix[i]
+        want = q.kind == "exists"
+        # the last level scans its domain in blocks; under naive every level
+        # whose rest blocks does too, the rest of the prefix folded into its
+        # body, and the levels inside the leading run are re-entered only
+        # to read their witnesses
+        if i == len(prefix) - 1 or \
+                (strategy == "naive" and ev.blocks(q.var, q.body, env_now)):
+            x = ev.first_hit(q.kind, q.var, domain_for(env_now), q.body, env_now)
             if x is None:
                 return not want, {}
-            return want, ({var: x} if i < run_len else {})
+            if i >= run_len:
+                return want, {}
+            sub = run(i + 1, {**env_now, q.var: x})[1] if i + 1 < run_len else {}
+            return want, {q.var: x, **sub}
         for x in domain_for(env_now):
-            val, sub = run(i + 1, {**env_now, var: x})
+            val, sub = run(i + 1, {**env_now, q.var: x})
             if val == want:
                 if i < run_len:
-                    return want, {var: x, **sub}
+                    return want, {q.var: x, **sub}
                 return want, {}
         return not want, {}
 

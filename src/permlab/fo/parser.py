@@ -23,7 +23,6 @@ whichever failure got further.
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..record import Record
 from .syntax import (And, Comm, Eq, Implies, Int, Inv, MacroCall, Mul, Not,
                      One, Or, Quant, SetCall, Var)
 
@@ -34,15 +33,10 @@ _TWO_CHAR = ("->",)
 _ONE_CHAR = "()[],.=*|&!"
 
 
-class _Tok(Record):
-    kind: str  # ident | int | sym | end
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
+def _tokenize(text: str) -> list[tuple]:
+    """Tokens as (kind, text, line, col) tuples; kind is ident, int, sym
+    or end."""
+    toks: list[tuple] = []
     line, col = 1, 1
     i = 0
     n = len(text)
@@ -62,7 +56,7 @@ def _tokenize(text: str) -> list[_Tok]:
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(_Tok("ident", text[i:j], line, start_col))
+            toks.append(("ident", text[i:j], line, start_col))
             col += j - i
             i = j
             continue
@@ -70,22 +64,22 @@ def _tokenize(text: str) -> list[_Tok]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(_Tok("int", text[i:j], line, start_col))
+            toks.append(("int", text[i:j], line, start_col))
             col += j - i
             i = j
             continue
         if text[i:i + 3] == "^-1":
-            toks.append(_Tok("sym", "^-1", line, start_col))
+            toks.append(("sym", "^-1", line, start_col))
             i += 3
             col += 3
             continue
         if text[i:i + 2] in _TWO_CHAR:
-            toks.append(_Tok("sym", text[i:i + 2], line, start_col))
+            toks.append(("sym", text[i:i + 2], line, start_col))
             i += 2
             col += 2
             continue
         if ch in _ONE_CHAR:
-            toks.append(_Tok("sym", ch, line, start_col))
+            toks.append(("sym", ch, line, start_col))
             i += 1
             col += 1
             continue
@@ -94,29 +88,35 @@ def _tokenize(text: str) -> list[_Tok]:
         raise ParseError(f"unexpected character {ch!r}", line, start_col)
     last_line = line
     last_col = col
-    toks.append(_Tok("end", "", last_line, last_col))
+    toks.append(("end", "", last_line, last_col))
     return toks
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok]):
+    def __init__(self, toks: list[tuple]):
         self.toks = toks
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Tok:
+    def peek(self) -> tuple:
         return self.toks[self.pos]
 
-    def advance(self) -> _Tok:
+    def advance(self) -> tuple:
         t = self.toks[self.pos]
-        if t.kind != "end":
+        if t[0] != "end":
             self.pos += 1
         return t
 
     def at_sym(self, s: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.text == s
+        kind, text, _, _ = self.peek()
+        return kind == "sym" and text == s
+
+    def at_call(self) -> bool:
+        """At a name followed by '(' (a macro or set-function call)."""
+        kind, text, _, _ = self.peek()
+        return kind == "ident" and text not in _KEYWORDS and \
+            self.toks[self.pos + 1][:2] == ("sym", "(")
 
     def eat_sym(self, s: str) -> bool:
         if self.at_sym(s):
@@ -126,26 +126,26 @@ class _Parser:
 
     def expect_sym(self, s: str, what: str):
         if not self.eat_sym(s):
-            t = self.peek()
-            got = t.text or "end of input"
-            raise ParseError(f"expected {what}, got {got!r}", t.line, t.col)
+            _, text, line, col = self.peek()
+            got = text or "end of input"
+            raise ParseError(f"expected {what}, got {got!r}", line, col)
 
     def fail(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+        _, _, line, col = self.peek()
+        raise ParseError(msg, line, col)
 
     # -- formulas ------------------------------------------------------------
 
     def formula(self):
-        t = self.peek()
-        if t.kind == "ident" and t.text in _KEYWORDS:
+        kind, text, _, _ = self.peek()
+        if kind == "ident" and text in _KEYWORDS:
             self.advance()
-            v = self.peek()
-            if v.kind != "ident" or v.text in _KEYWORDS:
-                self.fail(f"expected a variable after {t.text!r}")
+            vkind, var, _, _ = self.peek()
+            if vkind != "ident" or var in _KEYWORDS:
+                self.fail(f"expected a variable after {text!r}")
             self.advance()
             self.expect_sym(".", "'.' after the quantified variable")
-            return Quant(t.text, v.text, self.formula())
+            return Quant(text, var, self.formula())
         return self.impl()
 
     def impl(self):
@@ -188,10 +188,7 @@ class _Parser:
         return self.atom()
 
     def atom(self):
-        t = self.peek()
-        if t.kind == "ident" and t.text not in _KEYWORDS and \
-                self.toks[self.pos + 1].kind == "sym" and \
-                self.toks[self.pos + 1].text == "(":
+        if self.at_call():
             call = self.call()
             return MacroCall(call.name, call.args)
         lhs = self.term()
@@ -199,7 +196,7 @@ class _Parser:
         return Eq(lhs, self.term())
 
     def call(self) -> SetCall:
-        name = self.advance().text
+        name = self.advance()[1]
         self.expect_sym("(", "'('")
         args = [self.arg()]
         while self.eat_sym(","):
@@ -208,19 +205,17 @@ class _Parser:
         return SetCall(name, tuple(args))
 
     def arg(self):
-        t = self.peek()
-        if t.kind == "ident" and t.text not in _KEYWORDS and \
-                self.toks[self.pos + 1].kind == "sym" and \
-                self.toks[self.pos + 1].text == "(":
+        if self.at_call():
             return self.call()
-        if t.kind == "int":
+        kind, text, _, _ = self.peek()
+        if kind == "int":
             # a bare integer in argument position is an integer literal;
             # kind coercion turns Int(1) back into the identity where a
             # group element is expected
             nxt = self.toks[self.pos + 1]
-            if nxt.kind == "sym" and nxt.text in (",", ")"):
+            if nxt[0] == "sym" and nxt[1] in (",", ")"):
                 self.advance()
-                return Int(int(t.text))
+                return Int(int(text))
         return self.term()
 
     # -- terms ----------------------------------------------------------------
@@ -238,12 +233,12 @@ class _Parser:
         return base
 
     def base(self):
-        t = self.peek()
-        if t.kind == "ident" and t.text not in _KEYWORDS:
+        kind, text, _, _ = self.peek()
+        if kind == "ident" and text not in _KEYWORDS:
             self.advance()
-            return Var(t.text)
-        if t.kind == "int":
-            if t.text != "1":
+            return Var(text)
+        if kind == "int":
+            if text != "1":
                 self.fail("the only numeric constant in a term is the identity 1")
             self.advance()
             return One()
@@ -257,7 +252,7 @@ class _Parser:
             inner = self.term()
             self.expect_sym(")", "')' closing the term")
             return inner
-        got = t.text or "end of input"
+        got = text or "end of input"
         self.fail(f"expected a term, got {got!r}")
 
 
@@ -265,9 +260,9 @@ def parse_formula(text: str):
     """Parse a complete formula; trailing input is an error."""
     p = _Parser(_tokenize(text))
     f = p.formula()
-    t = p.peek()
-    if t.kind != "end":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
+    kind, text, line, col = p.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {text!r}", line, col)
     return f
 
 
@@ -275,7 +270,7 @@ def parse_term(text: str):
     """Parse a complete term; trailing input is an error."""
     p = _Parser(_tokenize(text))
     f = p.term()
-    t = p.peek()
-    if t.kind != "end":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
+    kind, text, line, col = p.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {text!r}", line, col)
     return f

@@ -435,33 +435,44 @@ class FiniteGroup:
         the whole group).  The result holds, for each point in order, the
         least point of its orbit.
 
-        The points' row keys are sorted once.  For each g and each block of
-        _BLOCK points, the rows of the conjugates g·x·g^-1 are keyed and
-        found among them by binary search, which gives the index map; a
+        A group that holds its Cayley table T reads each index map as
+        T[T[g], inv[g]].  Otherwise the points' row keys are sorted once, and
+        for each g and each block of _BLOCK points the rows of the conjugates
+        g·x·g^-1 are keyed and found among them by binary search.  A
         conjugate outside `points` raises ValueError.  The partition is
         `_min_labels` over the maps.
         """
         mat = self.matrix
-        if points is None:
+        if self._table is not None:
+            T, inv = self._table
+            pts = np.arange(len(self)) if points is None else np.asarray(points)
+        elif points is None:
             rows, keys, order = mat, self._keys, self._row_order
         else:
             rows = mat[points]
             order = np.argsort(keys := _row_keys(rows))
             keys = keys[order]
-        n = len(rows)
+        n = len(self) if points is None else len(points)
         maps = []
         for g in by:
-            gt = mat[g]
-            g_inv = np.argsort(gt)
-            fwd = np.empty(n, dtype=np.int32)
-            for s in range(0, n, _BLOCK):  # (g·x·g^-1)(i) = g(x(g^-1(i)))
-                conj = gt[rows[s:s + _BLOCK][:, g_inv]]
-                fwd[s:s + _BLOCK], missing = _search(keys, order, _row_keys(conj))
-                if missing.any():
-                    raise ValueError(
-                        f"{self.name}: a conjugate is missing from the points")
+            if self._table is not None:
+                conj = T[T[g, pts], inv[g]]
+                fwd = conj if points is None else \
+                    np.minimum(np.searchsorted(pts, conj), n - 1)
+                missing = pts[fwd] != conj
+            else:
+                gt = mat[g]
+                g_inv = np.argsort(gt)
+                fwd, missing = np.empty(n, dtype=np.int32), np.empty(n, dtype=bool)
+                for s in range(0, n, _BLOCK):  # (g·x·g^-1)(i) = g(x(g^-1(i)))
+                    conj = gt[rows[s:s + _BLOCK][:, g_inv]]
+                    fwd[s:s + _BLOCK], missing[s:s + _BLOCK] = \
+                        _search(keys, order, _row_keys(conj))
+            if missing.any():
+                raise ValueError(
+                    f"{self.name}: a conjugate is missing from the points")
             bwd = np.empty_like(fwd)
-            bwd[fwd] = np.arange(n, dtype=np.int32)
+            bwd[fwd] = np.arange(n, dtype=fwd.dtype)
             maps += [fwd, bwd]
         labels = _min_labels(maps, n)
         return labels if points is None else np.asarray(points)[labels]
@@ -1032,10 +1043,11 @@ def iter_alt_subgroups(G: FiniteGroup, l: int,
     to conjugacy-class representatives of the ambient subgroup.  That prunes
     soundly for any conjugation-covariant use: the stream covers every
     conjugacy orbit of Alt(l)-subgroups of `within`, though not necessarily
-    every individual copy.  Recognition: order l!/2, element-order spectrum
-    match, brute-force simplicity for l >= 5.  Alt(4) is not simple, but
-    {1: 1, 2: 3, 3: 8} is the spectrum of no other order-12 group, so order
-    plus spectrum already decides l = 4.
+    every individual copy.  Pairs whose generators or product have an order
+    outside the Alt(l) spectrum are not closed.  Recognition: order l!/2,
+    element-order spectrum match, brute-force simplicity for l >= 5.
+    Alt(4) is not simple, but {1: 1, 2: 3, 3: 8} is the spectrum of no
+    other order-12 group, so order plus spectrum already decides l = 4.
     """
     if l < 4:
         raise ValueError("alt-subgroup search needs l >= 4")
@@ -1049,11 +1061,16 @@ def iter_alt_subgroups(G: FiniteGroup, l: int,
     allowed = set(ref)
     reps = [r for r in _subgroup_class_reps(G, W)
             if r != G.identity_index and G.order_of(r) in allowed]
-    members = [b for b in sorted(W)
-               if b != G.identity_index and G.order_of(b) in allowed]
+    members = np.array([b for b in sorted(W)
+                        if b != G.identity_index and G.order_of(b) in allowed],
+                       dtype=np.int32)
     seen: set[frozenset] = set()
     for a in reps:
-        for b in members:
+        for b, ab in zip(members.tolist(), G.mul_many(a, members).tolist()):
+            # ⟨a, b⟩ holds a·b, so an order outside the spectrum could only
+            # close to a set that fails the spectrum check
+            if G.order_of(ab) not in allowed:
+                continue
             rows = _closure(G.matrix[[a, b]], target)
             if rows is None or len(rows) != target:
                 continue

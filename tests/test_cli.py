@@ -119,7 +119,7 @@ def test_plain_verify_closes_rows_only_to_build_groups_and_alt_subgroups(tmp_pat
     monkeypatch.setattr(groups, "_closure", lambda *args: callers.update(
         [sys._getframe(1).f_code.co_name]) or closure(*args))
     assert run(tmp_path, "verify")[0] == 0
-    assert callers == {"_generated_group": 17, "iter_alt_subgroups": 9}
+    assert callers == {"_generated_group": 17, "iter_alt_subgroups": 5}
 
 
 def test_verify_congruence_id_with_comma(tmp_path):

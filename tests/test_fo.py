@@ -9,6 +9,7 @@ from permlab.fo import (And, Comm, Eq, Implies, Int, Inv, MacroCall, Mul, Not,
                         One, Or, Quant, SetCall, Var, evaluate,
                         evaluate_detailed, free_variables, parse_formula,
                         parse_term, term_text, to_text, validate_formula)
+from permlab import groups
 from permlab.groups import FiniteGroup, construct_group
 from permlab.perms import parse_permutation
 from permlab.sentences import phi2, prime_remark_sentence
@@ -81,6 +82,8 @@ def test_parse_quantifier_scope_extends_right():
     ("(g = 1", 1, 7),
     ("g = 1 )", 1, 7),
     ("g @ 1", 1, 3),
+    ("trivial(g,", 1, 11),
+    ("exists g. g = h extra", 1, 17),
 ])
 def test_parse_error_positions(text, line, col):
     with pytest.raises(ParseError) as exc:
@@ -452,6 +455,124 @@ def test_whole_domain_scan_matches_per_binding_walk(body, spec, data):
             assert r.witness == expected
             # the same scan under a connective, below the quantifier prefix
             assert evaluate(Not(q), g, "naive", env=env) is not r.value
+
+
+def _reference_term(t, g, env):
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, One):
+        return g.identity_index
+    if isinstance(t, Mul):
+        return g.mul(_reference_term(t.left, g, env), _reference_term(t.right, g, env))
+    if isinstance(t, Inv):
+        return g.inv(_reference_term(t.arg, g, env))
+    a, b = _reference_term(t.left, g, env), _reference_term(t.right, g, env)
+    return g.mul(g.mul(a, b), g.mul(g.inv(a), g.inv(b)))
+
+
+def _reference_holds(f, g, env):
+    """Plain recursion, one binding at a time."""
+    if isinstance(f, Eq):
+        return _reference_term(f.lhs, g, env) == _reference_term(f.rhs, g, env)
+    if isinstance(f, Not):
+        return not _reference_holds(f.arg, g, env)
+    if isinstance(f, And):
+        return _reference_holds(f.left, g, env) and _reference_holds(f.right, g, env)
+    if isinstance(f, Or):
+        return _reference_holds(f.left, g, env) or _reference_holds(f.right, g, env)
+    if isinstance(f, Implies):
+        return not _reference_holds(f.left, g, env) or _reference_holds(f.right, g, env)
+    test = any if f.kind == "exists" else all
+    return test(_reference_holds(f.body, g, {**env, f.var: x}) for x in range(len(g)))
+
+
+def _reference_orbit_reps(g, fixed):
+    """Least members of the orbits of conjugation by C(fixed), in (orbit
+    size, least member) order."""
+    c = [y for y in range(len(g)) if all(g.mul(y, x) == g.mul(x, y) for x in fixed)]
+    orbits = {frozenset(g.conj(x, y) for y in c) for x in range(len(g))}
+    return [min(o) for o in sorted(orbits, key=lambda o: (len(o), min(o)))]
+
+
+def _reference_detailed(f, g, strategy, env):
+    """(value, witness) of `evaluate_detailed` by walking the leading
+    quantifiers binding by binding: naive over the group, class over orbit
+    representatives; the witness names the leading same-kind run."""
+    prefix = []
+    while isinstance(f, Quant):
+        prefix.append(f)
+        f = f.body
+    run = next((i for i, q in enumerate(prefix) if q.kind != prefix[0].kind),
+               len(prefix))
+
+    def walk(i, env_now):
+        if i == len(prefix):
+            return _reference_holds(f, g, env_now), {}
+        q, want = prefix[i], prefix[i].kind == "exists"
+        domain = range(len(g)) if strategy == "naive" else \
+            _reference_orbit_reps(g, set(env_now.values()))
+        for x in domain:
+            value, sub = walk(i + 1, {**env_now, q.var: x})
+            if value == want:
+                return want, ({q.var: x, **sub} if i < run else {})
+        return not want, {}
+
+    value, assign = walk(0, env)
+    informative = value == (prefix[0].kind == "exists")
+    witness = {v: g.element(x).to_cycle_string() for v, x in assign.items()}
+    return value, (witness if informative and witness else None)
+
+
+_kinds = st.sampled_from(["forall", "exists"])
+_one_level = st.builds(Quant, _kinds, _names, _quantifier_free)
+_two_levels = st.builds(Quant, _kinds, _names, st.one_of(
+    _one_level, *_connectives(st.one_of(_quantifier_free, _one_level))))
+# one or two nested quantifiers, under each connective
+_nested_bodies = st.one_of(*_connectives(st.one_of(
+    _quantifier_free, _one_level, _two_levels))).filter(
+    lambda f: "forall" in to_text(f) or "exists" in to_text(f))
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@given(body=_nested_bodies, spec=st.sampled_from(["sym3", "z6", "alt4", "psl2(5)"]),
+       strategy=st.sampled_from(["naive", "class"]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_nested_quantifier_blocks_match_per_binding_walk(block, body, spec,
+                                                         strategy, data):
+    g = G(spec)
+    env = {name: data.draw(st.integers(0, len(g) - 1)) for name in
+           ("g", "h", "k", "x1")}
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:  # small chunks: doubling and row compaction
+            mp.setattr(groups, "_BLOCK", block)
+        for kind in ("exists", "forall"):
+            for var in ("g", "h"):
+                f = Quant(kind, var, body)
+                r = evaluate_detailed(f, g, strategy, env=env)
+                assert (r.value, r.witness) == \
+                    _reference_detailed(f, g, strategy, env)
+                if len(g) > 12:  # the reference's fourth level is slow
+                    continue
+                # a leading run of two, whose inner witness is re-entered
+                f = Quant(kind, "x1", f)
+                r = evaluate_detailed(f, g, strategy, env=env)
+                assert (r.value, r.witness) == \
+                    _reference_detailed(f, g, strategy, env)
+
+
+def test_naive_phi2_shares_products_across_bindings(monkeypatch):
+    # [h1, h2] is computed once per (h1, h2) chunk for every g of a block,
+    # where a per-binding walk makes one product call per binding
+    calls = []
+    mul_many = FiniteGroup.mul_many
+    monkeypatch.setattr(FiniteGroup, "mul_many",
+                        lambda self, a, b: calls.append(1) or mul_many(self, a, b))
+    results = {spec: evaluate_detailed(phi2(), G(spec), "naive")
+               for spec in ("alt6", "sym6", "psl2(7)")}
+    assert {s: (r.value, r.witness) for s, r in results.items()} == {
+        "alt6": (True, None), "sym6": (False, {"g": "(5 6)"}),
+        "psl2(7)": (True, None)}
+    assert len(calls) <= 1000
 
 
 @pytest.mark.parametrize("sentence,spec,strategies,value,witness", [

@@ -449,9 +449,10 @@ def test_centralizer_of_candidates_on_both_sides_of_the_order_test(
 
 
 def _table_and_row_paths(g, monkeypatch, tabled):
-    """Subgroup and centralizer results of `g` on class representatives,
-    their pairs and the subgroups they generate; with `tabled`, no row
-    closure or Sym(d) seed may run (psl2(13)'s 13-cycles would seed one)."""
+    """Subgroup, centralizer and conjugation-orbit results of `g` on class
+    representatives, their pairs and the subgroups they generate; with
+    `tabled`, no row closure or Sym(d) seed may run (psl2(13)'s 13-cycles
+    would seed one)."""
     if tabled:
         fail = lambda *args: pytest.fail("a row path ran")  # noqa: E731
         monkeypatch.setattr(groups, "_closure", fail)
@@ -464,7 +465,9 @@ def _table_and_row_paths(g, monkeypatch, tabled):
         out.append((generating_subset(g, key), H, is_subgroup(g, H), is_subgroup(g, smaller),
                     generating_subset(g, key, cap=len(H)),
                     generating_subset(g, key, cap=len(H) - 1),
-                    g.centralizer_of(key), g.centralizer_of(H)))
+                    g.centralizer_of(key), g.centralizer_of(H),
+                    g.conjugation_orbits(key).tolist(), g.conjugation_orbits(
+                        generating_subset(g, key), np.array(sorted(H))).tolist()))
     # the untabled group's own class scan would build its table
     classes = construct_group(g.name).conjugacy_classes()
     out.append(is_simple_bruteforce(g) if tabled else all(
@@ -748,6 +751,49 @@ def test_iter_alt_subgroups_covers_all_orbits():
     assert len(brute) == 5
     subs = set(iter_alt_subgroups(g, 4))
     assert subs and subs <= brute
+
+
+def _alt_subgroups_unpruned(g, l, within=None):
+    """The search with every generating pair closed: no product-order prune."""
+    W = frozenset(within) if within is not None else frozenset(range(len(g)))
+    target = factorial(l) // 2
+    if target > len(W) or len(W) % target:
+        return []
+    ref = groups._alt_spectrum(l)
+    reps = [r for r in groups._subgroup_class_reps(g, W)
+            if r != g.identity_index and g.order_of(r) in ref]
+    members = [b for b in sorted(W) if b != g.identity_index and g.order_of(b) in ref]
+    out, seen = [], set()
+    for a in reps:
+        for b in members:
+            rows = groups._closure(g.matrix[[a, b]], target)
+            if rows is None or len(rows) != target:
+                continue
+            fs = frozenset(g._rank(rows).tolist())
+            if fs in seen:
+                continue
+            seen.add(fs)
+            if Counter(g.order_of(x) for x in fs) == ref and \
+                    (l < 5 or is_simple_bruteforce(subgroup_as_group(g, fs))):
+                out.append(fs)
+    return out
+
+
+@pytest.mark.parametrize("spec", default_corpus(), ids=str)
+def test_alt_subgroup_stream_matches_the_unpruned_search(spec):
+    g = G(spec)
+    for l in (4, 5, 6):
+        assert list(iter_alt_subgroups(g, l)) == _alt_subgroups_unpruned(g, l)
+
+
+def test_alt_subgroup_stream_matches_the_unpruned_search_on_alt9_regions():
+    # the regions congruence(1, 3) searches: C(g) for g of order 3
+    g = G("alt9")
+    for r in g.class_representatives():
+        if g.order_of(r) == 3:
+            c = g.centralizer_of([r])
+            assert list(iter_alt_subgroups(g, 4, within=c)) == \
+                _alt_subgroups_unpruned(g, 4, within=c)
 
 
 # -- regular representations -------------------------------------------------

@@ -244,10 +244,12 @@ def test_conjugation_orbits_match_scalar_conj(name, monkeypatch):
 
 @pytest.mark.parametrize("name", KEYED)
 def test_conjugation_orbits_refuse_points_not_closed_under_conjugation(name):
-    g = construct_group(name)
-    points = np.array(sorted([g.identity_index, _index(g, "(1 2)")]))
-    with pytest.raises(ValueError, match="a conjugate is missing from the points"):
-        g.conjugation_orbits([_index(g, "(1 2 3 4)")], points)
+    rows, tabled = (FiniteGroup(construct_group(name).matrix, name) for _ in range(2))
+    tabled.table()
+    for g in (rows, tabled):  # the row path and the Cayley-table path
+        points = np.array(sorted([g.identity_index, _index(g, "(1 2)")]))
+        with pytest.raises(ValueError, match="a conjugate is missing from the points"):
+            g.conjugation_orbits([_index(g, "(1 2 3 4)")], points)
 
 
 def test_mul_builds_no_table_above_the_cap():
