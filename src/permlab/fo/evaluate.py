@@ -26,20 +26,23 @@ Orbit representatives are the least index of each orbit, visited in
 (orbit size, least index) order, so evaluation order and any reported
 witnesses are deterministic.
 
-A quantifier whose body holds no macro atom, no centralizer rewrite and no
-unbound variable is decided over its domain in blocks (`_Evaluator._decide`):
-inner quantifiers, the last prefix level, and under naive every prefix level,
-the rest of the prefix folded into its body.  Each nested quantifier is one
-more array axis, so a term is computed once at the broadcast shape of its
-own variables ([h1, h2] once per (h1, h2) chunk, for every g of the block).
-A step evaluates at most groups._BLOCK cells.  The first deciding element in
-domain order is kept, so values and witnesses are those of the per-binding
-walk, which remains for every other quantifier.
+Each quantifier's domain is decided once per node: the whole group; for
+the outermost prefix under class and centralizer, orbit representatives of
+C(bound values); for the commute rewrite, C(t).  One walk evaluates every
+level, prefix included, scanning each domain with `_Evaluator.first_hit`.
+A scan whose body holds no macro atom, no rewrite, no reduced prefix
+quantifier and no unbound variable runs in blocks (`_Evaluator._decide`):
+each nested quantifier is one more array axis, so a term is computed once
+at the broadcast shape of its own variables ([h1, h2] once per (h1, h2)
+chunk, for every g of the block).  A step evaluates at most groups._BLOCK
+cells.  The first deciding element in domain order is kept, so values and
+witnesses are those of the per-binding walk.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import takewhile
 
 import numpy as np
 
@@ -229,57 +232,37 @@ def _eval_set_call(node: SetCall, G: FiniteGroup, env: dict) -> frozenset:
 
 # -- rewrite patterns (centralizer strategy) ------------------------------------------
 
-def _commute_partner(guard, h: str):
-    """t with guard == (t*h = h*t) or (h*t = t*h) and h not free in t."""
-    if not isinstance(guard, Eq):
+def _conjugation(eq, v: str):
+    """(t1, t2) with eq == (t1*v = v*t2) or (v*t2 = t1*v), v free in neither."""
+    if not (isinstance(eq, Eq) and isinstance(eq.lhs, Mul) and isinstance(eq.rhs, Mul)):
         return None
-    l, r = guard.lhs, guard.rhs
-    if not (isinstance(l, Mul) and isinstance(r, Mul)):
-        return None
-    hv = Var(h)
-    if l.right == hv and r.left == hv and l.left == r.right \
-            and h not in term_variables(l.left):
-        return l.left
-    if l.left == hv and r.right == hv and l.right == r.left \
-            and h not in term_variables(l.right):
-        return l.right
-    return None
-
-
-def _match_commute_quant(q: Quant):
-    """(var, t, rest) for 'forall h. commute -> rest' / 'exists h. commute & rest'."""
-    if q.kind == "forall" and isinstance(q.body, Implies):
-        guard, rest = q.body.left, q.body.right
-    elif q.kind == "exists" and isinstance(q.body, And):
-        guard, rest = q.body.left, q.body.right
+    l, r, var = eq.lhs, eq.rhs, Var(v)
+    if l.right == var and r.left == var:
+        t1, t2 = l.left, r.right
+    elif l.left == var and r.right == var:
+        t1, t2 = r.left, l.right
     else:
         return None
-    t = _commute_partner(guard, q.var)
-    if t is None:
-        return None
-    return q.var, t, rest
+    return None if v in term_variables(t1) | term_variables(t2) else (t1, t2)
 
 
-def _match_conjugacy_exists(q: Quant):
-    """(t1, t2) for 'exists k. t1*k = k*t2' (k in neither side): t1 ~ t2."""
-    if q.kind != "exists" or not isinstance(q.body, Eq):
-        return None
-    l, r = q.body.lhs, q.body.rhs
-    if not (isinstance(l, Mul) and isinstance(r, Mul)):
-        return None
-    kv = Var(q.var)
-    if l.right == kv and r.left == kv:
-        t1, t2 = l.left, r.right
-        if q.var not in term_variables(t1) | term_variables(t2):
-            return t1, t2
-    if l.left == kv and r.right == kv:
-        t1, t2 = r.left, l.right
-        if q.var not in term_variables(t1) | term_variables(t2):
-            return t1, t2
+def _rewrite(q: Quant):
+    """The centralizer strategy's reading of q as (t1, t2, rest), or None:
+    'exists k. t1*k = k*t2' is t1 ~ t2 (rest None); 'forall h. t*h = h*t ->
+    rest' and 'exists h. t*h = h*t & rest' are q over C(t) (t1 == t2 == t)."""
+    if q.kind == "exists" and (pair := _conjugation(q.body, q.var)):
+        return *pair, None
+    if isinstance(q.body, Implies if q.kind == "forall" else And):
+        pair = _conjugation(q.body.left, q.var)
+        if pair and pair[0] == pair[1]:
+            return *pair, q.body.right
     return None
 
 
 # -- the evaluator ---------------------------------------------------------------------
+
+_PREFIX = "prefix"  # the rule of an outermost prefix quantifier
+
 
 class _Evaluator:
     def __init__(self, G: FiniteGroup, mode: str):
@@ -287,7 +270,27 @@ class _Evaluator:
         self.mode = mode
         self.ops = _Gathers(G)
         self.nodes: dict[int, tuple] = {}  # id(node) -> _analyse(node)
+        self.rules: dict[int, object] = {}  # id(quantifier) -> _rule(it)
+        # id(prefix quantifier) -> (env, first hit) of its last scan
+        self.hits: dict[int, tuple] = {}
         self.cells = 0  # cells decided in blocks so far
+
+    def split(self, f) -> list:
+        """Mark and return the outermost quantifier prefix of f, which the
+        centralizer strategy ends at the first quantifier it rewrites."""
+        prefix = []
+        while isinstance(f, Quant) and self._rule(f) is None:
+            self.rules[id(f)] = _PREFIX
+            prefix.append(f)
+            f = f.body
+        return prefix
+
+    def _rule(self, q: Quant):
+        """How q ranges, decided once per node: _PREFIX, a centralizer
+        rewrite (`_rewrite`), or None for the whole group."""
+        if id(q) not in self.rules:
+            self.rules[id(q)] = _rewrite(q) if self.mode == "centralizer" else None
+        return self.rules[id(q)]
 
     def _analyse(self, f) -> tuple:
         """(free variables of f, or None when only the walk decides f;
@@ -303,7 +306,9 @@ class _Evaluator:
             out = (None if lf is None or rf is None else lf | rf), max(ld, rd)
         elif isinstance(f, Quant):
             free, depth = self._analyse(f.body)
-            if self.mode == "centralizer" and _pattern_applies(f):
+            rule = self._rule(f)
+            # walk-only: a rewrite, and a prefix over orbit representatives
+            if rule is not None and (rule is not _PREFIX or self.mode != "naive"):
                 free = None
             out = (None if free is None else free - {f.var}), depth + 1
         else:  # macro atoms
@@ -337,26 +342,21 @@ class _Evaluator:
         raise TypeError(f"not a formula: {f!r}")
 
     def quant(self, q: Quant, env: dict) -> bool:
-        # inner quantifiers (the outermost prefix is handled by _run_prefix)
-        if self.mode == "centralizer":
-            conj = _match_conjugacy_exists(q)
-            if conj is not None:
-                t1, t2 = conj
-                a = eval_term(t1, self.G, env)
-                b = eval_term(t2, self.G, env)
-                return self.G.are_conjugate(a, b)
-            com = _match_commute_quant(q)
-            if com is not None:
-                var, tnode, rest = com
-                t = eval_term(tnode, self.G, env)
-                domain = range(len(self.G)) if self.G.is_central((t,)) \
-                    else sorted(self.G.centralizer_of((t,)))
-                return self._scan(q.kind, var, domain, rest, env)
-        return self._scan(q.kind, q.var, range(len(self.G)), q.body, env)
-
-    def _scan(self, kind: str, var: str, domain, body, env: dict) -> bool:
-        return (kind == "exists") == \
-            (self.first_hit(kind, var, domain, body, env) is not None)
+        rule, domain, body = self._rule(q), range(len(self.G)), q.body
+        if rule is _PREFIX:
+            if self.mode != "naive":
+                domain = _orbit_reps(self.G, frozenset(env.values()))
+        elif rule is not None:
+            t1, t2, body = rule
+            t = eval_term(t1, self.G, env)
+            if body is None:
+                return self.G.are_conjugate(t, eval_term(t2, self.G, env))
+            if not self.G.is_central((t,)):
+                domain = sorted(self.G.centralizer_of((t,)))
+        hit = self.first_hit(q.kind, q.var, domain, body, env)
+        if rule is _PREFIX:  # read back for the witness
+            self.hits[id(q)] = dict(env), hit
+        return (q.kind == "exists") == (hit is not None)
 
     def first_hit(self, kind: str, var: str, domain, body, env: dict):
         """The first x in `domain` for which body[var := x] decides the
@@ -502,23 +502,6 @@ class _Evaluator:
         return found if want else ~found
 
 
-def _pattern_applies(q: Quant) -> bool:
-    return _match_conjugacy_exists(q) is not None or \
-        _match_commute_quant(q) is not None
-
-
-def _split_prefix(f, mode: str):
-    """Leading quantifier run; the centralizer strategy stops the run at the
-    first quantifier its rewrites will handle."""
-    prefix = []
-    while isinstance(f, Quant):
-        if mode == "centralizer" and _pattern_applies(f):
-            break
-        prefix.append(f)
-        f = f.body
-    return prefix, f
-
-
 def _orbit_reps(G: FiniteGroup, fixed: frozenset) -> list[int]:
     """Representatives of orbits of conjugation by C(fixed) on G,
     as least indices ordered by (orbit size, least index)."""
@@ -570,49 +553,18 @@ def evaluate_detailed(formula, G: FiniteGroup, strategy: str = "class",
             f" ({G.name} has {len(G)} elements)")
     env0 = _coerce_env(G, env)
     ev = _Evaluator(G, strategy)
-    prefix, body = _split_prefix(formula, strategy)
-    run_kind = prefix[0].kind if prefix else None
-    run_len = 0
-    for q in prefix:
-        if q.kind != run_kind:
-            break
-        run_len += 1
-
-    def domain_for(env_now: dict):
-        if strategy == "naive":
-            return range(len(G))
-        return _orbit_reps(G, frozenset(env_now.values()))
-
-    def run(i: int, env_now: dict):
-        if i == len(prefix):
-            return ev.formula(body, env_now), {}
-        q = prefix[i]
-        want = q.kind == "exists"
-        # the last level scans its domain in blocks; under naive every level
-        # whose rest blocks does too, the rest of the prefix folded into its
-        # body, and the levels inside the leading run are re-entered only
-        # to read their witnesses
-        if i == len(prefix) - 1 or \
-                (strategy == "naive" and ev.blocks(q.var, q.body, env_now)):
-            x = ev.first_hit(q.kind, q.var, domain_for(env_now), q.body, env_now)
-            if x is None:
-                return not want, {}
-            if i >= run_len:
-                return want, {}
-            sub = run(i + 1, {**env_now, q.var: x})[1] if i + 1 < run_len else {}
-            return want, {q.var: x, **sub}
-        for x in domain_for(env_now):
-            val, sub = run(i + 1, {**env_now, q.var: x})
-            if val == want:
-                if i < run_len:
-                    return want, {q.var: x, **sub}
-                return want, {}
-        return not want, {}
-
-    value, assign = run(0, env0)
-    informative = (run_kind == "exists" and value) or \
-        (run_kind == "forall" and not value)
-    witness = None
-    if informative and assign:
-        witness = {var: cycle_string(G.element_tuple(x)) for var, x in assign.items()}
+    prefix = ev.split(formula)
+    value = ev.formula(formula, env0)
+    run = list(takewhile(lambda q: q.kind == prefix[0].kind, prefix))
+    if not run or value != (run[0].kind == "exists"):
+        return EvalResult(value=value, strategy=strategy, group=G.name, witness=None)
+    # each level's first hit under the hits above it; a level whose scan
+    # ran inside a block above it is scanned again at that block's hit
+    env, witness = env0, {}
+    for q in run:
+        if ev.hits.get(id(q), (None,))[0] != env:
+            ev.quant(q, env)
+        x = ev.hits[id(q)][1]
+        env = {**env, q.var: x}
+        witness[q.var] = cycle_string(G.element_tuple(x))
     return EvalResult(value=value, strategy=strategy, group=G.name, witness=witness)

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import CapExceededError
 from .perms import (CycleType, Permutation, centralizer_order_sym,
-                    padded_rows, parse_permutation, row_cycles)
+                    padded_rows, row_cycles)
 from .record import Record
 
 __all__ = [
@@ -758,7 +758,7 @@ def _generated_group(gen_tuples: list[tuple], name: str,
 def _build_sym_or_alt(kind: str, n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("degree must be at least 1")
-    if factorial(n) > 2 * ELEMENT_CAP:
+    if factorial(min(n, 20)) > 2 * ELEMENT_CAP:  # 20! already exceeds it
         raise CapExceededError(f"{kind}({n}) exceeds the element cap {ELEMENT_CAP}")
     # the permutations of 0..m-1 in lexicographic order, from those of
     # 0..m-2: each leading value f, then the rest renumbered around it; the
@@ -975,14 +975,13 @@ def internal_direct_factor_check(G: FiniteGroup, H: Iterable[int],
     Hs, As, Bs = frozenset(H), frozenset(A), frozenset(B)
     if not is_subgroup(G, Hs):
         raise ValueError("H must be a subgroup")
-    if As & Bs != {G.identity_index}:
+    # A·B = H with distinct products needs |A|·|B| = |H|, which bounds the
+    # one broadcast of products a·b, compared with b·a and read as A·B
+    if As & Bs != {G.identity_index} or len(As) * len(Bs) != len(Hs):
         return False
-    for a in As:
-        for b in Bs:
-            if G.mul(a, b) != G.mul(b, a):
-                return False
-    prod = set_product(G, As, Bs)
-    return len(prod) == len(As) * len(Bs) and prod == Hs
+    a, b = np.fromiter(As, dtype=np.intp)[:, None], np.fromiter(Bs, dtype=np.intp)
+    ab = G.mul_many(a, b)
+    return np.array_equal(ab, G.mul_many(b, a)) and frozenset(ab.ravel().tolist()) == Hs
 
 
 def subgroup_as_group(G: FiniteGroup, S: Iterable[int],
@@ -1007,14 +1006,13 @@ def is_simple_bruteforce(G: FiniteGroup) -> bool:
 
     The trivial group is not simple.  Abelianness is NOT consulted here;
     Z/p is simple, and the non-abelian-simple classifier layers the extra
-    check on top.
+    check on top.  The answer is kept in G's memo store.
     """
     if len(G) > SIMPLICITY_CAP:
         raise CapExceededError(f"simplicity check capped at {SIMPLICITY_CAP} elements")
-    if len(G) == 1:
-        return False
-    return all(len(generated_subgroup(G, cls)) == len(G)
-               for cls in G.conjugacy_classes() if G.identity_index not in cls)
+    return G.memoized("is_simple", None, lambda: len(G) > 1 and all(
+        len(generated_subgroup(G, cls)) == len(G)
+        for cls in G.conjugacy_classes() if G.identity_index not in cls))
 
 
 # ---------------------------------------------------------------------------
@@ -1052,7 +1050,8 @@ def iter_alt_subgroups(G: FiniteGroup, l: int,
     if l < 4:
         raise ValueError("alt-subgroup search needs l >= 4")
     W = frozenset(within) if within is not None else frozenset(range(len(G)))
-    target = factorial(l) // 2
+    # 20!/2 exceeds ELEMENT_CAP, so every |W|: larger l need no factorial
+    target = factorial(min(l, 20)) // 2
     if target > len(W) or len(W) % target != 0:
         return
     if not is_subgroup(G, W):

@@ -192,36 +192,26 @@ _FELGNER_SENTENCES = ("felgner.phi2", "felgner.phi1.literal",
                       "felgner.phi1.generated")
 
 
-def _felgner_reports(G: FiniteGroup, sentence_ids,
-                     strategy: str) -> list[SentenceReport]:
-    """`felgner_report` for each id, running the classifier at most once."""
-    rows, simple = [], None
-    for sid in sentence_ids:
-        if sid == "felgner.phi2":
-            formula, oracle = phi2(), commutator_coverage_bruteforce(G)
-        elif sid in _FELGNER_SENTENCES:
-            if simple is None:
-                simple = classify_nonabelian_simple(G)
-            formula, oracle = phi1(sid.rsplit(".", 1)[1]), simple
-        else:
-            raise ValueError(f"unknown felgner sentence {sid!r}")
-        rows.append(sentence_report(G, sid, formula, strategy, oracle=oracle))
-    return rows
-
-
 def felgner_report(G: FiniteGroup, sentence_id: str,
                    strategy: str = "class") -> SentenceReport:
     """One felgner sentence on G, paired with its oracle: commutator coverage
     for phi2, the brute-force classifier for the exploratory phi1 rows."""
-    return _felgner_reports(G, (sentence_id,), strategy)[0]
+    if sentence_id == "felgner.phi2":
+        formula, oracle = phi2(), commutator_coverage_bruteforce(G)
+    elif sentence_id in _FELGNER_SENTENCES:
+        formula = phi1(sentence_id.rsplit(".", 1)[1])
+        oracle = classify_nonabelian_simple(G)
+    else:
+        raise ValueError(f"unknown felgner sentence {sentence_id!r}")
+    return sentence_report(G, sentence_id, formula, strategy, oracle=oracle)
 
 
 def felgner_corpus_report(specs=None, strategy: str = "class") -> list[SentenceReport]:
     """Every felgner sentence across the corpus, paired as in
-    `felgner_report`, with the classifier run once per group.  Ordered by
+    `felgner_report` (the classifier's answer is memoized).  Ordered by
     (group, sentence id).  phi1 rows are exploratory: their oracle is the
     classifier, and disagreement is information, not failure."""
-    rows = [row for spec in (default_corpus() if specs is None else specs)
-            for row in _felgner_reports(construct_group(spec),
-                                        _FELGNER_SENTENCES, strategy)]
+    rows = [felgner_report(G, sid, strategy)
+            for G in map(construct_group, default_corpus() if specs is None else specs)
+            for sid in _FELGNER_SENTENCES]
     return sorted(rows, key=lambda r: (r.group, r.sentence))

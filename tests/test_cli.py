@@ -139,6 +139,27 @@ def test_verify_congruence_with_large_q(tmp_path):
     assert [c["pass"] for c in rep["checks"]] == [True]
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("--groups", "alt100000000000000000000"), 2),
+    (("--groups", "sym1000000"), 2),
+    (("--groups", "sym3", "--sentences", "congruence(99999999999999999999,3)"), 0),
+    (("--groups", "sym3", "--sentences", "congruence(1000000,3)"), 0),
+], ids=["alt-1e20", "sym-1e6", "congruence-1e20", "congruence-1e6"])
+def test_verify_huge_degrees_answer_at_once(tmp_path, capsys, argv, code):
+    # no factorial past 20!: it already exceeds the element cap
+    out = tmp_path / "r.json"
+    t0 = time.perf_counter()
+    assert main(["verify", *argv, "-o", str(out)]) == code
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "exceeds the element cap" in err and not out.exists()
+    else:  # Sym(3) holds no Alt(l)
+        (row,) = json.loads(out.read_text(encoding="utf-8"))["checks"]
+        assert (row["value"], row["oracle"], row["witness"]) == (False, None, None)
+
+
 def test_verify_phi1_readings_report_only(tmp_path):
     code, rep = run(tmp_path, "verify", "--groups", "sym3",
                     "--sentences", "felgner.phi1.literal,felgner.phi1.generated")

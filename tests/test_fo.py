@@ -1,5 +1,7 @@
 """Sentence language: parser, printer, three evaluation strategies, macros."""
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -558,6 +560,67 @@ def test_nested_quantifier_blocks_match_per_binding_walk(block, body, spec,
                 r = evaluate_detailed(f, g, strategy, env=env)
                 assert (r.value, r.witness) == \
                     _reference_detailed(f, g, strategy, env)
+
+
+# a quantifier-free body, or one nested quantifier under a connective
+_prefix_bodies = st.one_of(_quantifier_free, *_connectives(st.one_of(
+    _quantifier_free, _one_level)))
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@given(prefix=st.lists(st.tuples(_kinds, _names), min_size=2, max_size=3),
+       body=_prefix_bodies, spec=st.sampled_from(["sym3", "z6", "alt4"]),
+       strategy=st.sampled_from(["naive", "class"]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_quantifier_prefixes_match_per_binding_walk(block, prefix, body, spec,
+                                                    strategy, data):
+    # two or three directly nested quantifiers of mixed kinds, so the levels
+    # after the leading run are checked too
+    g = G(spec)
+    env = {name: data.draw(st.integers(0, len(g) - 1)) for name in
+           ("g", "h", "k", "x1")}
+    f = body
+    for kind, var in reversed(prefix):
+        f = Quant(kind, var, f)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(groups, "_BLOCK", block)
+        r = evaluate_detailed(f, g, strategy, env=env)
+    assert (r.value, r.witness) == _reference_detailed(f, g, strategy, env)
+
+
+@pytest.mark.parametrize("text", [
+    "exists g. forall h. g*h = h*g -> (h = 1 | (exists k. h*k = k*g))",
+    "forall g. forall h. exists k. g*k = k*g & (h*k = k*h & !(k = 1))",
+    "forall g. exists h. (exists k. g*k = k*h) & !(g = h)",
+    # g*h = h*k with g, k apart is no commute guard: h may not leave C(g)
+    "forall g. forall k. (exists h. g*h = h*k & h*h = h) -> g = k",
+])
+def test_centralizer_matches_each_quantifier_once(monkeypatch, text):
+    # the rewrites are matched once per quantifier node, not per binding
+    module = importlib.import_module("permlab.fo.evaluate")
+    calls, rewrite = [], module._rewrite
+    monkeypatch.setattr(module, "_rewrite", lambda q: calls.append(q) or rewrite(q))
+    f = parse_formula(text)
+    for spec in ("sym4", "alt5"):
+        calls.clear()
+        value = evaluate(f, G(spec), "centralizer")
+        assert len(calls) <= to_text(f).count("forall") + to_text(f).count("exists")
+        assert value == evaluate(f, G(spec), "naive")
+
+
+def test_class_prefix_levels_scan_orbit_representatives(monkeypatch):
+    # each prefix level takes its orbit representatives when reached, none
+    # is folded into a block over the whole group: C() once for g, then
+    # C(g) for h at every class representative g, as h finds no counterexample
+    module = importlib.import_module("permlab.fo.evaluate")
+    calls, orbit_reps = [], module._orbit_reps
+    monkeypatch.setattr(module, "_orbit_reps",
+                        lambda g, fixed: calls.append(fixed) or orbit_reps(g, fixed))
+    g = G("sym4")
+    f = parse_formula("forall g. forall h. g*(h*g) = (g*h)*g")
+    assert evaluate_detailed(f, g, "class").value is True
+    assert calls == [frozenset()] + [{x} for x in g.class_representatives()]
 
 
 def test_naive_phi2_shares_products_across_bindings(monkeypatch):

@@ -616,6 +616,21 @@ def test_direct_factor_example_centralizer_in_alt7():
     assert not internal_direct_factor_check(g, h, a, bad_b)
 
 
+def test_direct_factor_check_matches_its_definition():
+    # every pair of cyclic subgroups of Sym(4) and of D(12), against the
+    # subgroup they generate: a·b = b·a throughout, A∩B = 1 and A·B = H
+    for spec in ("sym4", "dihedral12"):
+        g = G(spec)
+        cyclic = {generated_subgroup(g, [x]) for x in range(len(g))}
+        for a in cyclic:
+            for b in cyclic:
+                h = generated_subgroup(g, a | b)
+                products = {g.mul(x, y) for x in a for y in b}
+                expected = a & b == {g.identity_index} and products == h and \
+                    all(g.mul(x, y) == g.mul(y, x) for x in a for y in b)
+                assert internal_direct_factor_check(g, h, a, b) == expected
+
+
 def test_direct_factor_requires_subgroup():
     g = G("sym3")
     not_closed = {g.identity_index, idx(g, "(1 2)"), idx(g, "(1 3)")}

@@ -2,9 +2,11 @@
 
 import pytest
 
+from permlab import groups
+from permlab.cli import main
 from permlab.errors import CapExceededError
 from permlab.fo import evaluate, parse_formula, to_text
-from permlab.groups import construct_group, default_corpus
+from permlab.groups import FiniteGroup, GroupSpec, construct_group, default_corpus
 from permlab.sentences import (classify_nonabelian_simple,
                                commutator_coverage_bruteforce,
                                congruence_oracle_alt, congruence_sentence,
@@ -202,7 +204,6 @@ def test_sentence_report_fields():
 
 
 def test_felgner_corpus_report_subset():
-    from permlab.groups import GroupSpec
     rows = felgner_corpus_report([GroupSpec("sym", 3), GroupSpec("alt", 5)])
     ids = {(r.group, r.sentence) for r in rows}
     assert ("sym(3)", "felgner.phi2") in ids
@@ -215,20 +216,34 @@ def test_felgner_corpus_report_subset():
     assert phi2_rows["sym(3)"].agrees() is True
 
 
+def _count_simplicity_computations(monkeypatch):
+    """Groups built afresh; the group names whose simplicity is computed,
+    not read back from the memo store."""
+    monkeypatch.setattr(groups, "_CONSTRUCT_CACHE", {})
+    names, memoized = [], FiniteGroup.memoized
+    monkeypatch.setattr(FiniteGroup, "memoized", lambda g, query, key, compute: memoized(
+        g, query, key, (lambda: names.append(g.name) or compute())
+        if query == "is_simple" else compute))
+    return names
+
+
 def test_felgner_corpus_report_classifies_each_group_once(monkeypatch):
-    import permlab.sentences as sentences
-    from permlab.groups import GroupSpec
     specs = [GroupSpec("sym", 3), GroupSpec("alt", 5)]
     expected = sorted((felgner_report(G(spec), sid) for spec in specs
                        for sid in ("felgner.phi2", "felgner.phi1.literal",
                                    "felgner.phi1.generated")),
                       key=lambda r: (r.group, r.sentence))
-    calls = []
-    real = sentences.is_simple_bruteforce
-    monkeypatch.setattr(sentences, "is_simple_bruteforce",
-                        lambda g: calls.append(g.name) or real(g))
+    computed = _count_simplicity_computations(monkeypatch)
     assert felgner_corpus_report(specs) == expected
-    assert sorted(calls) == ["alt(5)", "sym(3)"]
+    assert sorted(computed) == ["alt(5)", "sym(3)"]
+
+
+def test_verify_both_phi1_readings_classify_each_group_once(monkeypatch, tmp_path):
+    computed = _count_simplicity_computations(monkeypatch)
+    assert main(["verify", "--groups", "sym3,alt5,psl2(7)", "--sentences",
+                 "felgner.phi1.literal,felgner.phi1.generated",
+                 "-o", str(tmp_path / "r.json")]) == 0
+    assert computed == ["sym(3)", "alt(5)", "psl2(7)"]
 
 
 def test_felgner_report_pairs_each_sentence_with_its_oracle():
