@@ -5,10 +5,10 @@ int32 matrix (:attr:`FiniteGroup.matrix`, one row of images per element),
 indexed 0..order-1 with the identity first for constructor groups.  Rows
 are looked up by one rank function, a binary search over one sorted key
 per row (its base-d digits up to degree 15, its bytes above).  Products go
-through :meth:`FiniteGroup.mul_many`: a gather from the int32 Cayley table
-(:meth:`FiniteGroup.table`, built on first use) for groups of at most
-TABLE_CAP elements, composed and ranked rows above it; scalar `mul` and
-`inv` read the same table and inverse array.  No other module knows how
+through :meth:`FiniteGroup.mul_many`, one flat gather: from the int32 Cayley
+table (:meth:`FiniteGroup.table`, built on first use) within TABLE_CAP, of
+composed rows, then ranked, above it; scalar `mul` and `inv` read the table
+and inverse array, or search one composed row's key.  No other module knows how
 elements are stored; :class:`~permlab.perms.Permutation` objects appear only
 at API boundaries.  Groups are immutable after construction, so sharing
 them between callers is safe: every pure query result that is kept
@@ -385,17 +385,28 @@ class FiniteGroup:
         return self._table
 
     def mul_many(self, a, b) -> np.ndarray:
-        """Indices of the products a·b of index arrays, broadcast like T[a, b]:
-        a Cayley-table gather within TABLE_CAP, else composed rows, ranked."""
+        """Indices of the products a·b of index arrays, broadcast like T[a, b],
+        each side one flat gather: the Cayley table's flat view at a·n + b
+        within TABLE_CAP; above, the matrix's flat view at d·a + b(i) for
+        the rows (a·b)(i) = a(b(i)), ranked."""
         if (table := self._table or self.table()) is not None:
-            return table[0][a, b]
-        a, b = np.broadcast_arrays(a, b)
-        return self._rank(np.take_along_axis(self.matrix[a], self.matrix[b], -1))
+            return table[0].ravel().take(np.multiply(a, len(self)) + b)
+        d = self.degree
+        return self._rank(self.matrix.ravel().take(self.matrix[b] + d * np.asarray(a)[..., None]))
 
     def mul(self, i: int, j: int) -> int:
-        if (table := self._table or self.table()) is None:
-            return int(self._rank(self.matrix[i][self.matrix[j]]))
-        return table[0].item(i, j)
+        """Index of i·j: a table entry within TABLE_CAP; above, one composed
+        row's key (Python digits up to degree 15), searched with no membership
+        test, since a product of elements is an element."""
+        if (table := self._table or self.table()) is not None:
+            return table[0].item(i, j)
+        row = self.matrix[i][self.matrix[j]]
+        if self.degree > 15:
+            return int(self._rank(row))
+        key = 0
+        for x in row.tolist():  # `_row_keys`' base-d digits
+            key = key * self.degree + x
+        return self._row_order.item(self._keys.searchsorted(key))
 
     def inverse_array(self) -> np.ndarray:
         """Read-only int32 array: inverse_array()[i] is the index of i^-1."""
@@ -622,7 +633,8 @@ class FiniteGroup:
 
         def compute():
             mat, cand = self.matrix, np.arange(len(self))
-            gens = generating_subset(self, key)
+            # a key of at most one element generates itself: no closure
+            gens = list(key) if len(key) <= 1 else generating_subset(self, key)
             if self._table is not None:  # g·x = x·g: row g against column g
                 T, keep = self._table[0], np.ones(len(self), dtype=bool)
                 for g in gens:
@@ -1042,10 +1054,12 @@ def iter_alt_subgroups(G: FiniteGroup, l: int,
     soundly for any conjugation-covariant use: the stream covers every
     conjugacy orbit of Alt(l)-subgroups of `within`, though not necessarily
     every individual copy.  Pairs whose generators or product have an order
-    outside the Alt(l) spectrum are not closed.  Recognition: order l!/2,
-    element-order spectrum match, brute-force simplicity for l >= 5.
-    Alt(4) is not simple, but {1: 1, 2: 3, 3: 8} is the spectrum of no
-    other order-12 group, so order plus spectrum already decides l = 4.
+    outside the Alt(l) spectrum are not closed, nor is (a, b) once b lies in
+    some ⟨a, b'⟩ closed within l!/2 elements: then ⟨a, b⟩ ⊆ ⟨a, b'⟩ is a set
+    already seen or too small, so the stream is unchanged.  Recognition:
+    order l!/2, element-order spectrum match, brute-force simplicity for
+    l >= 5.  Alt(4) is not simple, but {1: 1, 2: 3, 3: 8} is the spectrum of
+    no other order-12 group, so order plus spectrum already decides l = 4.
     """
     if l < 4:
         raise ValueError("alt-subgroup search needs l >= 4")
@@ -1065,15 +1079,18 @@ def iter_alt_subgroups(G: FiniteGroup, l: int,
                        dtype=np.int32)
     seen: set[frozenset] = set()
     for a in reps:
+        covered = np.zeros(len(G), dtype=bool)  # ⟨a, b'⟩ closed within target
         for b, ab in zip(members.tolist(), G.mul_many(a, members).tolist()):
             # ⟨a, b⟩ holds a·b, so an order outside the spectrum could only
             # close to a set that fails the spectrum check
-            if G.order_of(ab) not in allowed:
+            if covered[b] or G.order_of(ab) not in allowed:
                 continue
-            rows = _closure(G.matrix[[a, b]], target)
-            if rows is None or len(rows) != target:
+            if (rows := _closure(G.matrix[[a, b]], target)) is None:
                 continue
-            fs = frozenset(G._rank(rows).tolist())
+            covered[found := G._rank(rows)] = True
+            if len(rows) != target:
+                continue
+            fs = frozenset(found.tolist())
             if fs in seen:
                 continue
             seen.add(fs)

@@ -112,14 +112,35 @@ def test_verify_small_groups(tmp_path):
     assert rep["summary"] == {"rows": 8, "asserted": 3, "failed": 0}
 
 
-def test_plain_verify_closes_rows_only_to_build_groups_and_alt_subgroups(tmp_path, monkeypatch):
-    # fresh groups; subgroups of a group that holds its Cayley table close by it
+def counted_callers(monkeypatch, name):
+    """Fresh groups, and a Counter of the qualified names of the functions
+    that call groups.<name>."""
     monkeypatch.setattr(groups, "_CONSTRUCT_CACHE", {})
-    callers, closure = Counter(), groups._closure
-    monkeypatch.setattr(groups, "_closure", lambda *args: callers.update(
-        [sys._getframe(1).f_code.co_name]) or closure(*args))
+    callers, inner = Counter(), getattr(groups, name)
+    monkeypatch.setattr(groups, name, lambda *args, **kwargs: callers.update(
+        [sys._getframe(1).f_code.co_qualname]) or inner(*args, **kwargs))
+    return callers
+
+
+def test_plain_verify_closes_rows_only_to_build_groups_and_alt_subgroups(tmp_path, monkeypatch):
+    # subgroups of a group that holds its Cayley table close by it
+    callers = counted_callers(monkeypatch, "_closure")
     assert run(tmp_path, "verify")[0] == 0
-    assert callers == {"_generated_group": 17, "iter_alt_subgroups": 5}
+    assert callers == {"_generated_group": 17, "iter_alt_subgroups": 3}
+
+
+def test_alt9_congruence_closes_few_generating_pairs(tmp_path, monkeypatch):
+    # b in an earlier ⟨a, b'⟩: the pair is not closed (1,013 closures without that rule)
+    callers = counted_callers(monkeypatch, "_closure")
+    assert run(tmp_path, "verify", "--groups", "alt9", "--sentences", "congruence(1,3)")[0] == 0
+    assert 0 < callers["iter_alt_subgroups"] <= 253
+
+
+def test_plain_verify_centralizers_close_only_keys_of_two_or_more(tmp_path, monkeypatch):
+    # a one-element key is its own generating subset (234 calls without that rule)
+    callers = counted_callers(monkeypatch, "generating_subset")
+    assert run(tmp_path, "verify")[0] == 0
+    assert 0 < callers["FiniteGroup.centralizer_of.<locals>.compute"] <= 167
 
 
 def test_verify_congruence_id_with_comma(tmp_path):
@@ -377,14 +398,21 @@ _BRUTE = [{"check": "matches the brute-force centralizer", "pass": True}]
       "centralizer"), 0, {"summary": {"asserted": 1, "failed": 0, "rows": 1}}),
     (("verify", "--groups", "alt9", "--sentences", "congruence(1,3)"), 0,
      {"summary": {"asserted": 1, "failed": 0, "rows": 1}}),
+    (("verify", "--groups", "dihedral(5000)", "--sentences", "prime_remark", "--strategy",
+      "centralizer"), 0, "ecba960c2b156e60a6a6b6d78041d15246a0eb9ae7ab94c060219223f56025c6"),
 ], ids=["report-regular-sym4", "report-cycle-24", "clusters-exhaustive-cycle-9",
         "action-centralizer-degree-8", "action-centralizer-degree-9",
-        "verify-class-sym8", "verify-centralizer-sym9", "verify-congruence-alt9"])
-def test_brute_force_scans_finish_within_budget(tmp_path, capsys, argv, code, fields):
+        "verify-class-sym8", "verify-centralizer-sym9", "verify-congruence-alt9",
+        "verify-centralizer-dihedral5000"])
+def test_brute_force_scans_finish_within_budget(tmp_path, capsys, monkeypatch,
+                                                 argv, code, fields):
     # every subset of 24 points, all of Sym(8), or a loud refusal of Sym(9);
     # the brute-force centralizer row appears up to groups.SYM_SCAN_CAP only;
     # the class strategy's orbit representatives on all of Sym(8); the class
-    # scans of Sym(9) and Alt(9)
+    # scans of Sym(9) and Alt(9); 1,251 centralizers of one-element keys in
+    # dihedral(5000), whose report is pinned by its sha256 (`fields`); fresh
+    # groups, released with their tables (dihedral(5000)'s is 100 MB)
+    monkeypatch.setattr(groups, "_CONSTRUCT_CACHE", {})
     out = tmp_path / "r.json"
     t0 = time.perf_counter()
     assert main([*argv, "-o", str(out)]) == code
@@ -393,6 +421,8 @@ def test_brute_force_scans_finish_within_budget(tmp_path, capsys, argv, code, fi
     assert "Traceback" not in err
     if code == 2:
         assert "capped at degree 8" in err and not out.exists()
+    elif isinstance(fields, str):
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == fields
     else:
         rep = json.loads(out.read_text(encoding="utf-8"))
         assert {k: rep[k] for k in fields} == fields

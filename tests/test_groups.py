@@ -164,6 +164,26 @@ def test_cayley_table_is_lazy_and_capped():
     assert g.element(g.inv(a)) == g.element(a).inverse()
 
 
+@pytest.mark.parametrize("spec", [
+    "sym7", "generated[(1 2),(1 2 3 4 5 6 7),(8 9 10 11 12 13 14 15 16)]"])
+def test_products_above_the_table_cap_match_tuple_composition(spec):
+    # degree 7 keys scalar products in Python; degree 16 takes the bytes keys
+    g = G(spec)
+    assert len(g) == {"sym7": 5040}.get(spec, 45360) and g.table() is None
+    a, b = (np.arange(0, len(g), step) for step in (97, 131))
+    a = a[:len(b)]
+
+    def product(i, j):
+        return g.index_of(_raw_compose(g.element_tuple(i), g.element_tuple(j)))
+    want = [product(i, j) for i, j in zip(a.tolist(), b.tolist())]
+    assert [g.mul(i, j) for i, j in zip(a.tolist(), b.tolist())] == want
+    assert g.mul_many(a, b).tolist() == want
+    grid = g.mul_many(a[:5, None], b[:7])
+    assert grid.tolist() == [[product(i, j) for j in b[:7].tolist()] for i in a[:5].tolist()]
+    assert g.mul_many(int(a[1]), b[:7]).tolist() == grid[1].tolist()
+    assert g.mul_many(a[:5], int(b[2])).tolist() == grid[:, 2].tolist()
+
+
 def test_element_lookup_errors():
     g = G("alt4")
     with pytest.raises(ValueError):
@@ -484,6 +504,21 @@ def test_table_path_matches_the_row_path(monkeypatch, spec):
     assert _table_and_row_paths(tabled, monkeypatch, True) == \
         _table_and_row_paths(rows, monkeypatch, False)
     assert rows._table is None
+
+
+@pytest.mark.parametrize("spec", [s.canonical_name() for s in default_corpus()])
+def test_one_element_centralizer_keys_match_the_generating_subset_path(spec):
+    # {x} is its own generating subset; {x, 1} still closes ⟨x, 1⟩ by
+    # generating_subset, to the same generators, under another memo key
+    for tabled in (True, False):
+        g = FiniteGroup(G(spec).matrix, spec)
+        if tabled:
+            g.table()
+        one = g.identity_index
+        assert g.centralizer_of([one]) == g.centralizer_of([]) == frozenset(range(len(g)))
+        for x in range(len(g)):
+            assert g.centralizer_of([x]) == g.centralizer_of([x, one])
+        assert (g._table is None) != tabled
 
 
 def test_is_central_means_commuting_with_every_generator():
@@ -809,6 +844,16 @@ def test_alt_subgroup_stream_matches_the_unpruned_search_on_alt9_regions():
             c = g.centralizer_of([r])
             assert list(iter_alt_subgroups(g, 4, within=c)) == \
                 _alt_subgroups_unpruned(g, 4, within=c)
+
+
+@pytest.mark.parametrize("spec, l", [(spec, l) for spec in ("alt6", "alt7", "sym6", "psl2(11)")
+                                     for l in (4, 5)] + [("alt9", 4)])
+def test_alt_subgroup_stream_skips_only_covered_pairs(spec, l):
+    # a b inside an earlier closed ⟨a, b'⟩ gives ⟨a, b⟩ ⊆ ⟨a, b'⟩: a set
+    # already seen or too small, so skipping it leaves the stream as it was
+    g = G(spec)
+    within = g.centralizer_of([idx(g, "(1 2 3)")]) if spec == "alt9" else None
+    assert list(iter_alt_subgroups(g, l, within)) == _alt_subgroups_unpruned(g, l, within)
 
 
 # -- regular representations -------------------------------------------------
