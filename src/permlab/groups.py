@@ -2,9 +2,11 @@
 
 A :class:`FiniteGroup` stores its elements in one read-only C-contiguous
 int32 matrix (:attr:`FiniteGroup.matrix`, one row of images per element),
-indexed 0..order-1 with the identity first for constructor groups.  Rows
-are looked up by one rank function, a binary search over one sorted key
-per row (its base-d digits up to degree 15, its bytes above).  Products go
+indexed 0..order-1 with the identity first for constructor groups.  Per
+element it holds that row and one key (base-d digits up to degree 15, bytes
+above), and a row order only when the rows are unsorted: Sym(n) and Alt(n)
+are built in lexicographic order and need none.  Rows are looked up by one
+rank function, a binary search over the sorted keys.  Products go
 through :meth:`FiniteGroup.mul_many`, one flat gather: from the int32 Cayley
 table (:meth:`FiniteGroup.table`, built on first use) within TABLE_CAP, of
 composed rows, then ranked, above it; scalar `mul` and `inv` read the table
@@ -183,14 +185,14 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return _void_rows(rows)
 
 
-def _search(keys: np.ndarray, order: np.ndarray, wanted: np.ndarray):
-    """(order[position of each wanted key in the sorted `keys`], mask of the
-    wanted keys that are not there).  Many keys are searched in ascending
-    order, which keeps the binary searches in cache (3× faster on 10^5)."""
+def _search(keys: np.ndarray, order: np.ndarray | None, wanted: np.ndarray):
+    """(order[position of each wanted key in the sorted `keys`], or the int32
+    position if `order` is None; mask of the wanted keys that are not there).
+    Ascending searches keep the binary searches in cache (3× faster on 10^5)."""
     ask = np.argsort(wanted) if len(wanted) > 256 else slice(None)
     at = np.empty(len(wanted), dtype=np.intp)
     at[ask] = np.minimum(np.searchsorted(keys, wanted[ask]), len(keys) - 1)
-    return order[at], keys[at] != wanted
+    return at.astype(np.int32) if order is None else order[at], keys[at] != wanted
 
 
 def _sym_centralizer_rows(row) -> np.ndarray:
@@ -275,16 +277,20 @@ class FiniteGroup:
         self.matrix = np.ascontiguousarray(elements, dtype=np.int32).view()
         self.matrix.flags.writeable = False
         self.degree = self.matrix.shape[1]
-        # the row keys in ascending order, which `_rank` and
-        # `conjugation_orbits` search, and the row index of each
+        # per element one key: the row keys in ascending order, which `_rank`
+        # and `conjugation_orbits` search, and a row order only when the rows
+        # are unsorted; int keys that ascend strictly (Sym and Alt) need none
         try:
             keys = _row_keys(self.matrix)
         except ValueError:
             raise ValueError(f"element entries must lie in 0..{self.degree - 1}") from None
-        self._row_order = np.argsort(keys).astype(np.int32)
-        self._keys = keys = keys[self._row_order]
-        if np.any(keys[1:] == keys[:-1]):
-            raise ValueError("duplicate element in element list")
+        self._row_order = None  # row i holds the i-th key
+        if keys.dtype.kind == "V" or not (keys[1:] > keys[:-1]).all():
+            self._row_order = np.argsort(keys).astype(np.int32)
+            keys = keys[self._row_order]
+            if np.any(keys[1:] == keys[:-1]):
+                raise ValueError("duplicate element in element list")
+        self._keys = keys
         try:
             self.identity_index = self.index_of(range(self.degree))
         except ValueError:
@@ -293,7 +299,7 @@ class FiniteGroup:
                             if generator_indices is not None else None)
         self._table: tuple | None = None
         self._inverse: np.ndarray | None = None
-        self._orders: list[int] = [0] * len(self)
+        self._orders: dict[int, int] = {}  # order_of, filled on demand
         self._memo: dict[tuple, object] = {}  # see `memoized`
         self.spec: GroupSpec | None = None  # set by construct_group
 
@@ -379,9 +385,13 @@ class FiniteGroup:
 
     def table(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(T, inv): int32 arrays with T = `left_table()` and inv[i] the index
-        of i^-1, or None for groups above TABLE_CAP.  Built on first use."""
+        of i^-1, where row i of T holds the identity; None above TABLE_CAP."""
         if self._table is None and len(self) <= TABLE_CAP:
-            self._table = self.left_table(), self.inverse_array()
+            T = self.left_table()
+            if self._inverse is None:
+                self._inverse = (T == self.identity_index).argmax(axis=1).astype(np.int32)
+                self._inverse.flags.writeable = False
+            self._table = T, self._inverse
         return self._table
 
     def mul_many(self, a, b) -> np.ndarray:
@@ -406,7 +416,8 @@ class FiniteGroup:
         key = 0
         for x in row.tolist():  # `_row_keys`' base-d digits
             key = key * self.degree + x
-        return self._row_order.item(self._keys.searchsorted(key))
+        at = int(self._keys.searchsorted(key))
+        return at if self._row_order is None else self._row_order.item(at)
 
     def inverse_array(self) -> np.ndarray:
         """Read-only int32 array: inverse_array()[i] is the index of i^-1."""
@@ -430,8 +441,8 @@ class FiniteGroup:
         return acc
 
     def order_of(self, i: int) -> int:
-        o = self._orders[i]
-        if o == 0:
+        o = self._orders.get(i)
+        if o is None:
             o = self._orders[i] = lcm(*map(len, row_cycles(
                 self.element_tuple(i), include_fixed=True)))
         return o
@@ -772,19 +783,23 @@ def _build_sym_or_alt(kind: str, n: int) -> FiniteGroup:
         raise ValueError("degree must be at least 1")
     if factorial(min(n, 20)) > 2 * ELEMENT_CAP:  # 20! already exceeds it
         raise CapExceededError(f"{kind}({n}) exceeds the element cap {ELEMENT_CAP}")
-    # the permutations of 0..m-1 in lexicographic order, from those of
-    # 0..m-2: each leading value f, then the rest renumbered around it; the
-    # leading f adds f inversions to the parity of the rest
+    # the permutations of 0..m-1 in lexicographic order, written in place from
+    # those of 0..m-2: each leading value f, then the rest renumbered around
+    # it; f adds f inversions, so Alt(n)'s last level takes rests of f's parity
     mat, odd = np.zeros((1, 0), dtype=np.int32), np.zeros(1, dtype=bool)
     for m in range(1, n + 1):
-        mat = np.concatenate([np.concatenate(
-            [np.full((len(mat), 1), f, dtype=np.int32), mat + (mat >= f)], 1)
-            for f in range(m)])
-        odd = np.concatenate([odd ^ bool(f & 1) for f in range(m)])
+        by_parity = (mat[~odd], mat[odd]) if kind == "alt" and m == n else (mat, mat)
+        rests = [by_parity[f & 1] for f in range(m)]
+        mat, at = np.empty((sum(map(len, rests)), m), dtype=np.int32), 0
+        for f, rest in enumerate(rests):
+            block, at = mat[at:at + len(rest)], at + len(rest)
+            block[:, 0] = f
+            np.add(rest, rest >= f, out=block[:, 1:])
+        odd = np.concatenate([odd ^ bool(f & 1) for f in range(m)]) if m < n else None
+    del by_parity, rests, rest  # the level below, no longer needed
     if kind == "sym":  # (1 2) and (1 2 ... n), as far as the degree allows
         gens = [[1, 0, *range(2, n)], [*range(1, n), 0]][:n - 1]
     else:  # the even rows, generated by the 3-cycles (1 2 k) for k = 3..n
-        mat = mat[~odd]
         gens = [[1, k, *range(2, k), 0, *range(k + 1, n)] for k in range(2, n)]
     g = FiniteGroup(mat, f"{kind}({n})")
     g._generators = tuple(g._rank(np.array(gens, dtype=np.int32).reshape(-1, n)).tolist())

@@ -6,12 +6,9 @@ via -o so the JSON can be loaded back and inspected.
 
 import hashlib
 import json
-import os
-import subprocess
 import sys
 import time
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -571,7 +568,7 @@ print(json.dumps({"codes": codes, "descents": len(descents),
 """
 
 
-def test_job_paths_import_neither_numpy_random_nor_numpy_ma(tmp_path):
+def test_job_paths_import_neither_numpy_random_nor_numpy_ma(tmp_path, fresh_python):
     # every kind of benchmark `actions` job and one `verify`, in one fresh
     # interpreter: numpy.random and numpy.ma cost 8-23 ms each to import, and
     # dataclasses would bring back its decorators' code generation
@@ -594,13 +591,7 @@ def test_job_paths_import_neither_numpy_random_nor_numpy_ma(tmp_path):
         ("verify", "--groups", "alt5,sym4"),
     ]
     argv = json.dumps([(c, str(tmp_path / f"r{k}.json")) for k, c in enumerate(commands)])
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, argv], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
+    result = fresh_python(_IMPORT_GUARD, argv)
     assert result["codes"] == [0] * len(commands)
     assert result["descents"] > 0
     assert result["loaded"] == []

@@ -2,7 +2,9 @@
 products, and the FO whole-domain scans built on them."""
 
 import hashlib
+import itertools
 import json
+import random
 import re
 from functools import lru_cache, partial
 
@@ -258,6 +260,115 @@ def test_mul_builds_no_table_above_the_cap():
     g.mul(5, 6)
     g.mul_many(np.arange(10), 3)
     assert g._table is None
+
+
+# -- Sym(n) and Alt(n): built in place, sorted keys, no row order ---------------
+
+def _parity(p):
+    return sum(a > b for a, b in itertools.combinations(p, 2)) & 1
+
+
+# generator indices of sym(n) and alt(n) as built before the in-place build
+GENERATORS = {1: ((), ()), 2: ((1,), ()), 3: ((2, 3), (1,)), 4: ((6, 9), (4, 5)),
+              5: ((24, 33), (15, 19, 22)), 6: ((120, 153), (72, 87, 100, 112)),
+              7: ((720, 873), (420, 492, 555, 616, 676))}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sym_and_alt_rows_are_lexicographic_permutations(n):
+    perms = [list(p) for p in itertools.permutations(range(n))]
+    sym, alt = groups._build_sym_or_alt("sym", n), groups._build_sym_or_alt("alt", n)
+    assert sym.matrix.tolist() == perms
+    assert alt.matrix.tolist() == [p for p in perms if not _parity(p)]
+    assert (sym.generators, alt.generators) == GENERATORS[n]
+    # lexicographic rows have ascending int keys: no row order is kept
+    assert sym._row_order is None and alt._row_order is None
+
+
+def test_rows_in_key_order_with_a_repeat_are_still_duplicates():
+    rows = construct_group("sym3").matrix
+    with pytest.raises(ValueError, match="duplicate element in element list"):
+        FiniteGroup(np.concatenate([rows[:2], rows[1:]]), "bad")
+
+
+def _shuffled(g, seed=0):
+    """A copy of g with its rows in a shuffled order, so that it keeps a row
+    order, and pos: g's index i is the copy's index pos[i]."""
+    at = list(range(len(g)))
+    random.Random(seed).shuffle(at)
+    pos = np.argsort(at)
+    return FiniteGroup(g.matrix[at], "shuffled", pos[list(g.generators)].tolist()), pos
+
+
+def test_sorted_keys_search_like_a_row_order_through_a_shuffle():
+    g = construct_group("sym7")
+    h, pos = _shuffled(g)
+    assert g._row_order is None and h._row_order is not None and len(g) > TABLE_CAP
+    rng = random.Random(1)
+    a = np.array([rng.randrange(len(g)) for _ in range(300)])
+    b = np.array([rng.randrange(len(g)) for _ in range(300)])
+    assert h._rank(g.matrix[a]).tolist() == pos[a].tolist()
+    assert g._rank(g.matrix[a]).tolist() == a.tolist()
+    assert all(h.index_of(g.element_tuple(x)) == pos[x] for x in a[:20].tolist())
+    assert h.identity_index == pos[g.identity_index]
+    for row in [(0,) * 7, (1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, -1)]:
+        for k in (g, h):
+            with pytest.raises(ValueError, match=re.escape(f"not an element of {k.name}")):
+                k._rank(np.array([g.matrix[3], row]))
+    assert [pos[g.mul(x, y)] for x, y in zip(a.tolist(), b.tolist())] == \
+        [h.mul(pos[x], pos[y]) for x, y in zip(a.tolist(), b.tolist())]
+    assert pos[g.mul_many(a[:, None], b[:40])].tolist() == \
+        h.mul_many(pos[a][:, None], pos[b[:40]]).tolist()
+    by = [g.generators[0], a.item(0)]
+    labels = g.conjugation_orbits(by)
+    least = np.full(len(g), len(g))
+    np.minimum.at(least, labels, pos)  # least[label] = least copy index in that orbit
+    expected = np.empty(len(g), dtype=np.intp)
+    expected[pos] = least[labels]
+    assert h.conjugation_orbits(pos[by].tolist()).tolist() == expected.tolist()
+    x = a.item(1)
+    assert {pos[y] for y in g.centralizer_of((x,))} == h.centralizer_of((pos[x],))
+
+
+@pytest.mark.parametrize("name", sorted({s.canonical_name() for s in default_corpus()}
+                                        | {"psl2(13)", "alt(7)"}))
+def test_inverses_read_from_the_table_equal_the_ranked_ones(name):
+    ranked, tabled = (FiniteGroup(construct_group(name).matrix, name) for _ in range(2))
+    T, inv = tabled.table()
+    assert ranked._table is None and tabled.inverse_array() is inv
+    assert inv.dtype == np.int32 and not inv.flags.writeable
+    assert inv.tolist() == ranked.inverse_array().tolist()
+    assert ranked._table is None  # the rank path builds no table
+    assert (T[np.arange(len(T)), inv] == tabled.identity_index).all()
+
+
+_MEMORY_GUARD = """
+import json, tracemalloc
+from permlab import groups
+out = {}
+for name in ("sym9", "alt9"):
+    tracemalloc.start()
+    groups.construct_group(name)
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    out[name] = [held / 2 ** 20, peak / 2 ** 20]
+g = groups.construct_group("sym7")
+g.class_representatives()
+out["long"] = [k for k, v in vars(g).items()
+               if isinstance(v, (list, tuple, dict)) and len(v) > 64]
+print(json.dumps(out))
+"""
+
+
+def test_large_groups_hold_only_their_rows_and_keys(fresh_python):
+    # traced MB: Sym(9)'s rows are 12.5 and its keys 2.8, Alt(9)'s half that;
+    # building either by concatenation and an argsort peaked at 26.2
+    out = fresh_python(_MEMORY_GUARD)
+    held, peak = out["sym9"]
+    assert peak < 18 and held < 16
+    assert out["alt9"][1] < 10
+    # no per-element Python containers once the classes are known
+    assert out["long"] == []
 
 
 # -- FO scans on a group above the cap ------------------------------------------
